@@ -379,50 +379,60 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("seeds must be comma-separated integers") from exc
 
 
+# argparse keyword arguments of each flag, keyed by its RunConfig field;
+# the flag itself is the field name with dashes, as in --n-range
+_FLAGS = {
+    "n": {"type": int},
+    "a": {"type": int},
+    "d": {"type": int},
+    "n_range": {"type": _parse_range, "metavar": "A..B"},
+    "d_range": {"type": _parse_range, "metavar": "A..B"},
+    "field": {"type": _parse_field, "default": RATIONALS,
+              "metavar": "{rational|prime|prime:P}"},
+    "seeds": {"type": _parse_seeds, "default": (), "metavar": "S1,S2,..."},
+    "boundary": {"choices": ("strict", "touch"), "default": "strict"},
+    "verify_rational": {"action": "store_true"},
+}
+
+# help text and the flags each subcommand reads; --format and --out go on all
+_SUBCOMMANDS = {
+    "initial": ("degree piece of the initial ideal, checked combinatorially",
+                ("n", "a", "d", "field")),
+    "hilbert": ("quotient dimension counts per degree",
+                ("n", "a", "d", "d_range")),
+    "froberg": ("predicted series against exact dimensions",
+                ("n", "a", "seeds", "field")),
+    "wlp": ("maximal-rank sweep over all degrees for one n",
+            ("n", "a", "seeds", "field")),
+    "inject": ("injectivity table over a range of n",
+               ("a", "d", "n_range", "seeds", "field", "verify_rational")),
+    "witness": ("kernel witness pairs with exact verification",
+                ("n", "d", "seeds")),
+    "paths": ("bounded walk counts and the dimension comparison",
+              ("n", "d", "seeds", "boundary")),
+    "sweep": ("maximal-rank sweeps over a range of n",
+              ("a", "n_range", "seeds", "field")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lefschetz-kit",
         description="Exact computations around weak Lefschetz multiplication maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "initial": "degree piece of the initial ideal, checked combinatorially",
-        "hilbert": "quotient dimension counts per degree",
-        "froberg": "predicted series against exact dimensions",
-        "wlp": "maximal-rank sweep over all degrees for one n",
-        "inject": "injectivity table over a range of n",
-        "witness": "kernel witness pairs with exact verification",
-        "paths": "bounded walk counts and the dimension comparison",
-        "sweep": "maximal-rank sweeps over a range of n",
-    }
-    for name, help_text in helps.items():
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--a", type=int)
-        sp.add_argument("--d", type=int)
-        sp.add_argument("--n-range", dest="n_range", type=_parse_range,
-                        metavar="A..B")
-        sp.add_argument("--d-range", dest="d_range", type=_parse_range,
-                        metavar="A..B")
-        sp.add_argument("--field", type=_parse_field, default=RATIONALS,
-                        metavar="{rational|prime|prime:P}")
-        sp.add_argument("--seeds", type=_parse_seeds, default=(),
-                        metavar="S1,S2,...")
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
         sp.add_argument("--format", choices=("json", "csv", "table"),
                         default="json")
         sp.add_argument("--out", dest="output_path", metavar="PATH")
-        sp.add_argument("--boundary", choices=("strict", "touch"),
-                        default="strict")
-        sp.add_argument("--verify-rational", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    config = RunConfig(subcommand=ns.subcommand, n=ns.n, a=ns.a, d=ns.d,
-                       n_range=ns.n_range, d_range=ns.d_range, field=ns.field,
-                       seeds=ns.seeds, format=ns.format,
-                       output_path=ns.output_path, boundary=ns.boundary,
-                       verify_rational=ns.verify_rational)
+    # a flag left off a subcommand keeps its RunConfig default
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         code, report = dispatch(config)
         text = _render(report, config.format)

@@ -5,6 +5,10 @@ Prime-field arithmetic is an accelerator: for integer matrices the rank
 modulo p never exceeds the rational rank, so a full-rank verdict modulo p
 is already exact. Callers who see a prime-field rank deficit and need
 certainty must recompute rationally.
+
+One dispatch rule picks the elimination kernel, in `_rref` and
+`_reduce_against` alone: Fraction lists over Q, int64 numpy arrays modulo
+p < 2^31, Python int lists modulo larger primes.
 """
 
 from __future__ import annotations
@@ -221,6 +225,51 @@ def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _rref(rows, ncols: int, field_tag: FieldTag):
+    """Reduced rows and pivot columns of rows, by the field's one kernel.
+
+    The reduced rows are Fraction lists over Q, an int64 array modulo
+    p < 2^31 and int lists modulo larger primes.
+    """
+    if field_tag.is_rational:
+        return _rref_fraction(rows, ncols)
+    p = field_tag.characteristic
+    if p < _NUMPY_PRIME_LIMIT:
+        arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
+        return _rref_mod_numpy(arr, p)
+    return _rref_mod_python(rows, ncols, p)
+
+
+def _reduce_against(rows, red, piv, field_tag: FieldTag):
+    """Remainders of non-empty rows after clearing the pivot columns of an
+    echelon, which leaves them modulo its row span.
+
+    red and piv are the reduced rows and pivot columns returned by _rref
+    for the same field. The remainders vanish on the pivot columns, so they
+    are returned in the coordinates of the other columns only.
+    """
+    ncols = len(rows[0])
+    pivset = set(piv)
+    free = [c for c in range(ncols) if c not in pivset]
+    p = field_tag.characteristic
+    if not field_tag.is_rational and p < _NUMPY_PRIME_LIMIT:
+        arr = np.array(rows, dtype=np.int64)
+        arr -= _mod_matmul(arr[:, piv], red, p)
+        arr %= p
+        # take keeps the result row-major, which the row operations of
+        # _rref_mod_numpy need to run fast; arr[:, free] is column-major
+        return arr.take(free, axis=1)
+    out = []
+    for row in rows:
+        for rrow, c in zip(red, piv):
+            f = row[c]
+            if f:
+                row = ([x - f * y for x, y in zip(row, rrow)] if p == 0
+                       else [(x - f * y) % p for x, y in zip(row, rrow)])
+        out.append([row[c] for c in free])
+    return out
+
+
 def echelonize(M: RationalMatrix) -> EchelonResult:
     """Canonical reduced row echelon form of M.
 
@@ -228,19 +277,11 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
     unit pivot and cleared above and below. There are no pivoting
     heuristics, so equal inputs give identical results.
     """
-    if M.field_tag.is_rational:
-        red, piv = _rref_fraction([list(r) for r in M.entries], M.cols)
-        ent = tuple(tuple(row) for row in red)
-    else:
-        p = M.field_tag.characteristic
-        if p < _NUMPY_PRIME_LIMIT and M.rows:
-            arr = np.array([list(r) for r in M.entries], dtype=np.int64)
-            red, piv = _rref_mod_numpy(arr, p)
-            ent = tuple(tuple(int(x) for x in row) for row in red)
-        else:
-            red, piv = _rref_mod_python([list(r) for r in M.entries], M.cols, p)
-            ent = tuple(tuple(row) for row in red)
-    reduced = RationalMatrix(rows=len(ent), cols=M.cols, entries=ent,
+    red, piv = _rref([list(r) for r in M.entries], M.cols, M.field_tag)
+    if isinstance(red, np.ndarray):
+        red = red.tolist()
+    reduced = RationalMatrix(rows=len(red), cols=M.cols,
+                             entries=tuple(map(tuple, red)),
                              field_tag=M.field_tag)
     return EchelonResult(rank=len(piv), pivot_columns=tuple(piv),
                          reduced_rows=reduced)
@@ -278,11 +319,14 @@ def kernel_basis(M: RationalMatrix) -> list[tuple]:
 
 
 def in_column_space(M: RationalMatrix, b: Sequence) -> bool:
-    """Whether b, with one entry per matrix row, is a combination of columns."""
+    """Whether b, with one entry per matrix row, is a combination of columns.
+
+    It is exactly when the appended column of [M | b] holds no pivot.
+    """
     vec = list(b)
     if len(vec) != M.rows:
         raise ValueError("b must have one entry per matrix row")
     aug_rows = [list(r) + [v] for r, v in zip(M.entries, vec)]
     aug = RationalMatrix.from_rows(aug_rows, cols=M.cols + 1,
                                    field_tag=M.field_tag)
-    return matrix_rank(aug) == matrix_rank(M)
+    return M.cols not in echelonize(aug).pivot_columns

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InternalFault
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _NUMPY_PRIME_LIMIT, _mod_matmul, _residue,
-                     _rref_fraction, _rref_mod_numpy, _rref_mod_python,
-                     kernel_basis, prime_field)
+                     _reduce_against, _residue, _rref, kernel_basis,
+                     prime_field)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         in_combinatorial_ideal, initial_generators,
                         revlex_sort_key)
@@ -166,25 +163,23 @@ def _capped_basis(spec: IdealSpec, d: int) -> list[tuple[int, ...]]:
     return list(_iter_exponents(spec.n, d, spec.a - 1))
 
 
-def _v_rows(spec: IdealSpec, d: int, field_tag: FieldTag):
-    """Projections of (monomial times extra form) into the capped basis."""
-    basis = _capped_basis(spec, d)
-    col = {e: i for i, e in enumerate(basis)}
+def _product_rows(form: Form, multipliers, col, width: int,
+                  field_tag: FieldTag) -> list[list]:
+    """One row per multiplier exponent: the product with form, projected
+    onto the basis indexed by col; products outside the basis are dropped."""
     p = None if field_tag.is_rational else field_tag.characteristic
     zero = Fraction(0) if p is None else 0
+    terms = [(m.exponents, c if p is None else _residue(c, p))
+             for m, c in form.terms]
     rows = []
-    for f in spec.extra_forms:
-        fterms = [(m.exponents, c if p is None else _residue(c, p))
-                  for m, c in f.terms]
-        for m in _iter_exponents(spec.n, d - spec.a, spec.a - 1):
-            row = [zero] * len(basis)
-            for e, c in fterms:
-                j = col.get(tuple(x + y for x, y in zip(m, e)))
-                if j is not None:
-                    row[j] = row[j] + c if p is None else (row[j] + c) % p
-            if any(row):
-                rows.append(row)
-    return basis, col, rows
+    for mult in multipliers:
+        row = [zero] * width
+        for e, c in terms:
+            j = col.get(tuple(x + y for x, y in zip(mult, e)))
+            if j is not None:
+                row[j] = row[j] + c if p is None else (row[j] + c) % p
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=64)
@@ -195,15 +190,13 @@ def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
     Fraction lists in the rational case and an int64 array or int lists in
     the prime case.
     """
-    basis, col, rows = _v_rows(spec, d, field_tag)
-    if field_tag.is_rational:
-        red, piv = _rref_fraction(rows, len(basis))
-    elif field_tag.characteristic < _NUMPY_PRIME_LIMIT:
-        arr = (np.array(rows, dtype=np.int64) if rows
-               else np.zeros((0, len(basis)), dtype=np.int64))
-        red, piv = _rref_mod_numpy(arr, field_tag.characteristic)
-    else:
-        red, piv = _rref_mod_python(rows, len(basis), field_tag.characteristic)
+    basis = _capped_basis(spec, d)
+    col = {e: i for i, e in enumerate(basis)}
+    mults = list(_iter_exponents(spec.n, d - spec.a, spec.a - 1))
+    rows = [row for f in spec.extra_forms
+            for row in _product_rows(f, mults, col, len(basis), field_tag)
+            if any(row)]
+    red, piv = _rref(rows, len(basis), field_tag)
     return basis, col, red, list(piv)
 
 
@@ -306,21 +299,30 @@ def support_bound_check(n: int, a: int, d: int) -> bool:
     return True
 
 
-def _lift_rows(spec: IdealSpec, ell: Form, std_b, col_d, width: int,
-               field_tag: FieldTag):
-    p = None if field_tag.is_rational else field_tag.characteristic
-    zero = Fraction(0) if p is None else 0
-    terms = [(m.exponents, c if p is None else _residue(c, p))
-             for m, c in ell.terms]
-    rows = []
-    for mb in std_b:
-        row = [zero] * width
-        for e, c in terms:
-            j = col_d.get(tuple(x + y for x, y in zip(mb, e)))
-            if j is not None:
-                row[j] = row[j] + c if p is None else (row[j] + c) % p
-        rows.append(row)
-    return rows
+def _residual_products(spec: IdealSpec, d: int, ell: Form,
+                       field_tag: FieldTag):
+    """Products of ell with the standard monomials of degree d-1, reduced
+    against the ideal span in degree d.
+
+    Returns (std_b, dim_at, rows): the degree d-1 standard monomials, the
+    degree d quotient dimension and one residual row per monomial in
+    std_b, in the coordinates of the degree d standard monomials.
+    """
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    if ell.degree != 1:
+        raise ValueError("need a degree-1 form")
+    if ell.nvars is not None and ell.nvars != spec.n:
+        raise ValueError("the form must use n variables")
+    basis_d, col_d, red_d, piv_d = _reduce_spec(spec, d, field_tag)
+    basis_b, _, _, piv_b = _reduce_spec(spec, d - 1, field_tag)
+    pivset_b = set(piv_b)
+    std_b = [e for i, e in enumerate(basis_b) if i not in pivset_b]
+    dim_at = len(basis_d) - len(piv_d)
+    if not std_b:
+        return std_b, dim_at, []
+    lift = _product_rows(ell, std_b, col_d, len(basis_d), field_tag)
+    return std_b, dim_at, _reduce_against(lift, red_d, piv_d, field_tag)
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
@@ -332,43 +334,9 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     reducing the lifted products against the echelonized ideal span, so no
     stacked matrix is ever formed.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if ell.degree != 1:
-        raise ValueError("need a degree-1 form")
-    if ell.nvars is not None and ell.nvars != spec.n:
-        raise ValueError("the form must use n variables")
-    basis_d, col_d, red_d, piv_d = _reduce_spec(spec, d, mode)
-    basis_b, _, _, piv_b = _reduce_spec(spec, d - 1, mode)
-    pivset_b = set(piv_b)
-    std_b = [e for i, e in enumerate(basis_b) if i not in pivset_b]
-    dim_below = len(std_b)
-    dim_at = len(basis_d) - len(piv_d)
-    if not std_b:
-        return {"rank": 0, "dim_below": 0, "dim_at": dim_at}
-    lift = _lift_rows(spec, ell, std_b, col_d, len(basis_d), mode)
-    if mode.is_rational:
-        for row in lift:
-            for rrow, c in zip(red_d, piv_d):
-                f = row[c]
-                if f:
-                    row[:] = [x - f * y for x, y in zip(row, rrow)]
-        _, piv_res = _rref_fraction(lift, len(basis_d))
-    elif mode.characteristic < _NUMPY_PRIME_LIMIT:
-        p = mode.characteristic
-        arr = np.array(lift, dtype=np.int64)
-        if piv_d:
-            arr = (arr - _mod_matmul(arr[:, piv_d], red_d, p)) % p
-        _, piv_res = _rref_mod_numpy(arr, p)
-    else:
-        p = mode.characteristic
-        for row in lift:
-            for rrow, c in zip(red_d, piv_d):
-                f = row[c]
-                if f:
-                    row[:] = [(x - f * y) % p for x, y in zip(row, rrow)]
-        _, piv_res = _rref_mod_python(lift, len(basis_d), p)
-    return {"rank": len(piv_res), "dim_below": dim_below, "dim_at": dim_at}
+    std_b, dim_at, rows = _residual_products(spec, d, ell, mode)
+    rank = len(_rref(rows, dim_at, mode)[1]) if std_b else 0
+    return {"rank": rank, "dim_below": len(std_b), "dim_at": dim_at}
 
 
 def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
@@ -377,35 +345,17 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     Kernel vectors are returned as degree d-1 forms supported on the
     standard monomial basis of the quotient.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if ell.degree != 1:
-        raise ValueError("need a degree-1 form")
-    basis_d, col_d, red_d, piv_d = _reduce_spec(spec, d, RATIONALS)
-    basis_b, _, _, piv_b = _reduce_spec(spec, d - 1, RATIONALS)
-    pivset_b = set(piv_b)
-    std_b = [e for i, e in enumerate(basis_b) if i not in pivset_b]
-    pivset_d = set(piv_d)
-    std_d_index = {i: k for k, i in
-                   enumerate(i for i in range(len(basis_d)) if i not in pivset_d)}
-    if not std_b:
-        return []
-    lift = _lift_rows(spec, ell, std_b, col_d, len(basis_d), RATIONALS)
-    mat_cols = []
-    for row in lift:
-        for rrow, c in zip(red_d, piv_d):
-            f = row[c]
-            if f:
-                row[:] = [x - f * y for x, y in zip(row, rrow)]
-        mat_cols.append([row[i] for i in range(len(basis_d)) if i not in pivset_d])
-    nrows = len(std_d_index)
-    mat_rows = [[mat_cols[c][r] for c in range(len(std_b))] for r in range(nrows)]
-    M = RationalMatrix.from_rows(mat_rows, cols=len(std_b), field_tag=RATIONALS)
-    out = []
-    for v in kernel_basis(M):
-        cmap = {Monomial(e): x for e, x in zip(std_b, v) if x}
-        out.append(form_from_coefficients(d - 1, cmap))
-    return out
+    std_b, _, rows = _residual_products(spec, d, ell, RATIONALS)
+    return _kernel_forms(zip(*rows), std_b, d - 1)
+
+
+def _kernel_forms(rows, basis, degree: int) -> list[Form]:
+    """Rational kernel basis of the matrix with these rows, as forms whose
+    coefficients sit on the monomials of basis, one per column."""
+    M = RationalMatrix.from_rows(rows, cols=len(basis), field_tag=RATIONALS)
+    return [form_from_coefficients(
+                degree, {Monomial(e): x for e, x in zip(basis, v) if x})
+            for v in kernel_basis(M)]
 
 
 def _monomial_quotient_data(case: GeneratorCase, n: int, d: int):
@@ -436,31 +386,24 @@ def monomial_quotient_map_rank(case: GeneratorCase, n: int, d: int) -> dict:
     """Rank data of multiplication by the variable sum on the quotient by
     the combinatorial monomial ideal, from degree d-1 to degree d."""
     std_b, std_d, rows = _monomial_quotient_data(case, n, d)
-    _, piv = _rref_fraction([[Fraction(x) for x in r] for r in rows], len(std_b))
+    _, piv = _rref(rows, len(std_b), RATIONALS)
     return {"rank": len(piv), "dim_below": len(std_b), "dim_at": len(std_d)}
 
 
 def monomial_quotient_kernel(case: GeneratorCase, n: int, d: int) -> list[Form]:
     """Kernel basis of the same combinatorial multiplication map, as forms."""
-    std_b, std_d, rows = _monomial_quotient_data(case, n, d)
-    M = RationalMatrix.from_rows(rows, cols=len(std_b), field_tag=RATIONALS)
-    out = []
-    for v in kernel_basis(M):
-        cmap = {Monomial(e): x for e, x in zip(std_b, v) if x}
-        out.append(form_from_coefficients(d - 1, cmap))
-    return out
+    std_b, _, rows = _monomial_quotient_data(case, n, d)
+    return _kernel_forms(rows, std_b, d - 1)
 
 
 def injectivity_threshold_check(a: int, d: int, n_range, seeds,
                                 field_tag: FieldTag | None = None) -> list[dict]:
     """Injectivity verdicts of multiplication by seeded random linear forms.
 
-    One row per n. Any seed of full column rank certifies injectivity, and
-    that certificate is exact even in prime mode. A non-injective verdict
-    requires every seed to agree; in prime mode a disagreement escalates to
-    rational arithmetic, and a rational disagreement raises InternalFault.
-    Each row also reports whether n meets the exact closed-form inequality
-    that guarantees injectivity.
+    One row per n, its rank settled across the seeds by _consensus_rank,
+    so a full-rank seed certifies the row even in prime mode. The default
+    field is F_p with p = FAST_PRIME. Each row also reports whether n meets
+    the exact closed-form inequality that guarantees injectivity.
     """
     if a < 2 or d < a:
         raise ValueError("need d >= a >= 2")
@@ -468,32 +411,43 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
     if not seeds:
         raise ValueError("need at least one seed")
     bound = -(-2 * d // (a - 1)) + Fraction(2 * d - 1, a - 1)
+    tag = field_tag if field_tag is not None else prime_field(FAST_PRIME)
     rows = []
     for n in n_range:
-        row = _injectivity_cell(a, d, int(n), seeds, field_tag)
-        row["inequality_met"] = bool(Fraction(n) >= bound)
-        rows.append(row)
+        n = int(n)
+        forms = [random_linear_form(n, s) for s in seeds]
+        rank, dim_below, dim_at = _consensus_rank(IdealSpec(n=n, a=a), d,
+                                                  forms, tag)
+        rows.append({"n": n, "dim_below": dim_below, "dim_at": dim_at,
+                     "rank": rank, "injective": rank == dim_below,
+                     "inequality_met": bool(Fraction(n) >= bound)})
     return rows
 
 
-def _injectivity_cell(a: int, d: int, n: int, seeds, field_tag) -> dict:
-    tag = field_tag if field_tag is not None else prime_field(FAST_PRIME)
-    spec = IdealSpec(n=n, a=a)
-    datas = [multiplication_map_rank(spec, d, random_linear_form(n, s), mode=tag)
-             for s in seeds]
+def _consensus_rank(spec: IdealSpec, d: int, forms,
+                    field_tag: FieldTag) -> tuple[int, int, int]:
+    """Rank of multiplication into degree d by a general linear form.
+
+    Returns (rank, dim_below, dim_at). Any form reaching the maximal
+    possible rank min(dim_below, dim_at) certifies it, and that
+    certificate is exact even in prime mode. Otherwise every form must give
+    the same rank; in prime mode a disagreement escalates to rational
+    arithmetic, and a rational disagreement raises InternalFault.
+    """
+    datas = [multiplication_map_rank(spec, d, ell, mode=field_tag)
+             for ell in forms]
     dim_below = datas[0]["dim_below"]
     dim_at = datas[0]["dim_at"]
-    if any(dt["rank"] == dim_below for dt in datas):
-        return {"n": n, "dim_below": dim_below, "dim_at": dim_at,
-                "rank": dim_below, "injective": True}
+    full = min(dim_below, dim_at)
     ranks = {dt["rank"] for dt in datas}
-    if len(ranks) > 1:
-        if tag.is_rational:
-            raise InternalFault(
-                f"rational ranks disagree across seeds at n={n}: {sorted(ranks)}")
-        return _injectivity_cell(a, d, n, seeds, RATIONALS)
-    return {"n": n, "dim_below": dim_below, "dim_at": dim_at,
-            "rank": ranks.pop(), "injective": False}
+    if full in ranks:
+        return full, dim_below, dim_at
+    if len(ranks) == 1:
+        return ranks.pop(), dim_below, dim_at
+    if field_tag.is_rational:
+        raise InternalFault(f"rational ranks disagree across seeds at n={spec.n}, "
+                            f"degree {d}: {sorted(ranks)}")
+    return _consensus_rank(spec, d, forms, RATIONALS)
 
 
 @dataclass(frozen=True)
@@ -547,36 +501,11 @@ def wlp_sweep(n: int, p: int, seeds,
     if not seeds:
         raise ValueError("need at least one seed")
     spec = IdealSpec(n=n, a=p)
-    forms = {s: random_linear_form(n, s) for s in seeds}
+    forms = [random_linear_form(n, s) for s in seeds]
     records = []
     d = 1
-    while True:
-        if graded_dimension(spec, d, field_tag) == 0:
-            break
-        datas = [multiplication_map_rank(spec, d, forms[s], mode=field_tag)
-                 for s in seeds]
-        dim_below = datas[0]["dim_below"]
-        dim_at = datas[0]["dim_at"]
-        full = min(dim_below, dim_at)
-        ranks = {dt["rank"] for dt in datas}
-        if any(dt["rank"] == full for dt in datas):
-            rank = full
-        elif len(ranks) == 1:
-            rank = ranks.pop()
-        elif field_tag.is_rational:
-            raise InternalFault(
-                f"rational ranks disagree across seeds at degree {d}: {sorted(ranks)}")
-        else:
-            retry = [multiplication_map_rank(spec, d, forms[s], mode=RATIONALS)
-                     for s in seeds]
-            rranks = {dt["rank"] for dt in retry}
-            if full in rranks:
-                rank = full
-            elif len(rranks) > 1:
-                raise InternalFault(
-                    f"rational ranks disagree across seeds at degree {d}: {sorted(rranks)}")
-            else:
-                rank = rranks.pop()
+    while graded_dimension(spec, d, field_tag) != 0:
+        rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)
         records.append(DegreeRecord(
             d=d, dim_below=dim_below, dim_at=dim_at, map_rank=rank,
             injective=rank == dim_below, surjective=rank == dim_at,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import RATIONALS, RationalMatrix, in_column_space
+from .linalg import RATIONALS, RationalMatrix, _reduce_against, in_column_space
 from .monomials import Monomial
 from .quotient import (Form, IdealSpec, _reduce_spec, form_from_coefficients,
                        form_power, linear_form, multiply_forms, variable_sum)
@@ -219,11 +219,7 @@ def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
     vec = [Fraction(0)] * len(basis)
     for m, c in q.terms:
         vec[col[m.exponents]] = c
-    for rrow, c in zip(red, piv):
-        f = vec[c]
-        if f:
-            vec = [x - f * y for x, y in zip(vec, rrow)]
-    return any(vec)
+    return any(_reduce_against([vec], red, piv, RATIONALS)[0])
 
 
 def verify_nonmembership(params: WitnessParams) -> bool:

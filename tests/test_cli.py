@@ -141,6 +141,20 @@ def test_oversized_witness_is_refused():
     assert "refusing" in proc.stderr
 
 
+def test_unread_flags_are_rejected():
+    # paths computes its conjecture over Q and witness has no field choice
+    proc = run_cli("paths", "--n", "6", "--d", "3", "--seeds", "1",
+                   "--field", "prime:3")
+    assert proc.returncode == 2
+    assert "--field" in proc.stderr
+    proc = run_cli("witness", "--n", "6", "--d", "3", "--seeds", "1",
+                   "--field", "prime")
+    assert proc.returncode == 2
+    proc = run_cli("hilbert", "--n", "4", "--a", "2", "--seeds", "1")
+    assert proc.returncode == 2
+    assert "--seeds" in proc.stderr
+
+
 def test_inject_findings_logic():
     def row(n, injective, met):
         return {"n": n, "dim_below": 1, "dim_at": 1, "rank": 0,

@@ -100,6 +100,13 @@ def test_in_column_space():
     Mp = RationalMatrix.from_rows([[1], [2]], field_tag=FAST)
     assert in_column_space(Mp, [2, 4])
     assert not in_column_space(Mp, [1, 3])
+    # the zero vector lies in every column space
+    assert in_column_space(RationalMatrix.from_rows([[1, 2], [2, 4]]), [0, 0])
+    assert in_column_space(Mp, [0, 0])
+    # with no columns only the zero vector is a combination
+    empty = RationalMatrix.from_rows([[], []], cols=0)
+    assert in_column_space(empty, [0, 0])
+    assert not in_column_space(empty, [0, 1])
 
 
 def test_rank_agreement_random_sweep():
