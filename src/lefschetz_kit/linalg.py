@@ -6,9 +6,13 @@ modulo p never exceeds the rational rank, so a full-rank verdict modulo p
 is already exact. Callers who see a prime-field rank deficit and need
 certainty must recompute rationally.
 
-One dispatch rule picks the elimination kernel, in `_rref` and
+One dispatch rule picks the elimination kernel, in `_eliminate` and
 `_reduce_against` alone: Fraction lists over Q, int64 numpy arrays modulo
-p < 2^31, Python int lists modulo larger primes.
+p < 2^31, Python int lists modulo larger primes. Each representation has
+one forward-elimination loop. A rank reads the pivot columns of the
+forward pass alone; a reduced row echelon form is the forward pass plus a
+back-substitution over the pivot rows, and runs only where reduced rows
+are read.
 """
 
 from __future__ import annotations
@@ -145,8 +149,24 @@ class EchelonResult:
             raise ValueError("reduced rows must have exactly rank rows")
 
 
-def _rref_fraction(rows: list[list[Fraction]], ncols: int):
-    rows = [[Fraction(x) for x in r] for r in rows]
+def _clear(row, f, top, p: int) -> None:
+    """row -= f * top in place on the nonzero entries of top, given as
+    (column, value) pairs, over Q when p is 0 and modulo p otherwise."""
+    if p:
+        for j, y in top:
+            row[j] = (row[j] - f * y) % p
+    else:
+        for j, y in top:
+            row[j] -= f * y
+
+
+def _forward_list(rows: list[list], ncols: int, p: int) -> list[int]:
+    """Forward elimination in place on Fraction lists (p = 0) or residue
+    lists modulo p; returns the pivot columns.
+
+    Each pivot row is moved to its place and scaled to a unit pivot, and
+    only the rows below it are cleared, from the pivot column on.
+    """
     piv: list[int] = []
     r = 0
     for c in range(ncols):
@@ -156,88 +176,135 @@ def _rref_fraction(rows: list[list[Fraction]], ncols: int):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        row = rows[r]
+        inv = pow(row[c], -1, p) if p else 1 / row[c]
+        top = [(j, y * inv % p if p else y * inv)
+               for j in range(c, ncols) if (y := row[j])]
+        for j, y in top:
+            row[j] = y
+        for below in rows[r + 1:]:
+            if below[c]:
+                _clear(below, below[c], top, p)
         piv.append(c)
         r += 1
-    return rows[:r], piv
+    return piv
 
 
-def _rref_mod_python(rows: list[list[int]], ncols: int, p: int):
-    rows = [[x % p for x in r] for r in rows]
-    piv: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    return rows[:r], piv
+def _back_substitute_list(rows: list[list], piv: list[int], p: int) -> None:
+    """Clear above each pivot of a forward echelon in place, bottom up,
+    which leaves the reduced row echelon form."""
+    for i in range(len(piv) - 1, 0, -1):
+        c = piv[i]
+        top = [(j, y) for j in range(c, len(rows[i])) if (y := rows[i][j])]
+        for above in rows[:i]:
+            if above[c]:
+                _clear(above, above[c], top, p)
 
 
-def _rref_mod_numpy(mat: np.ndarray, p: int):
-    """Reduced row echelon form of an int64 array modulo p < 2^31."""
-    M = np.array(mat, dtype=np.int64) % p
+def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
+    """Forward elimination in place on an int64 array of residues modulo
+    p < 2^31; returns the pivot columns.
+
+    Only the rows below the pivot that are nonzero in its column are
+    updated, from the pivot column on. Every product stays below
+    p^2 < 2^62, so int64 cannot overflow.
+    """
     nrows, ncols = M.shape
     piv: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = M[r] * inv % p
-        col = M[:, c].copy()
-        mask = col != 0
-        mask[r] = False
-        if mask.any():
-            M[mask] = (M[mask] - np.outer(col[mask], M[r])) % p
+            M[[r, pr], c:] = M[[pr, r], c:]
+        M[r, c:] = M[r, c:] * pow(int(M[r, c]), -1, p) % p
+        # rows below that are nonzero in column c; the row swapped out of
+        # place r was zero there
+        idx = r + nz[1:]
+        if idx.size:
+            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
         piv.append(c)
         r += 1
-    return M[:r], piv
+    return piv
+
+
+def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
+    """Clear above each pivot of a forward echelon array in place, bottom
+    up, which leaves the reduced row echelon form."""
+    for i in range(len(piv) - 1, 0, -1):
+        c = piv[i]
+        idx = np.flatnonzero(M[:i, c])
+        if idx.size:
+            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[i, c:])) % p
+
+
+def _rref_fraction(rows: list[list[Fraction]], ncols: int):
+    """Reduced row echelon form of Fraction lists, in place."""
+    piv = _forward_list(rows, ncols, 0)
+    _back_substitute_list(rows, piv, 0)
+    return rows[:len(piv)], piv
+
+
+def _rref_mod_python(rows: list[list[int]], ncols: int, p: int):
+    """Reduced row echelon form of residue lists modulo p, in place."""
+    piv = _forward_list(rows, ncols, p)
+    _back_substitute_list(rows, piv, p)
+    return rows[:len(piv)], piv
+
+
+def _rref_mod_numpy(M: np.ndarray, p: int):
+    """Reduced row echelon form of an int64 residue array modulo p < 2^31,
+    in place."""
+    piv = _forward_numpy(M, p)
+    M = M[:len(piv)]
+    _back_substitute_numpy(M, piv, p)
+    return M, piv
 
 
 def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(A @ B) % p with the inner dimension chunked so int64 never overflows."""
-    step = max(1, (2**63 - 1) // ((p - 1) ** 2))
+    """(A @ B) % p for a sparse A, as one rank-one update per column of A
+    over its nonzero rows, reduced modulo p after each; every term stays
+    below p^2 + p < 2^63 for p < 2^31."""
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, A.shape[1], step):
-        out = (out + A[:, s:s + step] @ B[s:s + step]) % p
+    for k in range(A.shape[1]):
+        idx = np.flatnonzero(A[:, k])
+        if idx.size:
+            out[idx] = (out[idx] + np.outer(A[idx, k], B[k])) % p
     return out
 
 
-def _rref(rows, ncols: int, field_tag: FieldTag):
-    """Reduced rows and pivot columns of rows, by the field's one kernel.
+def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
+    """Pivot columns of rows and, when reduce is set, their reduced row
+    echelon form, by the field's one kernel; returns (rows, pivots).
 
-    The reduced rows are Fraction lists over Q, an int64 array modulo
-    p < 2^31 and int lists modulo larger primes.
+    The rows are Fraction lists over Q, an int64 array modulo p < 2^31 and
+    int lists modulo larger primes. Without reduce, only the forward pass
+    runs and the rows returned are a forward echelon with zero rows left
+    at the bottom.
     """
-    if field_tag.is_rational:
-        return _rref_fraction(rows, ncols)
     p = field_tag.characteristic
-    if p < _NUMPY_PRIME_LIMIT:
-        arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
-        return _rref_mod_numpy(arr, p)
-    return _rref_mod_python(rows, ncols, p)
+    if p and p < _NUMPY_PRIME_LIMIT:
+        M = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols) % p
+        return _rref_mod_numpy(M, p) if reduce else (M, _forward_numpy(M, p))
+    M = ([[x % p for x in r] for r in rows] if p
+         else [[Fraction(x) for x in r] for r in rows])
+    if not reduce:
+        return M, _forward_list(M, ncols, p)
+    return _rref_mod_python(M, ncols, p) if p else _rref_fraction(M, ncols)
+
+
+def _rref(rows, ncols: int, field_tag: FieldTag):
+    """Reduced rows and pivot columns of rows (see _eliminate)."""
+    return _eliminate(rows, ncols, field_tag, reduce=True)
+
+
+def _pivots(rows, ncols: int, field_tag: FieldTag) -> list[int]:
+    """Pivot columns of rows, from the forward pass alone."""
+    return _eliminate(rows, ncols, field_tag, reduce=False)[1]
 
 
 def _reduce_against(rows, red, piv, field_tag: FieldTag):
@@ -257,7 +324,7 @@ def _reduce_against(rows, red, piv, field_tag: FieldTag):
         arr -= _mod_matmul(arr[:, piv], red, p)
         arr %= p
         # take keeps the result row-major, which the row operations of
-        # _rref_mod_numpy need to run fast; arr[:, free] is column-major
+        # _forward_numpy need to run fast; arr[:, free] is column-major
         return arr.take(free, axis=1)
     out = []
     for row in rows:
@@ -277,7 +344,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
     unit pivot and cleared above and below. There are no pivoting
     heuristics, so equal inputs give identical results.
     """
-    red, piv = _rref([list(r) for r in M.entries], M.cols, M.field_tag)
+    red, piv = _rref(M.entries, M.cols, M.field_tag)
     if isinstance(red, np.ndarray):
         red = red.tolist()
     reduced = RationalMatrix(rows=len(red), cols=M.cols,
@@ -288,7 +355,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
 
 
 def matrix_rank(M: RationalMatrix) -> int:
-    return echelonize(M).rank
+    return len(_pivots(M.entries, M.cols, M.field_tag))
 
 
 def kernel_basis(M: RationalMatrix) -> list[tuple]:
@@ -326,7 +393,6 @@ def in_column_space(M: RationalMatrix, b: Sequence) -> bool:
     vec = list(b)
     if len(vec) != M.rows:
         raise ValueError("b must have one entry per matrix row")
-    aug_rows = [list(r) + [v] for r, v in zip(M.entries, vec)]
-    aug = RationalMatrix.from_rows(aug_rows, cols=M.cols + 1,
-                                   field_tag=M.field_tag)
-    return M.cols not in echelonize(aug).pivot_columns
+    aug = RationalMatrix.from_rows([list(r) + [v] for r, v in zip(M.entries, vec)],
+                                   cols=M.cols + 1, field_tag=M.field_tag)
+    return M.cols not in _pivots(aug.entries, aug.cols, aug.field_tag)

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from .errors import InternalFault
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _reduce_against, _residue, _rref, kernel_basis,
-                     prime_field)
+                     _pivots, _reduce_against, _residue, _rref,
+                     kernel_basis, prime_field)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         in_combinatorial_ideal, initial_generators,
                         revlex_sort_key)
@@ -335,7 +335,7 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     stacked matrix is ever formed.
     """
     std_b, dim_at, rows = _residual_products(spec, d, ell, mode)
-    rank = len(_rref(rows, dim_at, mode)[1]) if std_b else 0
+    rank = len(_pivots(rows, dim_at, mode)) if std_b else 0
     return {"rank": rank, "dim_below": len(std_b), "dim_at": dim_at}
 
 
@@ -386,8 +386,8 @@ def monomial_quotient_map_rank(case: GeneratorCase, n: int, d: int) -> dict:
     """Rank data of multiplication by the variable sum on the quotient by
     the combinatorial monomial ideal, from degree d-1 to degree d."""
     std_b, std_d, rows = _monomial_quotient_data(case, n, d)
-    _, piv = _rref(rows, len(std_b), RATIONALS)
-    return {"rank": len(piv), "dim_below": len(std_b), "dim_at": len(std_d)}
+    rank = len(_pivots(rows, len(std_b), RATIONALS))
+    return {"rank": rank, "dim_below": len(std_b), "dim_at": len(std_d)}
 
 
 def monomial_quotient_kernel(case: GeneratorCase, n: int, d: int) -> list[Form]:

@@ -205,8 +205,10 @@ def _square_free_part(f: Form) -> dict:
 def verify_congruence(params: WitnessParams) -> bool:
     """Exact check that the weighted form times Q and Q' times the squared
     variable sum agree after deleting every term divisible by a square."""
-    q = build_Q(params)
-    qp = build_Qprime(params)
+    return _congruent(params, build_Q(params), build_Qprime(params))
+
+
+def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
     ell = linear_form(params.a_values)
     lhs = multiply_forms(ell, q)
     rhs = multiply_forms(qp, form_power(variable_sum(params.n), 2))
@@ -232,8 +234,11 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     InternalFault.
     """
     _guard(params.n, params.d)
+    return _not_in_ideal(params, build_Q(params))
+
+
+def _not_in_ideal(params: WitnessParams, q: Form) -> bool:
     n, d = params.n, params.d
-    q = build_Q(params)
     qcoeff = {m.exponents: c for m, c in q.terms}
     cols_idx = _colex_combinations(n, d - 3)
     rows = []
@@ -271,6 +276,6 @@ def witness_record(params: WitnessParams) -> dict:
         "a_values": [str(v) for v in params.a_values],
         "Q_terms": [[list(m.exponents), str(c)] for m, c in q.terms],
         "Qprime_terms": [[list(m.exponents), str(c)] for m, c in qp.terms],
-        "congruence_ok": verify_congruence(params),
-        "nonmembership_ok": verify_nonmembership(params),
+        "congruence_ok": _congruent(params, q, qp),
+        "nonmembership_ok": _not_in_ideal(params, q),
     }

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lefschetz_kit.linalg import (
@@ -8,6 +9,7 @@ from lefschetz_kit.linalg import (
     FAST_PRIME,
     RATIONALS,
     RationalMatrix,
+    _mod_matmul,
     echelonize,
     in_column_space,
     kernel_basis,
@@ -131,3 +133,20 @@ def test_rank_of_product_is_bounded():
         prod = [[sum(B[i][k] * C[k][j] for k in range(2)) for j in range(7)]
                 for i in range(6)]
         assert matrix_rank(RationalMatrix.from_rows(prod)) <= 2
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, FAST_PRIME])
+def test_mod_matmul_matches_python_ints(p):
+    # 40 products of residues near p sum past 2^63 at p = 2^31 - 1, the
+    # largest prime on the numpy path, so an unreduced int64 sum overflows
+    rng = random.Random(p)
+    A = [[rng.randrange(p) for _ in range(40)] for _ in range(6)]
+    B = [[rng.randrange(p) for _ in range(5)] for _ in range(40)]
+    A[0] = [p - 1] * 40
+    B = [[p - 1] + r[1:] for r in B]
+    for row in A:
+        row[7] = 0
+    want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
+            for row in A]
+    got = _mod_matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+    assert got.tolist() == want

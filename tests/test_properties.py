@@ -1,6 +1,10 @@
-"""Randomized cross-checks of the projected quotient routes against the
-full-basis oracle, in each of the three elimination kernels' fields."""
+"""Randomized cross-checks of the elimination kernels against a textbook
+Gauss-Jordan, and of the projected quotient routes against the full-basis
+oracle, in each of the three elimination kernels' fields."""
 
+from fractions import Fraction
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +13,9 @@ from lefschetz_kit.linalg import (
     FAST_PRIME,
     RATIONALS,
     RationalMatrix,
+    _pivots,
+    _rref,
+    echelonize,
     matrix_rank,
     prime_field,
 )
@@ -29,6 +36,65 @@ FIELDS = (RATIONALS, prime_field(FAST_PRIME), prime_field(DEFAULT_PRIME))
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
+
+
+@st.composite
+def small_matrices(draw):
+    """Small integer matrices, with zero rows, duplicate rows, rows that
+    combine two others and zero columns mixed in."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+                                  max_size=ncols), max_size=6))
+    for edit in draw(st.lists(st.sampled_from(("zero row", "duplicate",
+                                               "combination", "zero column")),
+                              max_size=3)):
+        if edit == "zero row":
+            rows.append([0] * ncols)
+        elif edit == "zero column":
+            j = draw(st.integers(0, ncols - 1))
+            rows = [r[:j] + [0] + r[j + 1:] for r in rows]
+        elif rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            k = draw(st.integers(0, len(rows) - 1))
+            f = draw(st.integers(-3, 3)) if edit == "combination" else 0
+            rows.append([x + f * y for x, y in zip(rows[i], rows[k])])
+    return draw(st.permutations(rows)), ncols
+
+
+def _gauss_jordan(rows, ncols, p):
+    """Textbook reduced row echelon form over Q (p = 0) or F_p: every
+    pivot row is scaled to 1 and cleared from all other rows."""
+    norm = (lambda x: x % p) if p else Fraction
+    inv = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / x)
+    rows = [[norm(x) for x in r] for r in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [norm(x * s) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+    return rows[:len(piv)], piv
+
+
+@PROPERTY
+@given(small_matrices())
+def test_elimination_matches_gauss_jordan(case):
+    rows, ncols = case
+    for tag in FIELDS:
+        red, piv = _rref(rows, ncols, tag)
+        if isinstance(red, np.ndarray):
+            red = red.tolist()
+        assert (red, piv) == _gauss_jordan(rows, ncols, tag.characteristic), tag
+        M = RationalMatrix.from_rows(rows, cols=ncols, field_tag=tag)
+        assert _pivots(rows, ncols, tag) == list(echelonize(M).pivot_columns), tag
 
 
 @st.composite
