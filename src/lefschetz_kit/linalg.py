@@ -1,13 +1,15 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
-Rational arithmetic uses Fraction throughout and is the final authority.
-Prime-field arithmetic is an accelerator: for integer matrices the rank
-modulo p never exceeds the rational rank, so a full-rank verdict modulo p
-is already exact. Callers who see a prime-field rank deficit and need
-certainty must recompute rationally.
+Rational arithmetic is exact and is the final authority. Over Q each row
+is scaled to integers and eliminated fraction-free on Python ints; entries
+become Fractions only in a returned reduced row echelon form, one division
+by the row's pivot each. Prime-field arithmetic is an accelerator: for
+integer matrices the rank modulo p never exceeds the rational rank, so a
+full-rank verdict modulo p is already exact. Callers who see a
+prime-field rank deficit and need certainty must recompute rationally.
 
 One dispatch rule picks the elimination kernel, in `_eliminate` and
-`_reduce_against` alone: Fraction lists over Q, int64 numpy arrays modulo
+`_reduce_against` alone: integer lists over Q, int64 numpy arrays modulo
 p < 2^31, Python int lists modulo larger primes. Each representation has
 one forward-elimination loop. A rank reads the pivot columns of the
 forward pass alone; a reduced row echelon form is the forward pass plus a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -150,19 +153,15 @@ class EchelonResult:
 
 
 def _clear(row, f, top, p: int) -> None:
-    """row -= f * top in place on the nonzero entries of top, given as
-    (column, value) pairs, over Q when p is 0 and modulo p otherwise."""
-    if p:
-        for j, y in top:
-            row[j] = (row[j] - f * y) % p
-    else:
-        for j, y in top:
-            row[j] -= f * y
+    """row -= f * top modulo p in place on the nonzero entries of top,
+    given as (column, value) pairs."""
+    for j, y in top:
+        row[j] = (row[j] - f * y) % p
 
 
-def _forward_list(rows: list[list], ncols: int, p: int) -> list[int]:
-    """Forward elimination in place on Fraction lists (p = 0) or residue
-    lists modulo p; returns the pivot columns.
+def _forward_list(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Forward elimination in place on residue lists modulo p; returns the
+    pivot columns.
 
     Each pivot row is moved to its place and scaled to a unit pivot, and
     only the rows below it are cleared, from the pivot column on.
@@ -177,9 +176,8 @@ def _forward_list(rows: list[list], ncols: int, p: int) -> list[int]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         row = rows[r]
-        inv = pow(row[c], -1, p) if p else 1 / row[c]
-        top = [(j, y * inv % p if p else y * inv)
-               for j in range(c, ncols) if (y := row[j])]
+        inv = pow(row[c], -1, p)
+        top = [(j, y * inv % p) for j in range(c, ncols) if (y := row[j])]
         for j, y in top:
             row[j] = y
         for below in rows[r + 1:]:
@@ -190,15 +188,81 @@ def _forward_list(rows: list[list], ncols: int, p: int) -> list[int]:
     return piv
 
 
-def _back_substitute_list(rows: list[list], piv: list[int], p: int) -> None:
-    """Clear above each pivot of a forward echelon in place, bottom up,
-    which leaves the reduced row echelon form."""
+def _back_substitute_list(rows: list[list[int]], piv: list[int], p: int) -> None:
+    """Clear above each pivot of a forward echelon modulo p in place,
+    bottom up, which leaves the reduced row echelon form."""
     for i in range(len(piv) - 1, 0, -1):
         c = piv[i]
         top = [(j, y) for j in range(c, len(rows[i])) if (y := rows[i][j])]
         for above in rows[:i]:
             if above[c]:
                 _clear(above, above[c], top, p)
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its entries' denominators, as
+    int lists; the row span, the pivots and the RREF are unchanged."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        out.append([x.numerator for x in r] if den == 1
+                   else [x.numerator * (den // x.denominator) for x in r])
+    return out
+
+
+def _cross_clear(row: list[int], pivot_row: list[int], c: int, start: int,
+                 sparse) -> None:
+    """Clear column c of the integer row in place with pivot_row,
+    fraction-free, and divide the row by its content.
+
+    With a = pivot_row[c], f = row[c] and g = gcd(a, f), the row becomes
+    (a/g) row - (f/g) pivot_row, a nonzero multiple of what a Fraction
+    elimination leaves. When a divides f, only the nonzero entries of
+    pivot_row, given in sparse as (column, value) pairs, change; otherwise
+    the row is rescaled from column start on, left of which it is zero.
+    """
+    a, f = pivot_row[c], row[c]
+    g = gcd(a, f)
+    s, t = a // g, f // g
+    if s == 1 or s == -1:
+        t *= s
+        for j, y in sparse:
+            row[j] -= t * y
+    else:
+        row[start:] = [s * x - t * y
+                       for x, y in zip(row[start:], pivot_row[start:])]
+    g = gcd(*row)
+    if g > 1:
+        row[start:] = [x // g for x in row[start:]]
+
+
+def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
+    """Fraction-free forward elimination in place on integer lists;
+    returns the pivot columns.
+
+    Pivots are chosen as in Fraction elimination, and each updated row is
+    a nonzero multiple of the Fraction row, so the pivot columns agree.
+    Updated rows are kept primitive, which bounds their entries by those
+    of Bareiss elimination. Only the rows below the pivot that are
+    nonzero in its column are touched, from the pivot column on.
+    """
+    piv: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        row = rows[r]
+        sparse = [(j, y) for j in range(c, ncols) if (y := row[j])]
+        for below in rows[r + 1:]:
+            if below[c]:
+                _cross_clear(below, row, c, c, sparse)
+        piv.append(c)
+        r += 1
+    return piv
 
 
 def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
@@ -242,11 +306,24 @@ def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
             M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[i, c:])) % p
 
 
-def _rref_fraction(rows: list[list[Fraction]], ncols: int):
-    """Reduced row echelon form of Fraction lists, in place."""
-    piv = _forward_list(rows, ncols, 0)
-    _back_substitute_list(rows, piv, 0)
-    return rows[:len(piv)], piv
+def _rref_fraction(rows: list[list[int]], ncols: int):
+    """Reduced row echelon form over Q of integer lists, eliminated in
+    place without fractions; returns Fraction rows and the pivot columns.
+
+    After the forward pass, each pivot row clears its column from the rows
+    above it, bottom up, by the same cross-multiplied update. Every entry
+    of the result is then divided by its row's pivot, once.
+    """
+    piv = _forward_int(rows, ncols)
+    for i in range(len(piv) - 1, 0, -1):
+        c, row = piv[i], rows[i]
+        sparse = [(j, y) for j in range(c, ncols) if (y := row[j])]
+        for k in range(i):
+            if rows[k][c]:
+                _cross_clear(rows[k], row, c, piv[k], sparse)
+    zero = Fraction(0)
+    return [[Fraction(x, row[c]) if x else zero for x in row]
+            for row, c in zip(rows, piv)], piv
 
 
 def _rref_mod_python(rows: list[list[int]], ncols: int, p: int):
@@ -281,20 +358,21 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     """Pivot columns of rows and, when reduce is set, their reduced row
     echelon form, by the field's one kernel; returns (rows, pivots).
 
-    The rows are Fraction lists over Q, an int64 array modulo p < 2^31 and
-    int lists modulo larger primes. Without reduce, only the forward pass
-    runs and the rows returned are a forward echelon with zero rows left
-    at the bottom.
+    Over Q the rows are eliminated as integer lists and the reduced rows
+    returned are Fraction lists; modulo p < 2^31 they are an int64 array,
+    and int lists modulo larger primes. Without reduce, only the forward
+    pass runs and the rows returned are a forward echelon with zero rows
+    left at the bottom.
     """
     p = field_tag.characteristic
     if p and p < _NUMPY_PRIME_LIMIT:
         M = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols) % p
         return _rref_mod_numpy(M, p) if reduce else (M, _forward_numpy(M, p))
-    M = ([[x % p for x in r] for r in rows] if p
-         else [[Fraction(x) for x in r] for r in rows])
-    if not reduce:
-        return M, _forward_list(M, ncols, p)
-    return _rref_mod_python(M, ncols, p) if p else _rref_fraction(M, ncols)
+    if not p:
+        M = _integer_rows(rows)
+        return _rref_fraction(M, ncols) if reduce else (M, _forward_int(M, ncols))
+    M = [[x % p for x in r] for r in rows]
+    return _rref_mod_python(M, ncols, p) if reduce else (M, _forward_list(M, ncols, p))
 
 
 def _rref(rows, ncols: int, field_tag: FieldTag):

@@ -141,16 +141,41 @@ def _guard(n: int, d: int) -> None:
             f"C({n},{d - 1}) = {comb(n, d - 1)} exceeds the subset guard {SUBSET_GUARD}")
 
 
-def _prod(a, idx) -> Fraction:
-    out = Fraction(1)
-    for i in idx:
-        out *= a[i]
-    return out
+def _elementary(values, k: int) -> list:
+    """Elementary symmetric sums e_0..e_k of values."""
+    e = [1] + [0] * k
+    for v in values:
+        for t in range(k, 0, -1):
+            e[t] += v * e[t - 1]
+    return e
 
 
 def _colex_combinations(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), k),
                   key=lambda c: tuple(reversed(c)))
+
+
+def _split_sums(a, index_sets, k: int, weights):
+    """For each index set S, the sum over all size-k index sets J of the
+    weight product over J times weights[|S meet J|].
+
+    Splitting J into its parts inside and outside S turns the sum into
+    sum_t weights[t] e_t(a_S) e_(k-t)(a outside S), so no J is enumerated.
+    The sums outside S come from those of all weights, divided by
+    (1 + a_i x) for each i in S as power series in x. Yields
+    (S, e(a_S), sum).
+    """
+    # integral weights as ints, so that only the final sums are Fractions
+    a = [v.numerator if v.denominator == 1 else v for v in a]
+    e_all = _elementary(a, k)
+    for S in index_sets:
+        e_in = _elementary((a[i] for i in S), len(S))
+        e_out = list(e_all)
+        for i in S:
+            for t in range(1, k + 1):
+                e_out[t] -= a[i] * e_out[t - 1]
+        yield S, e_in, sum(weights[t] * e_in[t] * e_out[k - t]
+                           for t in range(min(k, len(S)) + 1))
 
 
 def build_Q(params: WitnessParams) -> Form:
@@ -162,14 +187,11 @@ def build_Q(params: WitnessParams) -> Form:
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
-    a = params.a_values
     eps = epsilon_table(d).values
-    jdata = [(_prod(a, J), set(J))
-             for J in itertools.combinations(range(n), n - 2 * d + 2)]
     cmap = {}
-    for I in _colex_combinations(n, d - 1):
-        si = set(I)
-        coeff = _prod(a, I) * sum(pj * eps[len(si & sj)] for pj, sj in jdata)
+    for I, e_in, s in _split_sums(params.a_values, _colex_combinations(n, d - 1),
+                                  n - 2 * d + 2, eps):
+        coeff = e_in[d - 1] * s
         if coeff:
             cmap[Monomial.square_free(n, I)] = coeff
     return form_from_coefficients(d - 1, cmap)
@@ -178,21 +200,21 @@ def build_Q(params: WitnessParams) -> Form:
 def build_Qprime(params: WitnessParams) -> Form:
     """Square-free degree d-2 companion form.
 
-    The raw psi-weighted sums are scaled by 1/(d-1); with that normalization
+    The coefficient on a size d-2 index set K is the psi-weighted sum, over
+    all size d-2 index sets L, of the weight product outside L, indexed by
+    |K meet L|. The raw sums are scaled by 1/(d-1); with that normalization
     the products in verify_congruence agree exactly.
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
-    a = params.a_values
     psi = psi_table(d).values
-    prod_all = _prod(a, range(n))
     scale = Fraction(1, d - 1)
-    ldata = [(prod_all / _prod(a, L), set(L))
-             for L in itertools.combinations(range(n), d - 2)]
+    # the complement M of L has size n-d+2, and |K meet L| = d-2 - |K meet M|
+    weights = psi[::-1]
     cmap = {}
-    for K in _colex_combinations(n, d - 2):
-        sk = set(K)
-        coeff = sum(pl * psi[len(sk & sl)] for pl, sl in ldata) * scale
+    for K, _, s in _split_sums(params.a_values, _colex_combinations(n, d - 2),
+                               n - d + 2, weights):
+        coeff = s * scale
         if coeff:
             cmap[Monomial.square_free(n, K)] = coeff
     return form_from_coefficients(d - 2, cmap)

@@ -16,6 +16,7 @@ from lefschetz_kit.linalg import (
     _pivots,
     _rref,
     echelonize,
+    in_column_space,
     matrix_rank,
     prime_field,
 )
@@ -38,12 +39,20 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
 
 
+SMALL_INTEGERS = st.integers(-4, 4)
+# fractions with unrelated denominators in one row, and integers large
+# enough for coefficient growth to show
+RATIONAL_ENTRIES = st.one_of(
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.integers(-10**15, 10**15), SMALL_INTEGERS)
+
+
 @st.composite
-def small_matrices(draw):
-    """Small integer matrices, with zero rows, duplicate rows, rows that
-    combine two others and zero columns mixed in."""
+def small_matrices(draw, entries=SMALL_INTEGERS):
+    """Small matrices, with zero rows, duplicate rows, rows that combine
+    two others and zero columns mixed in."""
     ncols = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+    rows = draw(st.lists(st.lists(entries, min_size=ncols,
                                   max_size=ncols), max_size=6))
     for edit in draw(st.lists(st.sampled_from(("zero row", "duplicate",
                                                "combination", "zero column")),
@@ -95,6 +104,37 @@ def test_elimination_matches_gauss_jordan(case):
         assert (red, piv) == _gauss_jordan(rows, ncols, tag.characteristic), tag
         M = RationalMatrix.from_rows(rows, cols=ncols, field_tag=tag)
         assert _pivots(rows, ncols, tag) == list(echelonize(M).pivot_columns), tag
+
+
+@PROPERTY
+@given(small_matrices(RATIONAL_ENTRIES))
+def test_rational_elimination_matches_gauss_jordan(case):
+    rows, ncols = case
+    red, piv = _rref(rows, ncols, RATIONALS)
+    assert (red, piv) == _gauss_jordan(rows, ncols, 0)
+    M = RationalMatrix.from_rows(rows, cols=ncols)
+    assert _pivots(rows, ncols, RATIONALS) == list(echelonize(M).pivot_columns)
+
+
+@PROPERTY
+@given(small_matrices(RATIONAL_ENTRIES), st.data())
+def test_column_space_matches_ranks(case, data):
+    rows, ncols = case
+    assume(rows)
+    combination = data.draw(st.booleans())
+    if combination:
+        x = data.draw(st.lists(RATIONAL_ENTRIES, min_size=ncols, max_size=ncols))
+        b = [sum(Fraction(e) * y for e, y in zip(r, x)) for r in rows]
+    else:
+        b = data.draw(st.lists(RATIONAL_ENTRIES, min_size=len(rows),
+                               max_size=len(rows)))
+    for tag in FIELDS:
+        M = RationalMatrix.from_rows(rows, cols=ncols, field_tag=tag)
+        aug = RationalMatrix.from_rows([r + [v] for r, v in zip(rows, b)],
+                                       cols=ncols + 1, field_tag=tag)
+        inside = in_column_space(M, b)
+        assert inside == (matrix_rank(M) == matrix_rank(aug)), tag
+        assert inside or not combination, tag
 
 
 @st.composite

@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from lefschetz_kit.errors import GuardRefusal
+from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
+    form_from_coefficients,
     linear_form,
     multiplication_kernel,
     multiplication_map_rank,
@@ -151,3 +154,39 @@ def test_guard_refusal_on_huge_subsets():
         build_Q(params)
     with pytest.raises(GuardRefusal):
         verify_nonmembership(params)
+
+
+def _brute_force_forms(params):
+    """Q and Q' summed over every pair of index sets, as defined."""
+    n, d, a = params.n, params.d, params.a_values
+    eps, psi = epsilon_table(d).values, psi_table(d).values
+
+    def weight(idx):
+        return prod((a[i] for i in idx), start=Fraction(1))
+
+    q = {}
+    for I in itertools.combinations(range(n), d - 1):
+        q[Monomial.square_free(n, I)] = weight(I) * sum(
+            weight(J) * eps[len(set(I) & set(J))]
+            for J in itertools.combinations(range(n), n - 2 * d + 2))
+    qp = {}
+    for K in itertools.combinations(range(n), d - 2):
+        qp[Monomial.square_free(n, K)] = Fraction(1, d - 1) * sum(
+            weight(range(n)) / weight(L) * psi[len(set(K) & set(L))]
+            for L in itertools.combinations(range(n), d - 2))
+    return form_from_coefficients(d - 1, q), form_from_coefficients(d - 2, qp)
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (6, 3), (6, 4), (7, 4),
+                                 (8, 4), (9, 4), (8, 5), (9, 5)])
+@pytest.mark.parametrize("weights", ["integer", "signed", "fractional", "equal"])
+def test_builders_match_subset_sums(n, d, weights):
+    values = {
+        "integer": [3 * i + 2 for i in range(n)],
+        "signed": [(-1) ** i * (i + 1) for i in range(n)],
+        "fractional": [Fraction((-1) ** i * (2 * i + 1), i % 4 + 2)
+                       for i in range(n)],
+        "equal": [Fraction(-5, 3)] * n,
+    }[weights]
+    params = WitnessParams(n=n, d=d, a_values=tuple(values))
+    assert (build_Q(params), build_Qprime(params)) == _brute_force_forms(params)
