@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -430,9 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing keeps no
+    state in it, and building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # a flag left off a subcommand keeps its RunConfig default
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         code, report = dispatch(config)
         text = _render(report, config.format)

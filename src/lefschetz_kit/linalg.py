@@ -8,13 +8,25 @@ integer matrices the rank modulo p never exceeds the rational rank, so a
 full-rank verdict modulo p is already exact. Callers who see a
 prime-field rank deficit and need certainty must recompute rationally.
 
-One dispatch rule picks the elimination kernel, in `_eliminate` and
-`_reduce_against` alone: integer lists over Q, int64 numpy arrays modulo
-p < 2^31, Python int lists modulo larger primes. Each representation has
-one forward-elimination loop. A rank reads the pivot columns of the
-forward pass alone; a reduced row echelon form is the forward pass plus a
-back-substitution over the pivot rows, and runs only where reduced rows
-are read.
+One dispatch rule, `_numpy_field`, picks the representation and with it
+the elimination kernel: integer lists over Q, int64 numpy arrays modulo
+p < 2^31, Python int lists modulo larger primes. `_eliminate` and
+`_reduce_against` apply it to their inputs, and `_from_triplets` applies
+it when it builds a matrix from (row, column, value) triplets, so callers
+such as the quotient module hand over triplets and never see numpy. Each
+representation has one forward-elimination loop. A rank reads the pivot
+columns of the forward pass alone; a reduced row echelon form is the
+forward pass plus a back-substitution over the pivot rows, and runs only
+where reduced rows are read.
+
+The int64 kernels delay reduction modulo p. Entries start as residues in
+[0, p), each step works with a reduced pivot row and multiplier column,
+and so adds or subtracts at most one product of residues, below p^2, to
+any other entry. After k steps an entry is at most p + k p^2 in absolute
+value, which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the
+kernels reduce the entries still in play once every that many steps.
+The bound depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo
+2^31 - 1.
 """
 
 from __future__ import annotations
@@ -265,45 +277,81 @@ def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
     return piv
 
 
+def _reduction_budget(p: int) -> int:
+    """How many products of residues modulo p an int64 entry in [0, p) can
+    take, added or subtracted, before it could overflow."""
+    return (2**63 - 1 - p) // (p * p)
+
+
 def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
     """Forward elimination in place on an int64 array of residues modulo
-    p < 2^31; returns the pivot columns.
+    p < 2^31; returns the pivot columns and leaves the array reduced.
 
     Only the rows below the pivot that are nonzero in its column are
-    updated, from the pivot column on. Every product stays below
-    p^2 < 2^62, so int64 cannot overflow.
+    updated, from the pivot column on. Reduction modulo p is delayed: each
+    step reduces the pivot column below the pivot row and the pivot row,
+    subtracts the products of residues from the trailing block unreduced,
+    and the trailing block is reduced once every _reduction_budget(p)
+    steps. A step clears its column exactly and a column without a pivot
+    is reduced to zeros, so the result is reduced throughout.
     """
     nrows, ncols = M.shape
+    budget = _reduction_budget(p)
     piv: list[int] = []
-    r = 0
+    r = pending = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(M[r:, c])
+        col = M[r:, c]
+        col %= p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             M[[r, pr], c:] = M[[pr, r], c:]
-        M[r, c:] = M[r, c:] * pow(int(M[r, c]), -1, p) % p
+        row = M[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
         # rows below that are nonzero in column c; the row swapped out of
         # place r was zero there
         idx = r + nz[1:]
         if idx.size:
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[r, c:])) % p
+            M[idx, c:] -= np.outer(M[idx, c], row)
+            pending += 1
+            if pending == budget:
+                M[r + 1:, c + 1:] %= p
+                pending = 0
         piv.append(c)
         r += 1
     return piv
 
 
 def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
-    """Clear above each pivot of a forward echelon array in place, bottom
-    up, which leaves the reduced row echelon form."""
+    """Clear above each pivot of a reduced forward echelon array in place,
+    bottom up, which leaves the reduced row echelon form.
+
+    Reduction is delayed as in _forward_numpy: a row is reduced when it
+    becomes the pivot row, after which no step changes it, and the rows
+    above are reduced once every _reduction_budget(p) steps. The steps
+    before the one at pivot column c change only columns right of c, so
+    its multiplier column is still reduced from the forward pass. Row 0
+    is reduced last.
+    """
+    budget = _reduction_budget(p)
+    pending = 0
     for i in range(len(piv) - 1, 0, -1):
         c = piv[i]
+        M[i, c:] %= p
         idx = np.flatnonzero(M[:i, c])
         if idx.size:
-            M[idx, c:] = (M[idx, c:] - np.outer(M[idx, c], M[i, c:])) % p
+            M[idx, c:] -= np.outer(M[idx, c], M[i, c:])
+            pending += 1
+            if pending == budget:
+                M[:i, c:] %= p
+                pending = 0
+    M[:1] %= p
 
 
 def _rref_fraction(rows: list[list[int]], ncols: int):
@@ -343,15 +391,51 @@ def _rref_mod_numpy(M: np.ndarray, p: int):
 
 
 def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(A @ B) % p for a sparse A, as one rank-one update per column of A
-    over its nonzero rows, reduced modulo p after each; every term stays
-    below p^2 + p < 2^63 for p < 2^31."""
+    """(A @ B) % p for a sparse residue array A and residues B modulo
+    p < 2^31, as one rank-one update per column of A over its nonzero rows.
+
+    The updates add up unreduced and the sum is reduced once every
+    _reduction_budget(p) of them, and at the end.
+    """
+    budget = _reduction_budget(p)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    pending = 0
     for k in range(A.shape[1]):
         idx = np.flatnonzero(A[:, k])
         if idx.size:
-            out[idx] = (out[idx] + np.outer(A[idx, k], B[k])) % p
+            out[idx] += np.outer(A[idx, k], B[k])
+            pending += 1
+            if pending == budget:
+                out %= p
+                pending = 0
+    out %= p
     return out
+
+
+def _numpy_field(p: int) -> bool:
+    """Whether matrices modulo p (0 for Q) are int64 arrays."""
+    return 0 < p < _NUMPY_PRIME_LIMIT
+
+
+def _from_triplets(triplets, nrows: int, ncols: int, field_tag: FieldTag):
+    """The nrows x ncols matrix holding the (rows, cols, values) triplets
+    and zeros elsewhere, in the representation _eliminate works on.
+
+    Values are Fractions over Q and residues modulo p otherwise, with no
+    position given twice. The matrix is an int64 array modulo p < 2^31,
+    which _eliminate and _reduce_against take without a copy, and lists
+    otherwise.
+    """
+    rows, cols, vals = triplets
+    if _numpy_field(field_tag.characteristic):
+        M = np.zeros((nrows, ncols), dtype=np.int64)
+        M[rows, cols] = vals
+        return M
+    zero = Fraction(0) if field_tag.is_rational else 0
+    M = [[zero] * ncols for _ in range(nrows)]
+    for r, c, v in zip(rows, cols, vals):
+        M[r][c] = v
+    return M
 
 
 def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
@@ -360,13 +444,19 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
 
     Over Q the rows are eliminated as integer lists and the reduced rows
     returned are Fraction lists; modulo p < 2^31 they are an int64 array,
-    and int lists modulo larger primes. Without reduce, only the forward
+    and int lists modulo larger primes. An int64 array given as rows is
+    taken to hold residues, as _from_triplets and _reduce_against return
+    them, and is eliminated in place. Without reduce, only the forward
     pass runs and the rows returned are a forward echelon with zero rows
     left at the bottom.
     """
     p = field_tag.characteristic
-    if p and p < _NUMPY_PRIME_LIMIT:
-        M = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols) % p
+    if _numpy_field(p):
+        if isinstance(rows, np.ndarray):
+            M = rows
+        else:
+            M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+            M %= p
         return _rref_mod_numpy(M, p) if reduce else (M, _forward_numpy(M, p))
     if not p:
         M = _integer_rows(rows)
@@ -391,14 +481,15 @@ def _reduce_against(rows, red, piv, field_tag: FieldTag):
 
     red and piv are the reduced rows and pivot columns returned by _rref
     for the same field. The remainders vanish on the pivot columns, so they
-    are returned in the coordinates of the other columns only.
+    are returned in the coordinates of the other columns only. An int64
+    array of residues given as rows is reduced in place.
     """
     ncols = len(rows[0])
     pivset = set(piv)
     free = [c for c in range(ncols) if c not in pivset]
     p = field_tag.characteristic
-    if not field_tag.is_rational and p < _NUMPY_PRIME_LIMIT:
-        arr = np.array(rows, dtype=np.int64)
+    if _numpy_field(p):
+        arr = np.asarray(rows, dtype=np.int64)
         arr -= _mod_matmul(arr[:, piv], red, p)
         arr %= p
         # take keeps the result row-major, which the row operations of

@@ -7,6 +7,17 @@ with every exponent below a, which is a valid basis of the quotient by the
 pure powers alone; multiples of pure powers are projected away instead of
 being carried as matrix rows, which gives the same ranks and the same
 initial ideal as the full multiplication matrix.
+
+Matrices are built once, in the form the elimination kernels use. Each
+exponent vector is keyed as one integer with the exponents as digits in
+radix 2a, so the key of a product is the sum of the keys of its factors
+and one dict lookup finds its basis column. `_product_rows` emits the
+products as (row, column, value) triplets, and `linalg._from_triplets`
+turns them into an int64 array or lists by the field's dispatch rule.
+
+Before anything is enumerated, the shape of every span and lift matrix
+is read from closed-form monomial counts, and one of more than CELL_GUARD
+cells is refused with GuardRefusal.
 """
 
 from __future__ import annotations
@@ -16,13 +27,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalFault
+from .errors import GuardRefusal, InternalFault
+from .hilbert import power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _pivots, _reduce_against, _residue, _rref,
-                     kernel_basis, prime_field)
+                     _from_triplets, _pivots, _reduce_against, _residue,
+                     _rref, kernel_basis, prime_field)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         in_combinatorial_ideal, initial_generators,
                         revlex_sort_key)
+
+# the most cells any span or lift matrix may have; larger ones are refused
+# from closed-form shapes before any enumeration
+CELL_GUARD = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -163,41 +179,96 @@ def _capped_basis(spec: IdealSpec, d: int) -> list[tuple[int, ...]]:
     return list(_iter_exponents(spec.n, d, spec.a - 1))
 
 
-def _product_rows(form: Form, multipliers, col, width: int,
-                  field_tag: FieldTag) -> list[list]:
-    """One row per multiplier exponent: the product with form, projected
-    onto the basis indexed by col; products outside the basis are dropped."""
-    p = None if field_tag.is_rational else field_tag.characteristic
-    zero = Fraction(0) if p is None else 0
-    terms = [(m.exponents, c if p is None else _residue(c, p))
-             for m, c in form.terms]
-    rows = []
-    for mult in multipliers:
-        row = [zero] * width
-        for e, c in terms:
-            j = col.get(tuple(x + y for x, y in zip(mult, e)))
-            if j is not None:
-                row[j] = row[j] + c if p is None else (row[j] + c) % p
-        rows.append(row)
-    return rows
+def _capped_count(spec: IdealSpec, d: int) -> int:
+    """Number of capped monomials of degree d, the size of _capped_basis."""
+    return power_ci_hilbert(spec.n, spec.a, d) if d >= 0 else 0
+
+
+def _guard_cells(what: str, rows: int, cols: int) -> None:
+    """Refuse a matrix of more than CELL_GUARD cells before it is built."""
+    if rows * cols > CELL_GUARD:
+        raise GuardRefusal(f"the {what} would have {rows} x {cols} = "
+                           f"{rows * cols} cells, above the guard of {CELL_GUARD}")
+
+
+def _guard_lift(spec: IdealSpec, d: int) -> None:
+    """Refuse the lift of degree d-1 into degree d if it is too large."""
+    _guard_cells(f"lift into degree {d}", _capped_count(spec, d - 1),
+                 _capped_count(spec, d))
+
+
+def _radix(spec: IdealSpec) -> int:
+    """Radix of the exponent keys of spec.
+
+    Capped exponents stay below a and the exponents of a form multiplied
+    onto them reach at most its degree, a or 1, so no exponent of a product
+    reaches 2a, and the key of a product is the sum of the keys.
+    """
+    return 2 * spec.a
+
+
+def _key(exponents, radix: int) -> int:
+    """The exponent vector as one integer, each exponent a digit in radix."""
+    key = 0
+    for x in reversed(exponents):
+        key = key * radix + x
+    return key
+
+
+def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
+                  drop_zero_rows: bool):
+    """Products of each form with each multiplier, projected onto a basis.
+
+    mult_keys are the keys of the multiplier exponents and index maps the
+    key of every basis exponent to its column; products outside the basis
+    are dropped. Returns the row count and (rows, cols, values) triplets
+    for linalg._from_triplets: one row per form and multiplier in that
+    order, where drop_zero_rows gives no row to a product left with no
+    term. Prime-field values are residues, and those that vanish are left
+    out.
+    """
+    p = field_tag.characteristic
+    get = index.get
+    rows, cols, vals = [], [], []
+    r = 0
+    for f in forms:
+        terms = [(_key(m.exponents, radix), _residue(c, p) if p else c)
+                 for m, c in f.terms]
+        terms = [(k, c) for k, c in terms if c]
+        for mk in mult_keys:
+            for tk, c in terms:
+                j = get(mk + tk)
+                if j is not None:
+                    rows.append(r)
+                    cols.append(j)
+                    vals.append(c)
+            if not drop_zero_rows or (rows and rows[-1] == r):
+                r += 1
+    return r, (rows, cols, vals)
 
 
 @lru_cache(maxsize=64)
 def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
     """Cached echelon data of the extra-form span in capped degree d.
 
-    Returns (basis, col, reduced_rows, pivot_columns). The reduced rows are
+    Returns (basis, index, reduced_rows, pivot_columns), where index maps
+    the _key of each basis exponent to its column. The reduced rows are
     Fraction lists in the rational case and an int64 array or int lists in
     the prime case.
     """
+    _guard_cells(f"span in degree {d}",
+                 len(spec.extra_forms) * _capped_count(spec, d - spec.a),
+                 _capped_count(spec, d))
+    radix = _radix(spec)
     basis = _capped_basis(spec, d)
-    col = {e: i for i, e in enumerate(basis)}
-    mults = list(_iter_exponents(spec.n, d - spec.a, spec.a - 1))
-    rows = [row for f in spec.extra_forms
-            for row in _product_rows(f, mults, col, len(basis), field_tag)
-            if any(row)]
+    index = {_key(e, radix): i for i, e in enumerate(basis)}
+    mults = [_key(e, radix)
+             for e in _iter_exponents(spec.n, d - spec.a, spec.a - 1)]
+    nrows, triplets = _product_rows(spec.extra_forms, mults, index, radix,
+                                    field_tag, drop_zero_rows=True)
+    rows = _from_triplets(triplets, nrows, len(basis), field_tag)
     red, piv = _rref(rows, len(basis), field_tag)
-    return basis, col, red, list(piv)
+    return basis, index, red, list(piv)
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -314,14 +385,19 @@ def _residual_products(spec: IdealSpec, d: int, ell: Form,
         raise ValueError("need a degree-1 form")
     if ell.nvars is not None and ell.nvars != spec.n:
         raise ValueError("the form must use n variables")
-    basis_d, col_d, red_d, piv_d = _reduce_spec(spec, d, field_tag)
-    basis_b, _, _, piv_b = _reduce_spec(spec, d - 1, field_tag)
+    _guard_lift(spec, d)
+    basis_d, index_d, red_d, piv_d = _reduce_spec(spec, d, field_tag)
+    basis_b, index_b, _, piv_b = _reduce_spec(spec, d - 1, field_tag)
     pivset_b = set(piv_b)
     std_b = [e for i, e in enumerate(basis_b) if i not in pivset_b]
     dim_at = len(basis_d) - len(piv_d)
     if not std_b:
         return std_b, dim_at, []
-    lift = _product_rows(ell, std_b, col_d, len(basis_d), field_tag)
+    # index_b lists the basis keys in column order
+    std_keys = [k for i, k in enumerate(index_b) if i not in pivset_b]
+    nrows, triplets = _product_rows((ell,), std_keys, index_d, _radix(spec),
+                                    field_tag, drop_zero_rows=False)
+    lift = _from_triplets(triplets, nrows, len(basis_d), field_tag)
     return std_b, dim_at, _reduce_against(lift, red_d, piv_d, field_tag)
 
 
@@ -504,7 +580,11 @@ def wlp_sweep(n: int, p: int, seeds,
     forms = [random_linear_form(n, s) for s in seeds]
     records = []
     d = 1
-    while graded_dimension(spec, d, field_tag) != 0:
+    while True:
+        # refuse an oversized lift before the span of its degree is built
+        _guard_lift(spec, d)
+        if graded_dimension(spec, d, field_tag) == 0:
+            break
         rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)
         records.append(DegreeRecord(
             d=d, dim_below=dim_below, dim_at=dim_at, map_rank=rank,

@@ -20,8 +20,9 @@ from math import comb
 from .errors import GuardRefusal, InternalFault
 from .linalg import RATIONALS, RationalMatrix, _reduce_against, in_column_space
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _reduce_spec, form_from_coefficients,
-                       form_power, linear_form, multiply_forms, variable_sum)
+from .quotient import (Form, IdealSpec, _key, _radix, _reduce_spec,
+                       form_from_coefficients, form_power, linear_form,
+                       multiply_forms, variable_sum)
 
 SUBSET_GUARD = 10**6
 
@@ -239,10 +240,11 @@ def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
 
 def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
     spec = IdealSpec(n=params.n, a=2)
-    basis, col, red, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
+    basis, index, red, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
+    radix = _radix(spec)
     vec = [Fraction(0)] * len(basis)
     for m, c in q.terms:
-        vec[col[m.exponents]] = c
+        vec[index[_key(m.exponents, radix)]] = c
     return any(_reduce_against([vec], red, piv, RATIONALS)[0])
 
 

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 
-from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch
+from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
 
 
 def run_cli(*args):
@@ -139,6 +139,43 @@ def test_oversized_witness_is_refused():
     proc = run_cli("witness", "--d", "13", "--n", "24", "--seeds", "1")
     assert proc.returncode == 3
     assert "refusing" in proc.stderr
+
+
+def test_oversized_matrices_are_refused_before_they_are_built():
+    # the degree-4 lift of n=30 squares has 1.1e8 cells
+    proc = run_cli("wlp", "--n", "30", "--a", "2", "--seeds", "1")
+    assert proc.returncode == 3
+    assert "refusing" in proc.stderr
+    proc = run_cli("inject", "--a", "2", "--d", "12", "--n-range", "40..40",
+                   "--seeds", "1")
+    assert proc.returncode == 3
+    assert "refusing" in proc.stderr
+
+
+def test_repeated_in_process_calls_match_fresh_processes(capsys):
+    # main reuses one parser across calls, also after a parse error
+    calls = [
+        ("hilbert", "--n", "4", "--a", "2", "--format", "csv"),
+        ("inject", "--a", "2", "--d", "3", "--n-range", "5..6", "--seeds",
+         "1,2", "--field", "prime:51999971"),
+        ("inject", "--a", "2", "--d", "3", "--n-range", "5..6", "--bogus"),
+        ("inject", "--a", "2", "--d", "3", "--n-range", "5..6", "--seeds",
+         "1,2", "--field", "prime:51999971"),
+        ("witness", "--d", "3", "--n", "6"),
+        ("paths", "--n", "6", "--d", "3", "--format", "table"),
+        ("hilbert", "--n", "4", "--a", "2", "--format", "csv"),
+    ]
+    for args in calls:
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        # bytes, so the CSV line ends are compared untranslated
+        fresh = subprocess.run([sys.executable, "-m", "lefschetz_kit.cli", *args],
+                               capture_output=True)
+        assert (code, normalize(out)) == (fresh.returncode,
+                                          normalize(fresh.stdout.decode())), args
 
 
 def test_unread_flags_are_rejected():

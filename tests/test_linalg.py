@@ -135,10 +135,11 @@ def test_rank_of_product_is_bounded():
         assert matrix_rank(RationalMatrix.from_rows(prod)) <= 2
 
 
-@pytest.mark.parametrize("p", [2 ** 31 - 1, FAST_PRIME])
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 1073741789, FAST_PRIME])
 def test_mod_matmul_matches_python_ints(p):
     # 40 products of residues near p sum past 2^63 at p = 2^31 - 1, the
-    # largest prime on the numpy path, so an unreduced int64 sum overflows
+    # largest prime on the numpy path, so an unreduced int64 sum overflows;
+    # the sum is reduced every 2 updates there and every 8 at 1073741789
     rng = random.Random(p)
     A = [[rng.randrange(p) for _ in range(40)] for _ in range(6)]
     B = [[rng.randrange(p) for _ in range(5)] for _ in range(40)]

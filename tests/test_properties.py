@@ -1,10 +1,13 @@
 """Randomized cross-checks of the elimination kernels against a textbook
-Gauss-Jordan, and of the projected quotient routes against the full-basis
-oracle, in each of the three elimination kernels' fields."""
+Gauss-Jordan, of the product-row builder against a tuple-keyed lookup,
+and of the projected quotient routes against the full-basis oracle, in
+each of the three elimination kernels' fields."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +16,11 @@ from lefschetz_kit.linalg import (
     FAST_PRIME,
     RATIONALS,
     RationalMatrix,
+    _forward_numpy,
+    _from_triplets,
     _pivots,
     _rref,
+    _rref_mod_numpy,
     echelonize,
     in_column_space,
     matrix_rank,
@@ -23,8 +29,13 @@ from lefschetz_kit.linalg import (
 from lefschetz_kit.monomials import enumerate_degree_piece
 from lefschetz_kit.quotient import (
     IdealSpec,
+    _capped_basis,
+    _key,
+    _product_rows,
+    _radix,
     form_from_coefficients,
     ideal_degree_basis,
+    initial_degree_piece,
     injectivity_threshold_check,
     linear_form,
     multiplication_kernel,
@@ -137,6 +148,95 @@ def test_column_space_matches_ranks(case, data):
         assert inside or not combination, tag
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 1073741789, FAST_PRIME])
+def test_numpy_kernels_match_gauss_jordan(p):
+    # the int64 kernels reduce modulo p only once every (2^63-1-p) // p^2
+    # updates: 2 at 2^31-1 and 8 at 1073741789, fewer than the pivots here,
+    # so the periodic reduction runs. Entries near p make the unreduced
+    # products as large as they get.
+    rng = random.Random(p)
+
+    def entry():
+        return p - 1 - rng.randrange(3) if rng.random() < 0.5 else rng.randrange(p)
+
+    for nrows, ncols in ((24, 30), (30, 24), (20, 20)):
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        # a rank drop: combinations of other rows, and a zero column
+        for i in range(0, nrows, 3):
+            rows[i] = [(x + 3 * y) % p for x, y in zip(rows[i - 1], rows[i - 2])]
+        for r in rows:
+            r[ncols // 2] = 0
+        want_red, want_piv = _gauss_jordan(rows, ncols, p)
+        M = np.array(rows, dtype=np.int64)
+        piv = _forward_numpy(M, p)
+        assert piv == want_piv
+        assert M.min() >= 0 and M.max() < p
+        assert not M[len(piv):].any()
+        red, piv = _rref_mod_numpy(np.array(rows, dtype=np.int64), p)
+        assert (red.tolist(), piv) == (want_red, want_piv)
+
+
+def _reference_product_rows(forms, mults, basis, p, drop_zero_rows):
+    """Product rows by a tuple-keyed lookup of every product exponent."""
+    col = {e: i for i, e in enumerate(basis)}
+    out = []
+    for f in forms:
+        for m in mults:
+            row = [0] * len(basis)
+            for mm, c in f.terms:
+                j = col.get(tuple(x + y for x, y in zip(m, mm.exponents)))
+                if j is not None:
+                    row[j] = (c.numerator * pow(c.denominator, -1, p) % p
+                              if p else c)
+            if any(row) or not drop_zero_rows:
+                out.append(row)
+    return out
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 4, 5, 7))))
+
+
+@st.composite
+def product_cases(draw):
+    """Extra forms with fractional coefficients, some vanishing modulo 3,
+    the zero form, n = 1, degrees below a, and pure a-th power terms whose
+    products leave the capped basis."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.sampled_from((2, 3)))
+    degree_a = enumerate_degree_piece(n, a)
+    forms = [form_from_coefficients(a, {m: draw(COEFFICIENTS) for m in degree_a})
+             for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        forms.append(form_from_coefficients(a, {}))
+    ell = linear_form([draw(COEFFICIENTS) for _ in range(n)])
+    d = draw(st.integers(0, a + 2))
+    return IdealSpec(n=n, a=a, extra_forms=tuple(forms)), d, ell
+
+
+@PROPERTY
+@given(product_cases())
+def test_product_rows_match_tuple_lookup(case):
+    spec, d, ell = case
+    radix = _radix(spec)
+    basis = _capped_basis(spec, d)
+    index = {_key(e, radix): i for i, e in enumerate(basis)}
+    # the span rows of _reduce_spec and the lift rows of a map rank
+    for forms, below, drop in ((spec.extra_forms, d - spec.a, True),
+                               ((ell,), d - 1, False)):
+        mults = _capped_basis(spec, below)
+        keys = [_key(e, radix) for e in mults]
+        for tag in FIELDS + (prime_field(3),):
+            nrows, triplets = _product_rows(forms, keys, index, radix, tag, drop)
+            assert all(triplets[2]), tag
+            got = _from_triplets(triplets, nrows, len(basis), tag)
+            if isinstance(got, np.ndarray):
+                got = got.tolist()
+            assert got == _reference_product_rows(
+                forms, mults, basis, tag.characteristic, drop), tag
+
+
 @st.composite
 def map_cases(draw):
     n = draw(st.integers(1, 5))
@@ -175,6 +275,18 @@ def test_map_rank_matches_full_basis_oracle(case):
     for tag in FIELDS:
         assert (multiplication_map_rank(spec, d, ell, mode=tag)["rank"]
                 == _oracle_rank(spec, d, ell, tag)), tag
+
+
+@PROPERTY
+@given(map_cases())
+def test_initial_piece_is_the_full_basis_pivots(case):
+    spec, d, _ = case
+    full = ideal_degree_basis(spec, d)
+    monomials = enumerate_degree_piece(spec.n, d)
+    for tag in FIELDS + (prime_field(3),):
+        M = RationalMatrix.from_rows(full.entries, cols=full.cols, field_tag=tag)
+        pivots = {monomials[c] for c in echelonize(M).pivot_columns}
+        assert initial_degree_piece(spec, d, tag) == pivots, tag
 
 
 @PROPERTY
