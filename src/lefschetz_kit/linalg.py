@@ -10,14 +10,15 @@ prime-field rank deficit and need certainty must recompute rationally.
 
 One dispatch rule, `_numpy_field`, picks the representation and with it
 the elimination kernel: integer lists over Q, int64 numpy arrays modulo
-p < 2^31, Python int lists modulo larger primes. `_eliminate` and
-`_reduce_against` apply it to their inputs, and `_from_triplets` applies
-it when it builds a matrix from (row, column, value) triplets, so callers
-such as the quotient module hand over triplets and never see numpy. Each
-representation has one forward-elimination loop. A rank reads the pivot
-columns of the forward pass alone; a reduced row echelon form is the
-forward pass plus a back-substitution over the pivot rows, and runs only
-where reduced rows are read.
+p < 2^31, Python int lists modulo larger primes. `_eliminate` applies it
+to its input, and `_from_triplets` applies it when it builds a matrix from
+(row, column, value) triplets, so callers such as the quotient module
+hand over triplets and never see numpy. Each representation has one
+forward-elimination loop. A rank or a set of pivot columns reads the
+forward pass alone; a reduced row echelon form is the forward pass plus a
+back-substitution over the pivot rows, and runs only where reduced rows
+are read. `_reduce_against` works over Q only: it takes rows modulo the
+span of a forward echelon by dividing by each integer pivot.
 
 The int64 kernels delay reduction modulo p. Entries start as residues in
 [0, p), each step works with a reduced pivot row and multiplier column,
@@ -395,7 +396,8 @@ def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     p < 2^31, as one rank-one update per column of A over its nonzero rows.
 
     The updates add up unreduced and the sum is reduced once every
-    _reduction_budget(p) of them, and at the end.
+    _reduction_budget(p) of them, and at the end. Nothing in the package
+    calls it; bench/spans.py times it by name.
     """
     budget = _reduction_budget(p)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
@@ -423,8 +425,7 @@ def _from_triplets(triplets, nrows: int, ncols: int, field_tag: FieldTag):
 
     Values are Fractions over Q and residues modulo p otherwise, with no
     position given twice. The matrix is an int64 array modulo p < 2^31,
-    which _eliminate and _reduce_against take without a copy, and lists
-    otherwise.
+    which _eliminate takes without a copy, and lists otherwise.
     """
     rows, cols, vals = triplets
     if _numpy_field(field_tag.characteristic):
@@ -445,10 +446,10 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     Over Q the rows are eliminated as integer lists and the reduced rows
     returned are Fraction lists; modulo p < 2^31 they are an int64 array,
     and int lists modulo larger primes. An int64 array given as rows is
-    taken to hold residues, as _from_triplets and _reduce_against return
-    them, and is eliminated in place. Without reduce, only the forward
-    pass runs and the rows returned are a forward echelon with zero rows
-    left at the bottom.
+    taken to hold residues, as _from_triplets returns them, and is
+    eliminated in place. Without reduce, only the forward pass runs and
+    the rows returned are a forward echelon with zero rows left at the
+    bottom.
     """
     p = field_tag.characteristic
     if _numpy_field(p):
@@ -465,44 +466,26 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     return _rref_mod_python(M, ncols, p) if reduce else (M, _forward_list(M, ncols, p))
 
 
-def _rref(rows, ncols: int, field_tag: FieldTag):
-    """Reduced rows and pivot columns of rows (see _eliminate)."""
-    return _eliminate(rows, ncols, field_tag, reduce=True)
-
-
 def _pivots(rows, ncols: int, field_tag: FieldTag) -> list[int]:
     """Pivot columns of rows, from the forward pass alone."""
     return _eliminate(rows, ncols, field_tag, reduce=False)[1]
 
 
-def _reduce_against(rows, red, piv, field_tag: FieldTag):
-    """Remainders of non-empty rows after clearing the pivot columns of an
-    echelon, which leaves them modulo its row span.
+def _reduce_against(rows, echelon, piv):
+    """Remainders over Q of rows modulo the row span of a forward echelon.
 
-    red and piv are the reduced rows and pivot columns returned by _rref
-    for the same field. The remainders vanish on the pivot columns, so they
-    are returned in the coordinates of the other columns only. An int64
-    array of residues given as rows is reduced in place.
+    echelon and piv are the integer rows and pivot columns of a forward
+    pass over Q (_eliminate without reduce). Each echelon row is zero left
+    of its pivot, so on the pivot columns before it, and clearing the
+    pivots in order leaves the remainders zero on every pivot column.
     """
-    ncols = len(rows[0])
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    p = field_tag.characteristic
-    if _numpy_field(p):
-        arr = np.asarray(rows, dtype=np.int64)
-        arr -= _mod_matmul(arr[:, piv], red, p)
-        arr %= p
-        # take keeps the result row-major, which the row operations of
-        # _forward_numpy need to run fast; arr[:, free] is column-major
-        return arr.take(free, axis=1)
     out = []
     for row in rows:
-        for rrow, c in zip(red, piv):
-            f = row[c]
-            if f:
-                row = ([x - f * y for x, y in zip(row, rrow)] if p == 0
-                       else [(x - f * y) % p for x, y in zip(row, rrow)])
-        out.append([row[c] for c in free])
+        for erow, c in zip(echelon, piv):
+            if row[c]:
+                f = Fraction(row[c], erow[c])
+                row = row[:c] + [x - f * y for x, y in zip(row[c:], erow[c:])]
+        out.append(row)
     return out
 
 
@@ -513,7 +496,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
     unit pivot and cleared above and below. There are no pivoting
     heuristics, so equal inputs give identical results.
     """
-    red, piv = _rref(M.entries, M.cols, M.field_tag)
+    red, piv = _eliminate(M.entries, M.cols, M.field_tag, reduce=True)
     if isinstance(red, np.ndarray):
         red = red.tolist()
     reduced = RationalMatrix(rows=len(red), cols=M.cols,

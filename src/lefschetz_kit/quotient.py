@@ -8,6 +8,11 @@ pure powers alone; multiples of pure powers are projected away instead of
 being carried as matrix rows, which gives the same ranks and the same
 initial ideal as the full multiplication matrix.
 
+Dimensions read the pivots of a cached forward echelon of the extra-form
+span. A/ell A is again such a quotient, in one variable fewer, so the rank
+of multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs
+no matrix of its own.
+
 Matrices are built once, in the form the elimination kernels use. Each
 exponent vector is keyed as one integer with the exponents as digits in
 radix 2a, so the key of a product is the sum of the keys of its factors
@@ -17,7 +22,8 @@ turns them into an int64 array or lists by the field's dispatch rule.
 
 Before anything is enumerated, the shape of every span and lift matrix
 is read from closed-form monomial counts, and one of more than CELL_GUARD
-cells is refused with GuardRefusal.
+cells is refused with GuardRefusal. The same bound caps the term count of
+a power of a linear form and the monomials of an initial piece.
 """
 
 from __future__ import annotations
@@ -26,19 +32,28 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import GuardRefusal, InternalFault
 from .hilbert import power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _from_triplets, _pivots, _reduce_against, _residue,
-                     _rref, kernel_basis, prime_field)
+                     _eliminate, _from_triplets, _pivots, _reduce_against,
+                     _residue, kernel_basis, prime_field)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         in_combinatorial_ideal, initial_generators,
                         revlex_sort_key)
 
-# the most cells any span or lift matrix may have; larger ones are refused
-# from closed-form shapes before any enumeration
+# the most cells any span or lift matrix may have, and the most terms of a
+# linear form's power or monomials of an initial piece; larger ones are
+# refused from closed-form counts before any enumeration
 CELL_GUARD = 5 * 10**7
+
+
+def _guard_count(what: str, count: int) -> None:
+    """Refuse an enumeration of more than CELL_GUARD items before it runs."""
+    if count > CELL_GUARD:
+        raise GuardRefusal(f"the {what} would number {count}, above the guard "
+                           f"of {CELL_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,9 @@ def multiply_forms(f: Form, g: Form) -> Form:
 def form_power(f: Form, k: int) -> Form:
     if k < 1:
         raise ValueError("power must be at least 1")
+    if f.degree == 1:
+        _guard_count(f"terms of power {k} of a {len(f.terms)}-term linear form",
+                     comb(len(f.terms) + k - 1, k))
     out = f
     for _ in range(k - 1):
         out = multiply_forms(out, f)
@@ -186,13 +204,18 @@ def _capped_count(spec: IdealSpec, d: int) -> int:
 
 def _guard_cells(what: str, rows: int, cols: int) -> None:
     """Refuse a matrix of more than CELL_GUARD cells before it is built."""
-    if rows * cols > CELL_GUARD:
-        raise GuardRefusal(f"the {what} would have {rows} x {cols} = "
-                           f"{rows * cols} cells, above the guard of {CELL_GUARD}")
+    _guard_count(f"cells of the {rows} x {cols} {what}", rows * cols)
 
 
-def _guard_lift(spec: IdealSpec, d: int) -> None:
-    """Refuse the lift of degree d-1 into degree d if it is too large."""
+def _check_map(spec: IdealSpec, d: int, ell: Form) -> None:
+    """Validate multiplication by ell into degree d, and refuse it when its
+    matrix, the lift of degree d-1 into degree d, would be too large."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    if ell.degree != 1:
+        raise ValueError("need a degree-1 form")
+    if ell.nvars is not None and ell.nvars != spec.n:
+        raise ValueError("the form must use n variables")
     _guard_cells(f"lift into degree {d}", _capped_count(spec, d - 1),
                  _capped_count(spec, d))
 
@@ -249,12 +272,12 @@ def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
 
 @lru_cache(maxsize=64)
 def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
-    """Cached echelon data of the extra-form span in capped degree d.
+    """Cached forward echelon of the extra-form span in capped degree d.
 
-    Returns (basis, index, reduced_rows, pivot_columns), where index maps
-    the _key of each basis exponent to its column. The reduced rows are
-    Fraction lists in the rational case and an int64 array or int lists in
-    the prime case.
+    Returns (basis, index, echelon_rows, pivot_columns), where index maps
+    the _key of each basis exponent to its column. The echelon rows, one
+    per pivot, are integer lists in the rational case (each a multiple of
+    the Fraction row) and an int64 array or int lists in the prime case.
     """
     _guard_cells(f"span in degree {d}",
                  len(spec.extra_forms) * _capped_count(spec, d - spec.a),
@@ -267,8 +290,8 @@ def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
     nrows, triplets = _product_rows(spec.extra_forms, mults, index, radix,
                                     field_tag, drop_zero_rows=True)
     rows = _from_triplets(triplets, nrows, len(basis), field_tag)
-    red, piv = _rref(rows, len(basis), field_tag)
-    return basis, index, red, list(piv)
+    echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
+    return basis, index, echelon[:len(piv)], piv
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -314,6 +337,7 @@ def initial_degree_piece(spec: IdealSpec, d: int,
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
+    _guard_count(f"monomials of degree {d}", comb(spec.n + d - 1, d))
     basis, _, _, piv = _reduce_spec(spec, d, field_tag)
     out = {Monomial(basis[c]) for c in piv}
     a = spec.a
@@ -370,59 +394,79 @@ def support_bound_check(n: int, a: int, d: int) -> bool:
     return True
 
 
-def _residual_products(spec: IdealSpec, d: int, ell: Form,
-                       field_tag: FieldTag):
-    """Products of ell with the standard monomials of degree d-1, reduced
-    against the ideal span in degree d.
+# one query asks for the same few specs over all its degrees; a larger
+# cache mostly keeps the forms of finished queries alive
+@lru_cache(maxsize=16)
+def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec:
+    """The quotient A/ell A as a spec, where A is the quotient by spec.
 
-    Returns (std_b, dim_at, rows): the degree d-1 standard monomials, the
-    degree d quotient dimension and one residual row per monomial in
-    std_b, in the coordinates of the degree d standard monomials.
+    With c_j the first coefficient of ell nonzero in the field and L the
+    sum of c_i x_i over i != j, A/ell A is the quotient of the polynomials
+    in the other variables by their a-th powers, L^a, and each extra form
+    f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e c_j^(a-e) m,
+    and is dropped for e = a as a multiple of L^a. Cached, so that the
+    span cache keys of all degrees share one spec.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if ell.degree != 1:
-        raise ValueError("need a degree-1 form")
-    if ell.nvars is not None and ell.nvars != spec.n:
-        raise ValueError("the form must use n variables")
-    _guard_lift(spec, d)
-    basis_d, index_d, red_d, piv_d = _reduce_spec(spec, d, field_tag)
-    basis_b, index_b, _, piv_b = _reduce_spec(spec, d - 1, field_tag)
-    pivset_b = set(piv_b)
-    std_b = [e for i, e in enumerate(basis_b) if i not in pivset_b]
-    dim_at = len(basis_d) - len(piv_d)
-    if not std_b:
-        return std_b, dim_at, []
-    # index_b lists the basis keys in column order
-    std_keys = [k for i, k in enumerate(index_b) if i not in pivset_b]
-    nrows, triplets = _product_rows((ell,), std_keys, index_d, _radix(spec),
-                                    field_tag, drop_zero_rows=False)
-    lift = _from_triplets(triplets, nrows, len(basis_d), field_tag)
-    return std_b, dim_at, _reduce_against(lift, red_d, piv_d, field_tag)
+    p = field_tag.characteristic
+    coeffs = linear_coefficients(ell) if ell.terms else ()
+    j = next((i for i, c in enumerate(coeffs) if (_residue(c, p) if p else c)),
+             None)
+    if j is None:  # ell vanishes in the field
+        return spec
+    if spec.n == 1:  # ell is a unit times x_1, so A/ell A is k[x_1]/(x_1)
+        return IdealSpec(n=1, a=1, extra_forms=())
+    a, cj = spec.a, coeffs[j]
+    L = linear_form(c for i, c in enumerate(coeffs) if i != j)
+    powers = [form_from_coefficients(0, {Monomial((0,) * (spec.n - 1)): 1})]
+    for _ in range(a):
+        powers.append(multiply_forms(powers[-1], L))
+    # eliminating the multiples of L^a first keeps the integers small over
+    # Q: degree 7 of wlp --n 7 --a 3 takes 0.9 s, and 15 s with L^a last
+    forms = [powers[a]]
+    for f in spec.extra_forms:
+        out: dict = {}
+        for m, c in f.terms:
+            e, rest = m.exponents[j], m.exponents[:j] + m.exponents[j + 1:]
+            for mm, cc in powers[e].terms if e < a else ():
+                key = Monomial(tuple(x + y for x, y in zip(rest, mm.exponents)))
+                out[key] = out.get(key, 0) + c * (-1) ** e * cj ** (a - e) * cc
+        forms.append(form_from_coefficients(a, out))
+    return IdealSpec(spec.n - 1, a, tuple(forms))
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
                             mode: FieldTag = RATIONALS) -> dict:
     """Exact rank data of multiplication by a linear form into degree d.
 
-    The map goes from degree d-1 of the quotient to degree d. Returns the
-    rank together with both quotient dimensions. The rank is obtained by
-    reducing the lifted products against the echelonized ideal span, so no
-    stacked matrix is ever formed.
+    The map goes from degree d-1 of the quotient A to degree d. Returns the
+    rank together with both quotient dimensions. A_{d-1} -> A_d ->
+    (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
+    and the matrix of the map is never built.
     """
-    std_b, dim_at, rows = _residual_products(spec, d, ell, mode)
-    rank = len(_pivots(rows, dim_at, mode)) if std_b else 0
-    return {"rank": rank, "dim_below": len(std_b), "dim_at": dim_at}
+    _check_map(spec, d, ell)
+    dim_at = graded_dimension(spec, d, mode)
+    cokernel = graded_dimension(_cokernel_spec(spec, ell, mode), d, mode)
+    return {"rank": dim_at - cokernel,
+            "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
 
 
 def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     """Exact rational basis of the kernel of multiplication into degree d.
 
     Kernel vectors are returned as degree d-1 forms supported on the
-    standard monomial basis of the quotient.
+    standard monomial basis of the quotient. The products of ell with that
+    basis are reduced against the ideal span in degree d. The remainders
+    are zero on the span's pivot columns, so keeping those columns adds
+    only zero equations.
     """
-    std_b, _, rows = _residual_products(spec, d, ell, RATIONALS)
-    return _kernel_forms(zip(*rows), std_b, d - 1)
+    _check_map(spec, d, ell)
+    std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
+    basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
+    radix = _radix(spec)
+    nrows, triplets = _product_rows((ell,), [_key(e, radix) for e in std_b],
+                                    index, radix, RATIONALS, drop_zero_rows=False)
+    lift = _from_triplets(triplets, nrows, len(basis), RATIONALS)
+    return _kernel_forms(zip(*_reduce_against(lift, echelon, piv)), std_b, d - 1)
 
 
 def _kernel_forms(rows, basis, degree: int) -> list[Form]:
@@ -582,7 +626,7 @@ def wlp_sweep(n: int, p: int, seeds,
     d = 1
     while True:
         # refuse an oversized lift before the span of its degree is built
-        _guard_lift(spec, d)
+        _check_map(spec, d, forms[0])
         if graded_dimension(spec, d, field_tag) == 0:
             break
         rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)

@@ -240,12 +240,12 @@ def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
 
 def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
     spec = IdealSpec(n=params.n, a=2)
-    basis, index, red, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
+    basis, index, echelon, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
     radix = _radix(spec)
     vec = [Fraction(0)] * len(basis)
     for m, c in q.terms:
         vec[index[_key(m.exponents, radix)]] = c
-    return any(_reduce_against([vec], red, piv, RATIONALS)[0])
+    return any(_reduce_against([vec], echelon, piv)[0])
 
 
 def verify_nonmembership(params: WitnessParams) -> bool:

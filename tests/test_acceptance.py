@@ -241,6 +241,20 @@ def test_c10_wlp_classification():
     assert time.monotonic() - t0 < 180
 
 
+def test_cubes_sweep_below_the_degree_six_bound():
+    # the cubes bound (3d-3)/2 is 7.5 at d = 6, so n = 7 lies below it; the
+    # map into degree 6 misses injectivity by one, every other degree has
+    # maximal rank
+    t0 = time.monotonic()
+    report = wlp_sweep(7, 3, [1])
+    assert [(r.d, r.dim_below, r.dim_at, r.map_rank) for r in report.records] == [
+        (1, 1, 7, 1), (2, 7, 28, 7), (3, 28, 76, 28), (4, 76, 154, 76),
+        (5, 154, 238, 154), (6, 238, 280, 237), (7, 280, 232, 232),
+        (8, 232, 91, 91)]
+    assert [r.d for r in report.records if not r.maximal_rank] == [6]
+    assert time.monotonic() - t0 < 60
+
+
 def ends_in_square_of(exps, var):
     nz = [i for i, v in enumerate(exps) if v]
     return bool(nz) and nz[-1] == var and exps[var] == 2

@@ -142,14 +142,20 @@ def test_oversized_witness_is_refused():
 
 
 def test_oversized_matrices_are_refused_before_they_are_built():
-    # the degree-4 lift of n=30 squares has 1.1e8 cells
-    proc = run_cli("wlp", "--n", "30", "--a", "2", "--seeds", "1")
-    assert proc.returncode == 3
-    assert "refusing" in proc.stderr
-    proc = run_cli("inject", "--a", "2", "--d", "12", "--n-range", "40..40",
-                   "--seeds", "1")
-    assert proc.returncode == 3
-    assert "refusing" in proc.stderr
+    for args in (
+        # the degree-4 lift of n=30 squares has 1.1e8 cells
+        ("wlp", "--n", "30", "--a", "2", "--seeds", "1"),
+        ("inject", "--a", "2", "--d", "12", "--n-range", "40..40",
+         "--seeds", "1"),
+        # a tenth power of a 30-term linear form has 6.4e8 terms
+        ("wlp", "--n", "30", "--a", "10", "--seeds", "1"),
+        ("froberg", "--n", "30", "--a", "10", "--seeds", "1"),
+        # degree 60 in 10 variables has 5.7e10 monomials
+        ("initial", "--n", "10", "--a", "2", "--d", "60"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, args
+        assert "refusing" in proc.stderr, args
 
 
 def test_repeated_in_process_calls_match_fresh_processes(capsys):

@@ -1,7 +1,8 @@
 """Randomized cross-checks of the elimination kernels against a textbook
 Gauss-Jordan, of the product-row builder against a tuple-keyed lookup,
 and of the projected quotient routes against the full-basis oracle, in
-each of the three elimination kernels' fields."""
+each of the three elimination kernels' fields; map ranks also in
+characteristics 3 and 5."""
 
 import random
 from fractions import Fraction
@@ -16,10 +17,10 @@ from lefschetz_kit.linalg import (
     FAST_PRIME,
     RATIONALS,
     RationalMatrix,
+    _eliminate,
     _forward_numpy,
     _from_triplets,
     _pivots,
-    _rref,
     _rref_mod_numpy,
     echelonize,
     in_column_space,
@@ -109,7 +110,7 @@ def _gauss_jordan(rows, ncols, p):
 def test_elimination_matches_gauss_jordan(case):
     rows, ncols = case
     for tag in FIELDS:
-        red, piv = _rref(rows, ncols, tag)
+        red, piv = _eliminate(rows, ncols, tag, reduce=True)
         if isinstance(red, np.ndarray):
             red = red.tolist()
         assert (red, piv) == _gauss_jordan(rows, ncols, tag.characteristic), tag
@@ -121,7 +122,7 @@ def test_elimination_matches_gauss_jordan(case):
 @given(small_matrices(RATIONAL_ENTRIES))
 def test_rational_elimination_matches_gauss_jordan(case):
     rows, ncols = case
-    red, piv = _rref(rows, ncols, RATIONALS)
+    red, piv = _eliminate(rows, ncols, RATIONALS, reduce=True)
     assert (red, piv) == _gauss_jordan(rows, ncols, 0)
     M = RationalMatrix.from_rows(rows, cols=ncols)
     assert _pivots(rows, ncols, RATIONALS) == list(echelonize(M).pivot_columns)
@@ -222,7 +223,7 @@ def test_product_rows_match_tuple_lookup(case):
     radix = _radix(spec)
     basis = _capped_basis(spec, d)
     index = {_key(e, radix): i for i, e in enumerate(basis)}
-    # the span rows of _reduce_spec and the lift rows of a map rank
+    # the span rows of _reduce_spec and the lift rows of a kernel
     for forms, below, drop in ((spec.extra_forms, d - spec.a, True),
                                ((ell,), d - 1, False)):
         mults = _capped_basis(spec, below)
@@ -268,13 +269,36 @@ def _oracle_rank(spec, d, ell, field_tag):
     return rank(ideal + lifted) - rank(ideal)
 
 
+# small characteristics, where coefficients of ell and of the extra forms
+# vanish and the quotient differs from the one over Q
+MAP_FIELDS = FIELDS + (prime_field(3), prime_field(5))
+
+
 @PROPERTY
 @given(map_cases())
 def test_map_rank_matches_full_basis_oracle(case):
     spec, d, ell = case
-    for tag in FIELDS:
+    for tag in MAP_FIELDS:
         assert (multiplication_map_rank(spec, d, ell, mode=tag)["rank"]
                 == _oracle_rank(spec, d, ell, tag)), tag
+
+
+@pytest.mark.parametrize("n, a, coeffs, tag", [
+    (4, 2, [0, 0, 0, 0], RATIONALS),            # ell = 0
+    (4, 3, [1, 1, 1, 1], RATIONALS),            # (sum x)^a maps to zero
+    (5, 2, [1, 1, 1, 1, 1], prime_field(3)),
+    (1, 2, [3], RATIONALS),                     # one variable
+    (1, 3, [2], prime_field(5)),
+    (4, 2, [0, 2, -1, 3], RATIONALS),           # c_1 = 0 over Q
+    (5, 2, [3, 1, 1, 2, 1], prime_field(3)),    # c_1 = 0 only modulo 3
+    (4, 3, [3, 1, 1, 1], prime_field(3)),
+    (3, 2, [5, 0, 0], prime_field(5)),          # ell = 0 modulo 5
+])
+def test_map_rank_edge_forms_match_oracle(n, a, coeffs, tag):
+    spec, ell = IdealSpec(n=n, a=a), linear_form(coeffs)
+    for d in range(1, (a - 1) * n + 2):
+        assert (multiplication_map_rank(spec, d, ell, mode=tag)["rank"]
+                == _oracle_rank(spec, d, ell, tag)), d
 
 
 @PROPERTY
