@@ -18,7 +18,9 @@ forward-elimination loop. A rank or a set of pivot columns reads the
 forward pass alone; a reduced row echelon form is the forward pass plus a
 back-substitution over the pivot rows, and runs only where reduced rows
 are read. `_reduce_against` works over Q only: it takes rows modulo the
-span of a forward echelon by dividing by each integer pivot.
+span of a forward echelon fraction-free, by the same cross-multiplied
+update, and returns each remainder as a primitive integer row together
+with its scale against the Fraction remainder.
 
 The int64 kernels delay reduction modulo p. Entries start as residues in
 [0, p), each step works with a reduced pivot row and multiplier column,
@@ -212,15 +214,19 @@ def _back_substitute_list(rows: list[list[int]], piv: list[int], p: int) -> None
                 _clear(above, above[c], top, p)
 
 
+def _integer_row(r) -> tuple[list[int], int]:
+    """The rational row r times the lcm of its entries' denominators, as
+    an int list, and that lcm."""
+    den = lcm(*(x.denominator for x in r))
+    if den == 1:
+        return [x.numerator for x in r], 1
+    return [x.numerator * (den // x.denominator) for x in r], den
+
+
 def _integer_rows(rows) -> list[list[int]]:
-    """Each rational row times the lcm of its entries' denominators, as
-    int lists; the row span, the pivots and the RREF are unchanged."""
-    out = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        out.append([x.numerator for x in r] if den == 1
-                   else [x.numerator * (den // x.denominator) for x in r])
-    return out
+    """Each rational row as an integer multiple (_integer_row); the row
+    span, the pivots and the RREF are unchanged."""
+    return [_integer_row(r)[0] for r in rows]
 
 
 def _cross_clear(row: list[int], pivot_row: list[int], c: int, start: int,
@@ -231,8 +237,10 @@ def _cross_clear(row: list[int], pivot_row: list[int], c: int, start: int,
     With a = pivot_row[c], f = row[c] and g = gcd(a, f), the row becomes
     (a/g) row - (f/g) pivot_row, a nonzero multiple of what a Fraction
     elimination leaves. When a divides f, only the nonzero entries of
-    pivot_row, given in sparse as (column, value) pairs, change; otherwise
-    the row is rescaled from column start on, left of which it is zero.
+    pivot_row, given in sparse as (column, value) pairs, change, and the
+    Fraction update is applied as is; otherwise the row is rescaled from
+    column start on, left of which it is zero. Returns (m, g): the row
+    left is m/g times the row a Fraction elimination leaves.
     """
     a, f = pivot_row[c], row[c]
     g = gcd(a, f)
@@ -241,12 +249,14 @@ def _cross_clear(row: list[int], pivot_row: list[int], c: int, start: int,
         t *= s
         for j, y in sparse:
             row[j] -= t * y
+        s = 1
     else:
         row[start:] = [s * x - t * y
                        for x, y in zip(row[start:], pivot_row[start:])]
     g = gcd(*row)
     if g > 1:
         row[start:] = [x // g for x in row[start:]]
+    return s, max(g, 1)
 
 
 def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
@@ -472,21 +482,38 @@ def _pivots(rows, ncols: int, field_tag: FieldTag) -> list[int]:
 
 
 def _reduce_against(rows, echelon, piv):
-    """Remainders over Q of rows modulo the row span of a forward echelon.
+    """Remainders over Q of rows modulo the row span of a forward echelon,
+    fraction-free; returns the remainders as integer rows and their scales.
 
-    echelon and piv are the integer rows and pivot columns of a forward
-    pass over Q (_eliminate without reduce). Each echelon row is zero left
-    of its pivot, so on the pivot columns before it, and clearing the
-    pivots in order leaves the remainders zero on every pivot column.
+    rows hold ints or Fractions. echelon and piv are the integer rows and
+    pivot columns of a forward pass over Q (_eliminate without reduce).
+    Each row is scaled to integers, and each echelon row whose pivot
+    column the row still holds clears it by the cross-multiplied update of
+    _cross_clear, with the whole row in play, since it need not be zero
+    left of the pivot. Echelon rows are zero left of their pivots, so
+    clearing the pivots in order leaves the remainders zero on every pivot
+    column. Each remainder is returned primitive, as an int list r with
+    the nonzero Fraction s for which r is s times the Fraction remainder.
     """
-    out = []
-    for row in rows:
-        for erow, c in zip(echelon, piv):
+    sparse: dict[int, list] = {}
+    out, scales = [], []
+    for r in rows:
+        row, num = _integer_row(r)
+        den = 1
+        for k, (erow, c) in enumerate(zip(echelon, piv)):
             if row[c]:
-                f = Fraction(row[c], erow[c])
-                row = row[:c] + [x - f * y for x, y in zip(row[c:], erow[c:])]
+                if k not in sparse:
+                    sparse[k] = [(j, y) for j in range(c, len(erow)) if (y := erow[j])]
+                m, g = _cross_clear(row, erow, c, 0, sparse[k])
+                num *= m
+                den *= g
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+            den *= g
         out.append(row)
-    return out
+        scales.append(Fraction(num, den))
+    return out, scales
 
 
 def echelonize(M: RationalMatrix) -> EchelonResult:

@@ -11,7 +11,8 @@ initial ideal as the full multiplication matrix.
 Dimensions read the pivots of a cached forward echelon of the extra-form
 span. A/ell A is again such a quotient, in one variable fewer, so the rank
 of multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs
-no matrix of its own.
+no matrix of its own. Each span of A/ell A is read once and skips the
+cache.
 
 Matrices are built once, in the form the elimination kernels use. Each
 exponent vector is keyed as one integer with the exponents as digits in
@@ -270,9 +271,8 @@ def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
     return r, (rows, cols, vals)
 
 
-@lru_cache(maxsize=64)
-def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
-    """Cached forward echelon of the extra-form span in capped degree d.
+def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
+    """Forward echelon of the extra-form span in capped degree d.
 
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
     the _key of each basis exponent to its column. The echelon rows, one
@@ -292,6 +292,11 @@ def _reduce_spec(spec: IdealSpec, d: int, field_tag: FieldTag):
     rows = _from_triplets(triplets, nrows, len(basis), field_tag)
     echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
     return basis, index, echelon[:len(piv)], piv
+
+
+# the spans of A itself, which queries read again across degrees, seeds
+# and subcommands; a cokernel span is read once and calls _span_echelon
+_reduce_spec = lru_cache(maxsize=64)(_span_echelon)
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -445,8 +450,13 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     """
     _check_map(spec, d, ell)
     dim_at = graded_dimension(spec, d, mode)
-    cokernel = graded_dimension(_cokernel_spec(spec, ell, mode), d, mode)
-    return {"rank": dim_at - cokernel,
+    cok = _cokernel_spec(spec, ell, mode)
+    if cok is spec:  # ell vanishes in the field
+        rank = 0
+    else:
+        basis, _, _, piv = _span_echelon(cok, d, mode)
+        rank = dim_at - (len(basis) - len(piv))
+    return {"rank": rank,
             "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
 
 
@@ -466,16 +476,31 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     nrows, triplets = _product_rows((ell,), [_key(e, radix) for e in std_b],
                                     index, radix, RATIONALS, drop_zero_rows=False)
     lift = _from_triplets(triplets, nrows, len(basis), RATIONALS)
-    return _kernel_forms(zip(*_reduce_against(lift, echelon, piv)), std_b, d - 1)
+    rems, scales = _reduce_against(lift, echelon, piv)
+    return _kernel_forms(zip(*rems), std_b, d - 1, scales)
 
 
-def _kernel_forms(rows, basis, degree: int) -> list[Form]:
+def _kernel_forms(rows, basis, degree: int, scales=None) -> list[Form]:
     """Rational kernel basis of the matrix with these rows, as forms whose
-    coefficients sit on the monomials of basis, one per column."""
+    coefficients sit on the monomials of basis, one per column.
+
+    scales, when given, are nonzero factors by which the columns of the
+    matrix were multiplied, and the kernel returned is that of the matrix
+    before. Column scaling keeps the pivot columns, so a kernel vector v of
+    the scaled matrix maps to the vector with entries scales[b] v[b], and
+    dividing that by its last nonzero entry, on its free column, gives
+    the same vector as a kernel basis of the unscaled matrix.
+    """
     M = RationalMatrix.from_rows(rows, cols=len(basis), field_tag=RATIONALS)
-    return [form_from_coefficients(
-                degree, {Monomial(e): x for e, x in zip(basis, v) if x})
-            for v in kernel_basis(M)]
+    out = []
+    for v in kernel_basis(M):
+        if scales is not None:
+            v = [s * x for s, x in zip(scales, v)]
+            last = next(x for x in reversed(v) if x)
+            v = [x / last for x in v]
+        out.append(form_from_coefficients(
+            degree, {Monomial(e): x for e, x in zip(basis, v) if x}))
+    return out
 
 
 def _monomial_quotient_data(case: GeneratorCase, n: int, d: int):

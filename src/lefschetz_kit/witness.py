@@ -6,6 +6,14 @@ quotient by all variable squares and the squared variable sum. Q times the
 weighted form agrees with Q' times the squared variable sum outside the
 squares, so the product lands in the ideal, while Q itself stays out of it.
 Both facts are verified exactly, the second by two independent routes.
+
+Both checks run on Python ints in the square-free basis, where a monomial
+is keyed by its support bitmask. The congruence forms only the products
+that stay square-free, from Q, Q' and the weights scaled to integers.
+Nonmembership is decided twice, fraction-free: by a forward pass over the
+0/1 containment matrix of index sets with Q's scaled coefficients as one
+more column, and by reducing Q against the cached forward echelon of the
+ideal span with linalg._reduce_against.
 """
 
 from __future__ import annotations
@@ -18,11 +26,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import RATIONALS, RationalMatrix, _reduce_against, in_column_space
+from .linalg import RATIONALS, _forward_int, _integer_row, _reduce_against
 from .monomials import Monomial
 from .quotient import (Form, IdealSpec, _key, _radix, _reduce_spec,
-                       form_from_coefficients, form_power, linear_form,
-                       multiply_forms, variable_sum)
+                       form_from_coefficients)
 
 SUBSET_GUARD = 10**6
 
@@ -221,10 +228,6 @@ def build_Qprime(params: WitnessParams) -> Form:
     return form_from_coefficients(d - 2, cmap)
 
 
-def _square_free_part(f: Form) -> dict:
-    return {m.exponents: c for m, c in f.terms if max(m.exponents) <= 1}
-
-
 def verify_congruence(params: WitnessParams) -> bool:
     """Exact check that the weighted form times Q and Q' times the squared
     variable sum agree after deleting every term divisible by a square."""
@@ -232,20 +235,77 @@ def verify_congruence(params: WitnessParams) -> bool:
 
 
 def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
-    ell = linear_form(params.a_values)
-    lhs = multiply_forms(ell, q)
-    rhs = multiply_forms(qp, form_power(variable_sum(params.n), 2))
-    return _square_free_part(lhs) == _square_free_part(rhs)
+    """The congruence check on integers, keyed by support bitmasks.
+
+    A square-free term of the weighted form times Q comes from a term c of
+    Q and a variable x_i outside its support, with coefficient a_i c; one
+    of Q' times the squared variable sum comes from a term c of Q' and two
+    variables outside its support, with coefficient 2c. Every other
+    product holds a square, and a term of Q or Q' that holds one gives
+    only such products, so none of them is formed. With D the lcm of the
+    denominators of Q, Q' and the weights, both sides are compared times
+    D^2, as integers. The _key in radix 2 of a square-free exponent vector
+    is its support bitmask.
+    """
+    nq, nqp = len(q.terms), len(qp.terms)
+    ints, den = _integer_row([c for _, c in q.terms + qp.terms]
+                             + list(params.a_values))
+    bits = [1 << i for i in range(params.n)]
+    weights = list(zip(bits, ints[nq + nqp:]))
+    lhs: dict[int, int] = {}
+    for (m, _), c in zip(q.terms, ints):
+        if max(m.exponents) > 1:
+            continue
+        key = _key(m.exponents, 2)
+        for b, w in weights:
+            if not key & b:
+                lhs[key | b] = lhs.get(key | b, 0) + w * c
+    rhs: dict[int, int] = {}
+    for (m, _), c in zip(qp.terms, ints[nq:]):
+        if max(m.exponents) > 1:
+            continue
+        key, c = _key(m.exponents, 2), 2 * den * c
+        outside = [b for b in bits if not key & b]
+        for b1, b2 in itertools.combinations(outside, 2):
+            k = key | b1 | b2
+            rhs[k] = rhs.get(k, 0) + c
+    return ({k: v for k, v in lhs.items() if v}
+            == {k: v for k, v in rhs.items() if v})
+
+
+def _outside_containment_span(params: WitnessParams, q: Form) -> bool:
+    """Route one: whether Q is outside the column span of the containment
+    matrix, rows the size d-1 index sets I, columns the size d-3 sets J,
+    and entry 1 where J lies inside I.
+
+    Column J is the square-free part of x^J times the squared variable sum,
+    halved, so the span is the degree d-1 piece of the ideal in the
+    square-free basis. Q's coefficients, times their common denominator,
+    are appended as a last column, and Q lies outside exactly when that
+    column holds a pivot of the fraction-free forward pass. Index sets and
+    Q's monomials are keyed by their support bitmasks.
+    """
+    n, d = params.n, params.d
+    qcoeff = {_key(m.exponents, 2): c for m, c in q.terms}
+    cols = [sum(1 << j for j in J) for J in _colex_combinations(n, d - 3)]
+    keys = [sum(1 << i for i in I) for I in _colex_combinations(n, d - 1)]
+    b, _ = _integer_row([qcoeff.get(k, 0) for k in keys])
+    rows = [[1 if mj & k == mj else 0 for mj in cols] + [x]
+            for k, x in zip(keys, b)]
+    return len(cols) in _forward_int(rows, len(cols) + 1)
 
 
 def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
+    """Route two: whether Q leaves a nonzero remainder against the cached
+    forward echelon of the ideal span in the capped basis of degree d-1."""
     spec = IdealSpec(n=params.n, a=2)
     basis, index, echelon, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
     radix = _radix(spec)
-    vec = [Fraction(0)] * len(basis)
+    vec = [0] * len(basis)
     for m, c in q.terms:
         vec[index[_key(m.exponents, radix)]] = c
-    return any(_reduce_against([vec], echelon, piv)[0])
+    rems, _ = _reduce_against([vec], echelon, piv)
+    return any(rems[0])
 
 
 def verify_nonmembership(params: WitnessParams) -> bool:
@@ -254,31 +314,20 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     Route one expresses membership as a containment-matrix column-space
     question over the square-free index sets. Route two reduces Q against
     the echelonized ideal span in the quotient and looks for a nonzero
-    residual. The routes are independent and must agree; a mismatch raises
-    InternalFault.
+    residual. Both eliminate fraction-free on integers. The routes are
+    independent and must agree; a mismatch raises InternalFault.
     """
     _guard(params.n, params.d)
     return _not_in_ideal(params, build_Q(params))
 
 
 def _not_in_ideal(params: WitnessParams, q: Form) -> bool:
-    n, d = params.n, params.d
-    qcoeff = {m.exponents: c for m, c in q.terms}
-    cols_idx = _colex_combinations(n, d - 3)
-    rows = []
-    b = []
-    for I in _colex_combinations(n, d - 1):
-        si = set(I)
-        rows.append([1 if set(J) <= si else 0 for J in cols_idx])
-        b.append(qcoeff.get(tuple(1 if i in si else 0 for i in range(n)),
-                            Fraction(0)))
-    C = RationalMatrix.from_rows(rows, cols=len(cols_idx), field_tag=RATIONALS)
-    via_matrix = not in_column_space(C, b)
+    via_matrix = _outside_containment_span(params, q)
     via_quotient = _nonzero_in_quotient(params, q)
     if via_matrix != via_quotient:
         raise InternalFault(
             "containment-matrix and quotient-echelon nonmembership verdicts "
-            f"disagree at n={n}, d={d}")
+            f"disagree at n={params.n}, d={params.d}")
     return via_matrix
 
 

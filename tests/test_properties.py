@@ -1,11 +1,13 @@
 """Randomized cross-checks of the elimination kernels against a textbook
-Gauss-Jordan, of the product-row builder against a tuple-keyed lookup,
-and of the projected quotient routes against the full-basis oracle, in
-each of the three elimination kernels' fields; map ranks also in
-characteristics 3 and 5."""
+Gauss-Jordan, of the fraction-free reduction against a span and the
+kernel built on it against Fraction references, of the product-row
+builder against a tuple-keyed lookup, and of the projected quotient routes
+against the full-basis oracle, in each of the three elimination kernels'
+fields; map ranks also in characteristics 3 and 5."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -21,19 +23,22 @@ from lefschetz_kit.linalg import (
     _forward_numpy,
     _from_triplets,
     _pivots,
+    _reduce_against,
     _rref_mod_numpy,
     echelonize,
     in_column_space,
+    kernel_basis,
     matrix_rank,
     prime_field,
 )
-from lefschetz_kit.monomials import enumerate_degree_piece
+from lefschetz_kit.monomials import Monomial, enumerate_degree_piece
 from lefschetz_kit.quotient import (
     IdealSpec,
     _capped_basis,
     _key,
     _product_rows,
     _radix,
+    _reduce_spec,
     form_from_coefficients,
     ideal_degree_basis,
     initial_degree_piece,
@@ -41,6 +46,7 @@ from lefschetz_kit.quotient import (
     linear_form,
     multiplication_kernel,
     multiplication_map_rank,
+    standard_monomials,
     wlp_sweep,
 )
 
@@ -147,6 +153,43 @@ def test_column_space_matches_ranks(case, data):
         inside = in_column_space(M, b)
         assert inside == (matrix_rank(M) == matrix_rank(aug)), tag
         assert inside or not combination, tag
+
+
+def _fraction_reduce_against(rows, echelon, piv):
+    """Remainders of rows modulo the span of a forward echelon in Fraction
+    arithmetic: each echelon row in turn clears its pivot column."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        for erow, c in zip(echelon, piv):
+            if row[c]:
+                f = row[c] / erow[c]
+                row = [x - f * y for x, y in zip(row, erow)]
+        out.append(row)
+    return out
+
+
+@PROPERTY
+@given(small_matrices(RATIONAL_ENTRIES), st.data())
+def test_reduce_against_is_a_multiple_of_the_fraction_remainder(case, data):
+    span, ncols = case
+    echelon, piv = _eliminate(span, ncols, RATIONALS, reduce=False)
+    echelon = echelon[:len(piv)]
+    rows = data.draw(st.lists(st.lists(RATIONAL_ENTRIES, min_size=ncols,
+                                       max_size=ncols), max_size=4))
+    if span:
+        # a combination of span rows leaves a zero remainder
+        x = data.draw(st.lists(SMALL_INTEGERS, min_size=len(span),
+                               max_size=len(span)))
+        rows.append([sum(Fraction(f) * r[j] for f, r in zip(x, span))
+                     for j in range(ncols)])
+    rems, scales = _reduce_against(rows, echelon, piv)
+    for rem, scale, ref in zip(rems, scales, _fraction_reduce_against(rows, echelon, piv)):
+        assert all(type(x) is int for x in rem)
+        assert scale != 0 and rem == [scale * x for x in ref]
+        assert gcd(*rem) in (0, 1)
+        assert not any(rem[c] for c in piv)
+    assert len(rems) == len(rows)
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 1073741789, FAST_PRIME])
@@ -332,3 +375,38 @@ def test_injectivity_table_and_sweep_agree(n, a, seeds, data):
     d = data.draw(st.integers(a, min(a + 2, len(records))))
     row = injectivity_threshold_check(a, d, [n], seeds, RATIONALS)[0]
     assert row["rank"] == records[d - 1].map_rank
+
+
+def _reference_kernel(spec, d, ell):
+    """Kernel forms of multiplication by ell into degree d, from the
+    Fraction remainders of its products with the standard monomials of
+    degree d-1 against the span in degree d."""
+    std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
+    basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
+    radix = _radix(spec)
+    lift = []
+    for e in std_b:
+        row = [Fraction(0)] * len(basis)
+        for m, c in ell.terms:
+            j = index.get(_key([x + y for x, y in zip(e, m.exponents)], radix))
+            if j is not None:
+                row[j] += c
+        lift.append(row)
+    rems = _fraction_reduce_against(lift, echelon, piv)
+    M = RationalMatrix.from_rows(zip(*rems), cols=len(std_b))
+    return [form_from_coefficients(
+                d - 1, {Monomial(e): x for e, x in zip(std_b, v) if x})
+            for v in kernel_basis(M)]
+
+
+@PROPERTY
+@given(map_cases(), st.data())
+def test_kernel_matches_fraction_reference(case, data):
+    # the remainders come back as integer multiples, each with its own
+    # scale, and the kernel must undo the scales of the columns they form;
+    # fractional coefficients of ell scale the lift rows too
+    spec, d, _ = case
+    ell = linear_form([Fraction(data.draw(st.integers(-5, 5)),
+                                data.draw(st.integers(1, 6)))
+                       for _ in range(spec.n)])
+    assert multiplication_kernel(spec, d, ell) == _reference_kernel(spec, d, ell)

@@ -3,19 +3,27 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_kit.errors import GuardRefusal
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
     form_from_coefficients,
+    form_power,
     linear_form,
     multiplication_kernel,
     multiplication_map_rank,
+    multiply_forms,
+    variable_sum,
 )
 from lefschetz_kit.witness import (
     SumKind,
     WitnessParams,
+    _congruent,
+    _nonzero_in_quotient,
+    _outside_containment_span,
     build_Q,
     build_Qprime,
     epsilon_table,
@@ -190,3 +198,105 @@ def test_builders_match_subset_sums(n, d, weights):
     }[weights]
     params = WitnessParams(n=n, d=d, a_values=tuple(values))
     assert (build_Q(params), build_Qprime(params)) == _brute_force_forms(params)
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+WEIGHTS = st.one_of(
+    st.integers(1, 1000),
+    st.integers(-1000, -1),
+    st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(2, 12)))
+
+
+@st.composite
+def witness_sizes(draw):
+    d = draw(st.integers(3, 6))
+    n = draw(st.integers(2 * d - 2, min(3 * d - 3, 10)))
+    return n, d
+
+
+@st.composite
+def witness_params(draw):
+    n, d = draw(witness_sizes())
+    return WitnessParams(n=n, d=d, a_values=tuple(
+        draw(st.lists(WEIGHTS, min_size=n, max_size=n))))
+
+
+def _reference_congruent(params, q, qp):
+    """The congruence check on full products, with every term that holds a
+    square dropped afterwards."""
+    lhs = multiply_forms(linear_form(params.a_values), q)
+    rhs = multiply_forms(qp, form_power(variable_sum(params.n), 2))
+
+    def square_free_part(f):
+        return {m.exponents: c for m, c in f.terms if max(m.exponents) <= 1}
+
+    return square_free_part(lhs) == square_free_part(rhs)
+
+
+def _corrupt(form, index, delta):
+    """form with delta added to the coefficient of its index-th term."""
+    coeffs = dict(form.terms)
+    m = form.terms[index % len(form.terms)][0]
+    coeffs[m] += delta
+    return form_from_coefficients(form.degree, coeffs)
+
+
+@PROPERTY
+@given(witness_params(), st.integers(0, 10**4), WEIGHTS)
+def test_congruence_matches_full_products(params, index, delta):
+    q, qp = build_Q(params), build_Qprime(params)
+    assert _congruent(params, q, qp)
+    assert _reference_congruent(params, q, qp)
+    # a_i times the change shows at every x_i outside the corrupted term of
+    # Q, and twice the change at every pair outside that of Q'
+    if q.terms:
+        bad = _corrupt(q, index, delta)
+        assert not _congruent(params, bad, qp)
+        assert not _reference_congruent(params, bad, qp)
+    if qp.terms:
+        bad = _corrupt(qp, index, delta)
+        assert not _congruent(params, q, bad)
+        assert not _reference_congruent(params, q, bad)
+
+
+def _ideal_member(n, d, multipliers):
+    """Square-free part of 2 e_2 times sum c x^J, the (J, c) pairs given,
+    where e_2 is the sum of all x_i x_j with i < j: the square-free part
+    of the squared variable sum times the same combination."""
+    coeffs: dict = {}
+    for J, c in multipliers:
+        outside = [i for i in range(n) if i not in J]
+        for i, j in itertools.combinations(outside, 2):
+            m = Monomial.square_free(n, sorted(J + (i, j)))
+            coeffs[m] = coeffs.get(m, 0) + 2 * c
+    return form_from_coefficients(d - 1, coeffs)
+
+
+@PROPERTY
+@given(witness_sizes(), st.data())
+def test_nonmembership_routes_agree_on_ideal_members(size, data):
+    n, d = size
+    params = random_witness_params(n, d, 1)
+    subsets = list(itertools.combinations(range(n), d - 3))
+    multipliers = data.draw(st.lists(
+        st.tuples(st.sampled_from(subsets), WEIGHTS), min_size=1, max_size=4))
+    member = _ideal_member(n, d, multipliers)
+    assert not _outside_containment_span(params, member)
+    assert not _nonzero_in_quotient(params, member)
+    # the ideal is symmetric and misses part of degree d-1, so it holds no
+    # monomial of that degree, and a member plus one is outside it
+    extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
+    coeffs = dict(member.terms)
+    m = Monomial.square_free(n, extra)
+    coeffs[m] = coeffs.get(m, 0) + 1
+    outsider = form_from_coefficients(d - 1, coeffs)
+    assert _outside_containment_span(params, outsider)
+    assert _nonzero_in_quotient(params, outsider)
+
+
+def test_witness_record_at_degree_six():
+    record = witness_record(random_witness_params(13, 6, 1))
+    assert record["congruence_ok"] is True
+    assert record["nonmembership_ok"] is True
