@@ -114,7 +114,7 @@ def _run_froberg(cfg: RunConfig):
         f2 = quotient.form_power(quotient.random_linear_form(n, s, index=2), a)
         spec = quotient.IdealSpec(n=n, a=a, extra_forms=(f1, f2))
         dims_per_seed.append(
-            [quotient.graded_dimension(spec, d, cfg.field) for d in range(D + 1)])
+            quotient.graded_dimensions(spec, range(D + 1), cfg.field))
     if len({tuple(v) for v in dims_per_seed}) > 1:
         raise InternalFault("seeded dimension vectors disagree")
     exact = dims_per_seed[0]

@@ -5,6 +5,10 @@ objects are the layered generator families of the combinatorial monomial
 ideals attached to the square and cube cases, together with the extension
 moves that grow a monomial degree by degree without ever entering the
 ideal.
+
+Bases are enumerated as lists of exponent tuples, built one variable at a
+time from the lists of every lower degree (_iter_exponents), in revlex
+descending order; Monomial wraps a tuple only where a caller needs one.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -24,8 +28,8 @@ class Monomial:
     degree: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
+        exps = tuple(map(int, self.exponents))
+        if exps and min(exps) < 0:
             raise ValueError("exponents must be non-negative")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "degree", sum(exps))
@@ -86,16 +90,29 @@ def revlex_sort_key(m: Monomial) -> tuple:
     return (-m.degree,) + tuple(reversed(m.exponents))
 
 
-def _iter_exponents(n: int, d: int, cap: int | None) -> Iterator[tuple[int, ...]]:
-    # yields degree-d exponent tuples in revlex descending order
+def _iter_exponents(n: int, d: int, cap: int | None) -> list[tuple[int, ...]]:
+    """Degree-d exponent tuples in n variables, revlex descending, every
+    exponent at most cap when cap is given.
+
+    The tuples are built one variable at a time: layer[k] lists those of
+    degree k in the variables so far, in revlex descending order, and
+    appending the next variable's exponent in ascending order to the
+    layers below keeps that order.
+    """
+    if d < 0 or (n == 0 and d != 0):
+        return []
     if n == 0:
-        if d == 0:
-            yield ()
-        return
+        return [()]
     top = d if cap is None else min(cap, d)
-    for last in range(top + 1):
-        for head in _iter_exponents(n - 1, d - last, cap):
-            yield head + (last,)
+    layer = [[(k,)] if k <= top else [] for k in range(d + 1)]
+    for rest in range(n - 2, -1, -1):
+        # the rest variables still to come add at most rest * top
+        low = max(0, d - rest * top)
+        layer = [[] if k < low else
+                 [h + (last,) for last in range(min(top, k) + 1)
+                  for h in layer[k - last]]
+                 for k in range(d + 1)]
+    return layer[d]
 
 
 def enumerate_degree_piece(n: int, d: int,

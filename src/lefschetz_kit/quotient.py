@@ -14,6 +14,13 @@ of multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs
 no matrix of its own. Each span of A/ell A is read once and skips the
 cache.
 
+Spans are built from integers. A power of a linear form comes from the
+multinomial theorem on its coefficients scaled to integers
+(_linear_powers), with one Fraction made per term at the end. The default
+form (x_1 + ... + x_n)^a is built once per (n, a), and the substitution
+behind A/ell A runs on integer coefficients over one denominator per
+form.
+
 Matrices are built once, in the form the elimination kernels use. Each
 exponent vector is keyed as one integer with the exponents as digits in
 radix 2a, so the key of a product is the sum of the keys of its factors
@@ -24,7 +31,10 @@ turns them into an int64 array or lists by the field's dispatch rule.
 Before anything is enumerated, the shape of every span and lift matrix
 is read from closed-form monomial counts, and one of more than CELL_GUARD
 cells is refused with GuardRefusal. The same bound caps the term count of
-a power of a linear form and the monomials of an initial piece.
+a power of a linear form and the monomials of an initial piece. Queries
+that compute every degree or every n, graded_dimensions and
+injectivity_threshold_check, check all their shapes before the first
+span is built.
 """
 
 from __future__ import annotations
@@ -38,8 +48,8 @@ from math import comb
 from .errors import GuardRefusal, InternalFault
 from .hilbert import power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _eliminate, _from_triplets, _pivots, _reduce_against,
-                     _residue, kernel_basis, prime_field)
+                     _eliminate, _from_triplets, _integer_row, _pivots,
+                     _reduce_against, _residue, kernel_basis, prime_field)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         in_combinatorial_ideal, initial_generators,
                         revlex_sort_key)
@@ -87,6 +97,15 @@ class Form:
         if any(not a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("terms must be strictly revlex descending")
 
+    def __hash__(self) -> int:
+        # forms key the span and cokernel caches through their specs, so
+        # the hash over all terms is taken once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.degree, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def nvars(self) -> int | None:
         return self.terms[0][0].nvars if self.terms else None
@@ -128,12 +147,39 @@ def multiply_forms(f: Form, g: Form) -> Form:
         f.degree + g.degree, {Monomial(e): c for e, c in out.items()})
 
 
+def _linear_powers(coeffs, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The powers L^0, ..., L^k of L = sum of coeffs[i] x_i, on ints.
+
+    coeffs are integers. Entry t lists the terms (exponents, coefficient)
+    of L^t in revlex descending order, with the multinomial coefficients
+    t!/prod(e_i!) * prod(coeffs[i]^e_i). The terms are built one variable
+    at a time, as _iter_exponents builds exponents: appending exponent e
+    of a variable with coefficient c to a term of degree t-e multiplies
+    its coefficient by comb(t, e) * c^e. A zero coefficient takes
+    exponent 0 only, so only the support is expanded.
+    """
+    layer = [[((), 1)]] + [[] for _ in range(k)]
+    for c in coeffs:
+        factors = [[comb(t, e) * c**e for e in range(t + 1)] if c else [1]
+                   for t in range(k + 1)]
+        layer = [[(h + (e,), w * f) for e, f in enumerate(factors[t])
+                  for h, w in layer[t - e]]
+                 for t in range(k + 1)]
+    return layer
+
+
 def form_power(f: Form, k: int) -> Form:
+    """f^k; for a nonzero linear form, by the multinomial theorem on its
+    coefficients scaled to integers, and otherwise by repeated products."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    if f.degree == 1:
+    if f.degree == 1 and f.terms:
         _guard_count(f"terms of power {k} of a {len(f.terms)}-term linear form",
                      comb(len(f.terms) + k - 1, k))
+        coeffs, den = _integer_row(linear_coefficients(f))
+        den **= k
+        return Form(k, tuple((Monomial(e), Fraction(c, den))
+                             for e, c in _linear_powers(coeffs, k)[k]))
     out = f
     for _ in range(k - 1):
         out = multiply_forms(out, f)
@@ -163,6 +209,14 @@ def random_linear_form(n: int, seed, index: int | None = None) -> Form:
     return linear_form([rng.randint(1, 10**6) for _ in range(n)])
 
 
+# equal default specs then share one form object, which their cache keys
+# compare by identity
+@lru_cache(maxsize=32)
+def _default_form(n: int, a: int) -> Form:
+    """(x_1 + ... + x_n)^a, built once per (n, a)."""
+    return form_power(variable_sum(n), a)
+
+
 @dataclass(frozen=True)
 class IdealSpec:
     """Pure a-th powers of all n variables plus extra degree-a forms.
@@ -182,7 +236,7 @@ class IdealSpec:
             raise ValueError("the exponent must be at least 1")
         if self.extra_forms is None:
             object.__setattr__(self, "extra_forms",
-                               (form_power(variable_sum(self.n), self.a),))
+                               (_default_form(self.n, self.a),))
         else:
             object.__setattr__(self, "extra_forms", tuple(self.extra_forms))
         for f in self.extra_forms:
@@ -206,6 +260,14 @@ def _capped_count(spec: IdealSpec, d: int) -> int:
 def _guard_cells(what: str, rows: int, cols: int) -> None:
     """Refuse a matrix of more than CELL_GUARD cells before it is built."""
     _guard_count(f"cells of the {rows} x {cols} {what}", rows * cols)
+
+
+def _guard_span(spec: IdealSpec, d: int) -> None:
+    """Refuse the extra-form span of spec in degree d when its matrix would
+    be too large."""
+    _guard_cells(f"span in degree {d}",
+                 len(spec.extra_forms) * _capped_count(spec, d - spec.a),
+                 _capped_count(spec, d))
 
 
 def _check_map(spec: IdealSpec, d: int, ell: Form) -> None:
@@ -237,6 +299,15 @@ def _key(exponents, radix: int) -> int:
     for x in reversed(exponents):
         key = key * radix + x
     return key
+
+
+def _unkey(key: int, radix: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of n entries whose _key is key."""
+    out = []
+    for _ in range(n):
+        key, x = divmod(key, radix)
+        out.append(x)
+    return tuple(out)
 
 
 def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
@@ -279,9 +350,7 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     per pivot, are integer lists in the rational case (each a multiple of
     the Fraction row) and an int64 array or int lists in the prime case.
     """
-    _guard_cells(f"span in degree {d}",
-                 len(spec.extra_forms) * _capped_count(spec, d - spec.a),
-                 _capped_count(spec, d))
+    _guard_span(spec, d)
     radix = _radix(spec)
     basis = _capped_basis(spec, d)
     index = {_key(e, radix): i for i, e in enumerate(basis)}
@@ -361,6 +430,16 @@ def graded_dimension(spec: IdealSpec, d: int,
     return len(basis) - len(piv)
 
 
+def graded_dimensions(spec: IdealSpec, degrees,
+                      field_tag: FieldTag = RATIONALS) -> list[int]:
+    """graded_dimension in each of the degrees, after refusing the query
+    if the span of any of them would be too large."""
+    degrees = list(degrees)
+    for d in degrees:
+        _guard_span(spec, d)
+    return [graded_dimension(spec, d, field_tag) for d in degrees]
+
+
 def standard_monomials(spec: IdealSpec, d: int,
                        field_tag: FieldTag = RATIONALS) -> list[Monomial]:
     """Monomial basis of degree d of the quotient: capped non-pivot columns."""
@@ -420,23 +499,48 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
         return spec
     if spec.n == 1:  # ell is a unit times x_1, so A/ell A is k[x_1]/(x_1)
         return IdealSpec(n=1, a=1, extra_forms=())
-    a, cj = spec.a, coeffs[j]
-    L = linear_form(c for i, c in enumerate(coeffs) if i != j)
-    powers = [form_from_coefficients(0, {Monomial((0,) * (spec.n - 1)): 1})]
-    for _ in range(a):
-        powers.append(multiply_forms(powers[-1], L))
+    # with den the lcm of the denominators of ell, c_j = cj / den and
+    # L^e = (sum of P x^m over powers[e]) / den^e, so the image of f,
+    # whose coefficients are its integers over fden, has the integer
+    # coefficients below over the one denominator fden * den^a
+    a = spec.a
+    ints, den = _integer_row(coeffs)
+    cj = ints[j]
+    powers = _linear_powers(ints[:j] + ints[j + 1:], a)
+    radix = a + 1  # no exponent of a degree-a monomial exceeds a
     # eliminating the multiples of L^a first keeps the integers small over
     # Q: degree 7 of wlp --n 7 --a 3 takes 0.9 s, and 15 s with L^a last
-    forms = [powers[a]]
+    forms = [Form(a, tuple((Monomial(e), Fraction(c, den**a))
+                           for e, c in powers[a]))]
+    keyed = [[(_key(e, radix), c) for e, c in terms] for terms in powers[:a]]
     for f in spec.extra_forms:
+        nums, fden = _integer_row([c for _, c in f.terms])
         out: dict = {}
-        for m, c in f.terms:
-            e, rest = m.exponents[j], m.exponents[:j] + m.exponents[j + 1:]
-            for mm, cc in powers[e].terms if e < a else ():
-                key = Monomial(tuple(x + y for x, y in zip(rest, mm.exponents)))
-                out[key] = out.get(key, 0) + c * (-1) ** e * cj ** (a - e) * cc
-        forms.append(form_from_coefficients(a, out))
+        for (m, _), c in zip(f.terms, nums):
+            e = m.exponents[j]
+            if e < a:
+                rest = _key(m.exponents[:j] + m.exponents[j + 1:], radix)
+                c *= (-1) ** e * cj ** (a - e)
+                for key, cc in keyed[e]:
+                    out[rest + key] = out.get(rest + key, 0) + c * cc
+        # ascending keys, whose top digit is the last exponent, are revlex
+        # descending
+        fden *= den**a
+        forms.append(Form(a, tuple(
+            (Monomial(_unkey(key, radix, spec.n - 1)), Fraction(out[key], fden))
+            for key in sorted(out) if out[key])))
     return IdealSpec(spec.n - 1, a, tuple(forms))
+
+
+def _guard_map(spec: IdealSpec, d: int, ell: Form, field_tag: FieldTag) -> None:
+    """Validate multiplication by ell into degree d, and refuse it when its
+    lift or any span its rank reads would be too large, building no span."""
+    _check_map(spec, d, ell)
+    _guard_span(spec, d)
+    cok = _cokernel_spec(spec, ell, field_tag)
+    if cok is not spec:
+        _guard_span(cok, d)
+    _guard_span(spec, d - 1)
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
@@ -448,7 +552,7 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
     and the matrix of the map is never built.
     """
-    _check_map(spec, d, ell)
+    _guard_map(spec, d, ell, mode)
     dim_at = graded_dimension(spec, d, mode)
     cok = _cokernel_spec(spec, ell, mode)
     if cok is spec:  # ell vanishes in the field
@@ -546,7 +650,8 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
     """Injectivity verdicts of multiplication by seeded random linear forms.
 
     One row per n, its rank settled across the seeds by _consensus_rank,
-    so a full-rank seed certifies the row even in prime mode. The default
+    so a full-rank seed certifies the row even in prime mode. Every n is
+    checked against the guards before any span is built. The default
     field is F_p with p = FAST_PRIME. Each row also reports whether n meets
     the exact closed-form inequality that guarantees injectivity.
     """
@@ -557,12 +662,17 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
         raise ValueError("need at least one seed")
     bound = -(-2 * d // (a - 1)) + Fraction(2 * d - 1, a - 1)
     tag = field_tag if field_tag is not None else prime_field(FAST_PRIME)
-    rows = []
+    cells = []
     for n in n_range:
         n = int(n)
+        spec = IdealSpec(n=n, a=a)
         forms = [random_linear_form(n, s) for s in seeds]
-        rank, dim_below, dim_at = _consensus_rank(IdealSpec(n=n, a=a), d,
-                                                  forms, tag)
+        for ell in forms:
+            _guard_map(spec, d, ell, tag)
+        cells.append((n, spec, forms))
+    rows = []
+    for n, spec, forms in cells:
+        rank, dim_below, dim_at = _consensus_rank(spec, d, forms, tag)
         rows.append({"n": n, "dim_below": dim_below, "dim_at": dim_at,
                      "rank": rank, "injective": rank == dim_below,
                      "inequality_met": bool(Fraction(n) >= bound)})

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+from lefschetz_kit import quotient
 from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
 
 
@@ -156,6 +157,28 @@ def test_oversized_matrices_are_refused_before_they_are_built():
         proc = run_cli(*args)
         assert proc.returncode == 3, args
         assert "refusing" in proc.stderr, args
+
+
+def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
+    # both run every n or every degree, so a shape beyond the guard anywhere
+    # is refused before the first span is built
+    built = []
+
+    def span(spec, d, field_tag):
+        built.append((spec.n, d))
+        raise AssertionError("a span was built before the refusal")
+
+    monkeypatch.setattr(quotient, "_span_echelon", span)
+    monkeypatch.setattr(quotient, "_reduce_spec", span)
+    for args in (
+        # the degree-6 lift at n = 17 has 7.7e7 cells
+        ("inject", "--a", "2", "--d", "6", "--n-range", "10..30", "--seeds", "1"),
+        # the degree-7 span has 2.6e8 cells
+        ("froberg", "--n", "16", "--a", "4", "--seeds", "1"),
+    ):
+        assert main(list(args)) == 3, args
+        assert "refusing" in capsys.readouterr().err, args
+    assert built == []
 
 
 def test_repeated_in_process_calls_match_fresh_processes(capsys):

@@ -1,5 +1,6 @@
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from lefschetz_kit.monomials import (
@@ -8,6 +9,7 @@ from lefschetz_kit.monomials import (
     ExtendMode,
     Monomial,
     Ordering,
+    _iter_exponents,
     cubes_dk,
     enumerate_degree_piece,
     extend_cubes,
@@ -42,6 +44,37 @@ def test_square_free_constructor():
     assert sf(3, []).degree == 0
     with pytest.raises(ValueError):
         Monomial((1, -1))
+
+
+def test_monomial_normalizes_exponents():
+    for exps in ((True, False, True), np.array([2, 0, 1]),
+                 (np.int64(3), np.int8(0))):
+        m = Monomial(exps)
+        assert all(type(e) is int for e in m.exponents)
+        assert m.exponents == tuple(int(e) for e in exps)
+        assert m.degree == sum(m.exponents)
+    assert Monomial(()).degree == 0
+    for bad in ((0, -1), (-2,), np.array([1, -1])):
+        with pytest.raises(ValueError):
+            Monomial(bad)
+
+
+def _reference_exponents(n, d, cap):
+    # every vector with entries up to the cap or d, filtered by degree
+    if d < 0:
+        return []
+    top = d if cap is None else cap
+    found = [e for e in product(range(top + 1), repeat=n) if sum(e) == d]
+    return sorted(found, key=lambda e: revlex_sort_key(Monomial(e)))
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 4])
+def test_iter_exponents_matches_brute_force(cap):
+    # cap 0 is the basis of k[x_1]/(x_1), the n = 1 cokernel of a map rank
+    for n in range(7):
+        for d in range(-2, 8):
+            assert _iter_exponents(n, d, cap) == _reference_exponents(n, d, cap), \
+                (n, d, cap)
 
 
 def test_revlex_compare_degree_first():

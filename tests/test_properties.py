@@ -3,7 +3,9 @@ Gauss-Jordan, of the fraction-free reduction against a span and the
 kernel built on it against Fraction references, of the product-row
 builder against a tuple-keyed lookup, and of the projected quotient routes
 against the full-basis oracle, in each of the three elimination kernels'
-fields; map ranks also in characteristics 3 and 5."""
+fields; map ranks also in characteristics 3 and 5. Powers of linear forms
+and the cokernel specs of map ranks, built on integers, are checked
+against repeated Fraction products."""
 
 import random
 from fractions import Fraction
@@ -24,6 +26,7 @@ from lefschetz_kit.linalg import (
     _from_triplets,
     _pivots,
     _reduce_against,
+    _residue,
     _rref_mod_numpy,
     echelonize,
     in_column_space,
@@ -33,18 +36,23 @@ from lefschetz_kit.linalg import (
 )
 from lefschetz_kit.monomials import Monomial, enumerate_degree_piece
 from lefschetz_kit.quotient import (
+    Form,
     IdealSpec,
     _capped_basis,
+    _cokernel_spec,
     _key,
     _product_rows,
     _radix,
     _reduce_spec,
     form_from_coefficients,
+    form_power,
     ideal_degree_basis,
     initial_degree_piece,
     injectivity_threshold_check,
+    linear_coefficients,
     linear_form,
     multiplication_kernel,
+    multiply_forms,
     multiplication_map_rank,
     standard_monomials,
     wlp_sweep,
@@ -410,3 +418,108 @@ def test_kernel_matches_fraction_reference(case, data):
                                 data.draw(st.integers(1, 6)))
                        for _ in range(spec.n)])
     assert multiplication_kernel(spec, d, ell) == _reference_kernel(spec, d, ell)
+
+
+# zero, negative and fractional coefficients, and integers large enough for
+# the multinomial coefficients to grow
+LINEAR_COEFFICIENTS = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@PROPERTY
+@given(st.lists(LINEAR_COEFFICIENTS, min_size=1, max_size=5), st.integers(1, 5))
+def test_power_of_linear_form_matches_repeated_products(coeffs, k):
+    f = linear_form(coeffs)
+    want = f
+    for _ in range(k - 1):
+        want = multiply_forms(want, f)
+    assert form_power(f, k) == want
+
+
+def test_power_of_zero_linear_form():
+    for k in range(1, 5):
+        assert form_power(linear_form([0, 0, 0]), k) == Form(k, ())
+
+
+def _reference_cokernel_spec(spec, ell, field_tag):
+    """_cokernel_spec built on Fraction forms: the powers of L by repeated
+    products and the substitution x_j = -L/c_j term by term."""
+    p = field_tag.characteristic
+    coeffs = linear_coefficients(ell) if ell.terms else ()
+    j = next((i for i, c in enumerate(coeffs) if (_residue(c, p) if p else c)),
+             None)
+    if j is None:
+        return spec
+    if spec.n == 1:
+        return IdealSpec(n=1, a=1, extra_forms=())
+    a, cj = spec.a, coeffs[j]
+    L = linear_form(c for i, c in enumerate(coeffs) if i != j)
+    powers = [form_from_coefficients(0, {Monomial((0,) * (spec.n - 1)): 1})]
+    for _ in range(a):
+        powers.append(multiply_forms(powers[-1], L))
+    forms = [powers[a]]
+    for f in spec.extra_forms:
+        out = {}
+        for m, c in f.terms:
+            e, rest = m.exponents[j], m.exponents[:j] + m.exponents[j + 1:]
+            for mm, cc in powers[e].terms if e < a else ():
+                key = Monomial(tuple(x + y for x, y in zip(rest, mm.exponents)))
+                out[key] = out.get(key, 0) + c * (-1) ** e * cj ** (a - e) * cc
+        forms.append(form_from_coefficients(a, out))
+    return IdealSpec(spec.n - 1, a, tuple(forms))
+
+
+# multiples of 3, 5 and both primes vanish in some field, so the first
+# coefficients of ell, or all of them, vanish there; denominators are
+# invertible in every field
+COKERNEL_COEFFICIENTS = st.one_of(
+    st.sampled_from((0, 3, 5, 15, -6, FAST_PRIME, DEFAULT_PRIME)),
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 4, 7))))
+
+
+@st.composite
+def cokernel_cases(draw):
+    """Default specs, specs with zero to two extra forms of fractional
+    coefficients, n = 1 and a = 1."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        spec = IdealSpec(n=n, a=a)
+    else:
+        degree_a = enumerate_degree_piece(n, a)
+        spec = IdealSpec(n=n, a=a, extra_forms=tuple(
+            form_from_coefficients(a, {m: draw(COKERNEL_COEFFICIENTS)
+                                       for m in degree_a})
+            for _ in range(draw(st.integers(0, 2)))))
+    ell = linear_form([draw(COKERNEL_COEFFICIENTS) for _ in range(n)])
+    return spec, ell
+
+
+def _assert_cokernel_matches(spec, ell):
+    for tag in MAP_FIELDS:
+        want = _reference_cokernel_spec(spec, ell, tag)
+        got = _cokernel_spec.__wrapped__(spec, ell, tag)
+        if want is spec:
+            assert got is spec, tag
+        else:
+            assert got == want, tag
+
+
+@PROPERTY
+@given(cokernel_cases())
+def test_cokernel_spec_matches_fraction_substitution(case):
+    _assert_cokernel_matches(*case)
+
+
+@pytest.mark.parametrize("n, a, coeffs", [
+    (4, 3, [0, 0, 0, 0]),                     # ell = 0 in every field
+    (3, 2, [15, 30, -45]),                    # ell = 0 modulo 3 and 5
+    (4, 2, [3, 5, 1, 2]),                     # c_1 = 0 modulo 3, c_2 modulo 5
+    (3, 3, [FAST_PRIME, DEFAULT_PRIME, 1]),   # c_1, c_2 = 0 modulo each prime
+    (5, 2, [Fraction(1, 2), 3, 0, Fraction(-5, 7), 1]),
+    (1, 2, [3]),                              # n = 1, ell = 0 modulo 3
+])
+def test_cokernel_spec_edge_forms(n, a, coeffs):
+    _assert_cokernel_matches(IdealSpec(n=n, a=a), linear_form(coeffs))
