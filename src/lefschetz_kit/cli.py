@@ -68,19 +68,20 @@ def _case_for(a: int) -> monomials.GeneratorCase:
 def _run_initial(cfg: RunConfig):
     n, a, d = _need(cfg, "n", "a", "d")
     spec = quotient.IdealSpec(n=n, a=a)
-    piece = quotient.initial_degree_piece(spec, d, cfg.field)
-    ordered = sorted(piece, key=monomials.revlex_sort_key)
+    exps, pivots = quotient._initial_exponents(spec, d, cfg.field)
     result = {
-        "monomials": [str(m) for m in ordered],
-        "count": len(ordered),
+        "monomials": [monomials._exponent_str(e) for e in exps],
+        "count": len(exps),
         "quotient_dim": quotient.graded_dimension(spec, d, cfg.field),
     }
     code = 0
     if a in (2, 3):
+        # both sides hold every monomial with an exponent of at least a, so
+        # only the pivots need to match the capped members of the ideal
         gens = monomials.initial_generators(_case_for(a), n, max(a, d))
-        predicted = {m for m in monomials.enumerate_degree_piece(n, d)
-                     if monomials.in_combinatorial_ideal(m, gens)}
-        result["combinatorial_match"] = piece == predicted
+        predicted = {e for e in monomials._iter_exponents(n, d, a - 1)
+                     if monomials._in_ideal(e, gens)}
+        result["combinatorial_match"] = pivots == predicted
         if not result["combinatorial_match"]:
             code = 1
             result["findings"] = [
@@ -108,13 +109,8 @@ def _run_froberg(cfg: RunConfig):
     _need_seeds(cfg)
     D = hilbert.froberg_corollary_degree(n, a, _case_for(a))
     pred = hilbert.froberg_truncation(n, [a] * (n + 2), D)
-    dims_per_seed = []
-    for s in cfg.seeds:
-        f1 = quotient.form_power(quotient.random_linear_form(n, s, index=1), a)
-        f2 = quotient.form_power(quotient.random_linear_form(n, s, index=2), a)
-        spec = quotient.IdealSpec(n=n, a=a, extra_forms=(f1, f2))
-        dims_per_seed.append(
-            quotient.graded_dimensions(spec, range(D + 1), cfg.field))
+    dims_per_seed = quotient.random_powers_dimensions(
+        n, a, cfg.seeds, range(D + 1), cfg.field)
     if len({tuple(v) for v in dims_per_seed}) > 1:
         raise InternalFault("seeded dimension vectors disagree")
     exact = dims_per_seed[0]

@@ -7,8 +7,8 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .monomials import (GeneratorCase, enumerate_degree_piece,
-                        in_combinatorial_ideal, initial_generators)
+from .monomials import (GeneratorCase, _in_ideal, _iter_exponents,
+                        initial_generators)
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +75,8 @@ def complement_count(case: GeneratorCase, n: int, d: int) -> int:
         raise ValueError("need n >= 1 and d >= 0")
     a = case.exponent
     gens = initial_generators(case, n, max(a, d))
-    return sum(1 for m in enumerate_degree_piece(n, d, exponent_cap=a - 1)
-               if not in_combinatorial_ideal(m, gens))
+    return sum(1 for e in _iter_exponents(n, d, a - 1)
+               if not _in_ideal(e, gens))
 
 
 @dataclass(frozen=True)

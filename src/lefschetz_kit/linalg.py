@@ -433,17 +433,16 @@ def _from_triplets(triplets, nrows: int, ncols: int, field_tag: FieldTag):
     """The nrows x ncols matrix holding the (rows, cols, values) triplets
     and zeros elsewhere, in the representation _eliminate works on.
 
-    Values are Fractions over Q and residues modulo p otherwise, with no
+    Values are ints over Q and residues modulo p otherwise, with no
     position given twice. The matrix is an int64 array modulo p < 2^31,
-    which _eliminate takes without a copy, and lists otherwise.
+    which _eliminate takes without a copy, and int lists otherwise.
     """
     rows, cols, vals = triplets
     if _numpy_field(field_tag.characteristic):
         M = np.zeros((nrows, ncols), dtype=np.int64)
         M[rows, cols] = vals
         return M
-    zero = Fraction(0) if field_tag.is_rational else 0
-    M = [[zero] * ncols for _ in range(nrows)]
+    M = [[0] * ncols for _ in range(nrows)]
     for r, c, v in zip(rows, cols, vals):
         M[r][c] = v
     return M
@@ -453,9 +452,10 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     """Pivot columns of rows and, when reduce is set, their reduced row
     echelon form, by the field's one kernel; returns (rows, pivots).
 
-    Over Q the rows are eliminated as integer lists and the reduced rows
-    returned are Fraction lists; modulo p < 2^31 they are an int64 array,
-    and int lists modulo larger primes. An int64 array given as rows is
+    Over Q the rows may hold ints, Fractions or both; each is scaled to an
+    integer list (_integer_row) and eliminated as such, and the reduced
+    rows returned are Fraction lists. Modulo p < 2^31 they are an int64
+    array, and int lists modulo larger primes. An int64 array given as rows is
     taken to hold residues, as _from_triplets returns them, and is
     eliminated in place. Without reduce, only the forward pass runs and
     the rows returned are a forward echelon with zero rows left at the

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import le
 from typing import Iterable
 
 
@@ -57,9 +58,14 @@ class Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
-        parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                 for i, e in enumerate(self.exponents) if e]
-        return "".join(parts) or "1"
+        return _exponent_str(self.exponents)
+
+
+def _exponent_str(exponents: tuple[int, ...]) -> str:
+    """The monomial with these exponents as text, such as x1^2x3, or 1."""
+    parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+             for i, e in enumerate(exponents) if e]
+    return "".join(parts) or "1"
 
 
 class Ordering(Enum):
@@ -293,11 +299,15 @@ def in_combinatorial_ideal(m: Monomial, gens: GeneratorSet) -> bool:
     """
     if m.nvars != gens.n:
         raise ValueError("variable counts differ")
-    if any(e >= gens.pure_power_exponent for e in m.exponents):
+    return _in_ideal(m.exponents, gens)
+
+
+def _in_ideal(e: tuple[int, ...], gens: GeneratorSet) -> bool:
+    """in_combinatorial_ideal on the exponent tuple e of gens.n entries,
+    without wrapping it in a Monomial."""
+    if max(e) >= gens.pure_power_exponent:
         return True
-    me = m.exponents
-    return any(all(x <= y for x, y in zip(g.exponents, me))
-               for g in gens.generators)
+    return any(all(map(le, g.exponents, e)) for g in gens.generators)
 
 
 def _full_membership(case: GeneratorCase, n: int, m: Monomial) -> bool:

@@ -19,7 +19,8 @@ multinomial theorem on its coefficients scaled to integers
 (_linear_powers), with one Fraction made per term at the end. The default
 form (x_1 + ... + x_n)^a is built once per (n, a), and the substitution
 behind A/ell A runs on integer coefficients over one denominator per
-form.
+form. Over Q the rows of a span or a lift hold each form's coefficients
+times the lcm of their denominators, so no Fraction enters a matrix.
 
 Matrices are built once, in the form the elimination kernels use. Each
 exponent vector is keyed as one integer with the exponents as digits in
@@ -50,9 +51,8 @@ from .hilbert import power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
                      _eliminate, _from_triplets, _integer_row, _pivots,
                      _reduce_against, _residue, kernel_basis, prime_field)
-from .monomials import (GeneratorCase, Monomial, _iter_exponents,
-                        in_combinatorial_ideal, initial_generators,
-                        revlex_sort_key)
+from .monomials import (GeneratorCase, Monomial, _in_ideal, _iter_exponents,
+                        initial_generators, revlex_sort_key)
 
 # the most cells any span or lift matrix may have, and the most terms of a
 # linear form's power or monomials of an initial piece; larger ones are
@@ -168,14 +168,20 @@ def _linear_powers(coeffs, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
     return layer
 
 
+def _guard_power(nterms: int, k: int) -> None:
+    """Refuse the power k of a linear form of nterms terms when it would
+    have too many terms."""
+    _guard_count(f"terms of power {k} of a {nterms}-term linear form",
+                 comb(nterms + k - 1, k))
+
+
 def form_power(f: Form, k: int) -> Form:
     """f^k; for a nonzero linear form, by the multinomial theorem on its
     coefficients scaled to integers, and otherwise by repeated products."""
     if k < 1:
         raise ValueError("power must be at least 1")
     if f.degree == 1 and f.terms:
-        _guard_count(f"terms of power {k} of a {len(f.terms)}-term linear form",
-                     comb(len(f.terms) + k - 1, k))
+        _guard_power(len(f.terms), k)
         coeffs, den = _integer_row(linear_coefficients(f))
         den **= k
         return Form(k, tuple((Monomial(e), Fraction(c, den))
@@ -252,9 +258,10 @@ def _capped_basis(spec: IdealSpec, d: int) -> list[tuple[int, ...]]:
     return list(_iter_exponents(spec.n, d, spec.a - 1))
 
 
-def _capped_count(spec: IdealSpec, d: int) -> int:
-    """Number of capped monomials of degree d, the size of _capped_basis."""
-    return power_ci_hilbert(spec.n, spec.a, d) if d >= 0 else 0
+def _capped_count(n: int, a: int, d: int) -> int:
+    """Number of degree-d monomials in n variables with every exponent
+    below a, the size of _capped_basis."""
+    return power_ci_hilbert(n, a, d) if d >= 0 else 0
 
 
 def _guard_cells(what: str, rows: int, cols: int) -> None:
@@ -265,9 +272,13 @@ def _guard_cells(what: str, rows: int, cols: int) -> None:
 def _guard_span(spec: IdealSpec, d: int) -> None:
     """Refuse the extra-form span of spec in degree d when its matrix would
     be too large."""
-    _guard_cells(f"span in degree {d}",
-                 len(spec.extra_forms) * _capped_count(spec, d - spec.a),
-                 _capped_count(spec, d))
+    _guard_span_shape(spec.n, spec.a, len(spec.extra_forms), d)
+
+
+def _guard_span_shape(n: int, a: int, nforms: int, d: int) -> None:
+    """_guard_span for a spec of nforms extra forms, from its shape alone."""
+    _guard_cells(f"span in degree {d}", nforms * _capped_count(n, a, d - a),
+                 _capped_count(n, a, d))
 
 
 def _check_map(spec: IdealSpec, d: int, ell: Form) -> None:
@@ -279,8 +290,8 @@ def _check_map(spec: IdealSpec, d: int, ell: Form) -> None:
         raise ValueError("need a degree-1 form")
     if ell.nvars is not None and ell.nvars != spec.n:
         raise ValueError("the form must use n variables")
-    _guard_cells(f"lift into degree {d}", _capped_count(spec, d - 1),
-                 _capped_count(spec, d))
+    _guard_cells(f"lift into degree {d}", _capped_count(spec.n, spec.a, d - 1),
+                 _capped_count(spec.n, spec.a, d))
 
 
 def _radix(spec: IdealSpec) -> int:
@@ -319,17 +330,20 @@ def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
     are dropped. Returns the row count and (rows, cols, values) triplets
     for linalg._from_triplets: one row per form and multiplier in that
     order, where drop_zero_rows gives no row to a product left with no
-    term. Prime-field values are residues, and those that vanish are left
-    out.
+    term. Over Q the values are ints: each form's coefficients are scaled
+    to integers once (_integer_row), so each row is a nonzero multiple of
+    its Fraction row, with the same span and pivots. Prime-field values
+    are residues, and those that vanish are left out.
     """
     p = field_tag.characteristic
     get = index.get
     rows, cols, vals = [], [], []
     r = 0
     for f in forms:
-        terms = [(_key(m.exponents, radix), _residue(c, p) if p else c)
-                 for m, c in f.terms]
-        terms = [(k, c) for k, c in terms if c]
+        coeffs = ([_residue(c, p) for _, c in f.terms] if p
+                  else _integer_row([c for _, c in f.terms])[0])
+        terms = [(_key(m.exponents, radix), c)
+                 for (m, _), c in zip(f.terms, coeffs) if c]
         for mk in mult_keys:
             for tk, c in terms:
                 j = get(mk + tk)
@@ -409,16 +423,25 @@ def initial_degree_piece(spec: IdealSpec, d: int,
     every monomial divisible by a pure power appears, plus the pivots of
     the reduced extra-form span in the capped basis.
     """
+    return {Monomial(e) for e in _initial_exponents(spec, d, field_tag)[0]}
+
+
+def _initial_exponents(spec: IdealSpec, d: int, field_tag: FieldTag):
+    """The exponents of initial_degree_piece in revlex descending order,
+    and the set of those with every exponent below a, the pivots of the
+    extra-form span.
+
+    Both come from one pass over the degree-d exponents, which
+    _iter_exponents lists in revlex order already.
+    """
     if d < 0:
         raise ValueError("degree must be non-negative")
     _guard_count(f"monomials of degree {d}", comb(spec.n + d - 1, d))
     basis, _, _, piv = _reduce_spec(spec, d, field_tag)
-    out = {Monomial(basis[c]) for c in piv}
+    pivots = {basis[c] for c in piv}
     a = spec.a
-    for e in _iter_exponents(spec.n, d, None):
-        if any(x >= a for x in e):
-            out.add(Monomial(e))
-    return out
+    return [e for e in _iter_exponents(spec.n, d, None)
+            if max(e) >= a or e in pivots], pivots
 
 
 def graded_dimension(spec: IdealSpec, d: int,
@@ -438,6 +461,30 @@ def graded_dimensions(spec: IdealSpec, degrees,
     for d in degrees:
         _guard_span(spec, d)
     return [graded_dimension(spec, d, field_tag) for d in degrees]
+
+
+def random_powers_dimensions(n: int, a: int, seeds, degrees,
+                             field_tag: FieldTag = RATIONALS) -> list[list[int]]:
+    """graded_dimensions of the quotient by the a-th powers of the n
+    variables and of two seeded random linear forms, one list per seed.
+
+    Before any form is built, the query is refused if the terms of a power
+    or the span of any degree would be too large, checked in that order,
+    which is the order building the forms and then the spans would check
+    them. Random linear forms have no zero coefficient, so each has n
+    terms.
+    """
+    degrees = list(degrees)
+    _guard_power(n, a)
+    for d in degrees:
+        _guard_span_shape(n, a, 2, d)
+    out = []
+    for s in seeds:
+        forms = tuple(form_power(random_linear_form(n, s, index=i), a)
+                      for i in (1, 2))
+        out.append(graded_dimensions(IdealSpec(n=n, a=a, extra_forms=forms),
+                                     degrees, field_tag))
+    return out
 
 
 def standard_monomials(spec: IdealSpec, d: int,
@@ -614,12 +661,8 @@ def _monomial_quotient_data(case: GeneratorCase, n: int, d: int):
         raise ValueError("degree must be at least 1")
     a = case.exponent
     gens = initial_generators(case, n, max(a, d))
-
-    def member(e):
-        return in_combinatorial_ideal(Monomial(e), gens)
-
-    std_b = [e for e in _iter_exponents(n, d - 1, a - 1) if not member(e)]
-    std_d = [e for e in _iter_exponents(n, d, a - 1) if not member(e)]
+    std_b = [e for e in _iter_exponents(n, d - 1, a - 1) if not _in_ideal(e, gens)]
+    std_d = [e for e in _iter_exponents(n, d, a - 1) if not _in_ideal(e, gens)]
     row_index = {e: i for i, e in enumerate(std_d)}
     rows = [[0] * len(std_b) for _ in std_d]
     for c, mu in enumerate(std_b):

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import re
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz_kit import quotient
 from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
@@ -65,6 +70,38 @@ def test_initial_piece_matches_combinatorics():
     assert result["quotient_dim"] == 14
     assert result["combinatorial_match"] is True
     assert "x1x2" in result["monomials"]
+
+
+def test_initial_mismatch_in_characteristic_three():
+    # (x1 + ... + x5)^3 is x1^3 + ... + x5^3 modulo 3, so the span leaves
+    # no capped pivot and the piece misses the six of the prediction
+    proc = run_cli("initial", "--n", "5", "--a", "3", "--d", "3",
+                   "--field", "prime:3")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["result"] == {
+        "monomials": ["x1^3", "x2^3", "x3^3", "x4^3", "x5^3"],
+        "count": 5,
+        "quotient_dim": 30,
+        "combinatorial_match": False,
+        "findings": [
+            "echelon initial piece differs from the combinatorial prediction"],
+    }
+
+
+def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
+    real = quotient._reduce_spec
+
+    def span(spec, d, field_tag):
+        basis, index, echelon, piv = real(spec, d, field_tag)
+        return basis, index, echelon[:-1], piv[:-1]
+
+    monkeypatch.setattr(quotient, "_reduce_spec", span)
+    assert main(["initial", "--n", "6", "--a", "2", "--d", "2"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["count"] == 6
+    assert result["combinatorial_match"] is False
+    assert result["findings"] == [
+        "echelon initial piece differs from the combinatorial prediction"]
 
 
 def test_identical_invocations_are_byte_identical():
@@ -181,6 +218,26 @@ def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
     assert built == []
 
 
+def test_refused_froberg_builds_no_form(monkeypatch, capsys):
+    # the powers' terms are checked first, then the span of every degree
+    def build(f, k):
+        raise AssertionError("a form was built before the refusal")
+
+    monkeypatch.setattr(quotient, "form_power", build)
+    for args, line in (
+        (("froberg", "--n", "24", "--a", "5", "--seeds", "1"),
+         "the cells of the 600 x 2028600 span in degree 7 would number "
+         "1217160000"),
+        (("froberg", "--n", "30", "--a", "10", "--seeds", "1"),
+         "the terms of power 10 of a 30-term linear form would number "
+         "635745396"),
+    ):
+        assert main(list(args)) == 3, args
+        assert capsys.readouterr().err == (
+            f"error: refusing an oversized computation: {line}, above the "
+            "guard of 50000000\n"), args
+
+
 def test_repeated_in_process_calls_match_fresh_processes(capsys):
     # main reuses one parser across calls, also after a parse error
     calls = [
@@ -260,3 +317,84 @@ def test_sweep_subcommand():
     rows = list(reader)
     assert {r["n"] for r in rows} == {"3", "4"}
     assert all(r["maximal_rank"] == "True" for r in rows)
+
+
+_SEEDS = st.lists(st.integers(1, 10**6), min_size=1, max_size=2,
+                  unique=True).map(lambda s: ",".join(map(str, s)))
+_FIELDS = st.sampled_from(("rational", "prime", "prime:51999971"))
+
+
+def _draw_query(sub, draw):
+    """Small argv of the subcommand sub, with the integers drawn."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    if sub == "initial":
+        return ["--n", num(1, 5), "--a", num(2, 4), "--d", num(0, 5),
+                "--field", draw(st.sampled_from(("rational", "prime:3")))]
+    if sub == "hilbert":
+        extra = draw(st.sampled_from(([], ["--d", "2"], ["--d-range", "1..3"])))
+        return ["--n", num(1, 5), "--a", num(2, 4)] + extra
+    if sub == "froberg":
+        return ["--n", num(2, 5), "--a", num(2, 3), "--seeds", draw(_SEEDS),
+                "--field", draw(_FIELDS)]
+    if sub == "wlp":
+        return ["--n", num(2, 4), "--a", num(2, 3), "--seeds", draw(_SEEDS),
+                "--field", draw(_FIELDS)]
+    if sub == "sweep":
+        lo = draw(st.integers(2, 4))
+        return ["--a", "2", "--n-range", f"{lo}..{lo + 1}",
+                "--seeds", draw(_SEEDS), "--field", draw(_FIELDS)]
+    if sub == "inject":
+        lo = draw(st.integers(3, 6))
+        return ["--a", "2", "--d", num(2, 3), "--n-range", f"{lo}..{lo + 2}",
+                "--seeds", draw(_SEEDS), "--field", draw(_FIELDS)]
+    if sub == "witness":
+        return ["--n", num(4, 6), "--d", "3", "--seeds", draw(_SEEDS)]
+    seeds = draw(st.sampled_from(([], ["--seeds", draw(_SEEDS)])))
+    return ["--n", num(3, 8), "--d", num(2, 3),
+            "--boundary", draw(st.sampled_from(("strict", "touch")))] + seeds
+
+
+def _json_rows(report):
+    """The rows of a JSON report that its CSV flattens, as dicts keyed by
+    the CSV column names."""
+    result = report["result"]
+    query = report["query"]
+    if query in ("hilbert", "inject"):
+        return result["rows"]
+    if query == "wlp":
+        return result["degrees"]
+    if query == "sweep":
+        return [{"n": block["n"], **r} for block in result["rows"]
+                for r in block["degrees"]]
+    if query == "witness":
+        return result["witnesses"]
+    if query == "paths":
+        return [{**result, **result.get("conjecture", {})}]
+    if query == "froberg":
+        pred = result["predicted"]
+        return [{"d": d, "predicted": pred[d] if d < len(pred) else "",
+                 "exact": x} for d, x in enumerate(result["exact"])]
+    return [{"monomial": m} for m in result["monomials"]]
+
+
+@pytest.mark.parametrize("sub", ["initial", "hilbert", "froberg", "wlp",
+                                 "sweep", "inject", "witness", "paths"])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_rows_are_the_json_rows(sub, data):
+    argv = [sub] + _draw_query(sub, data.draw)
+    outs = []
+    for fmt in ("json", "csv"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            outs.append((main(argv + ["--format", fmt]), buf.getvalue()))
+    (code, text), (csv_code, csv_text) = outs
+    assert csv_code == code, argv
+    report = json.loads(text)
+    reader = csv.DictReader(io.StringIO(csv_text))
+    rows = _json_rows(report)
+    # a JSON null is an empty CSV cell
+    assert list(reader) == [{k: "" if r[k] is None else str(r[k])
+                             for k in reader.fieldnames} for r in rows], argv

@@ -3,13 +3,14 @@ Gauss-Jordan, of the fraction-free reduction against a span and the
 kernel built on it against Fraction references, of the product-row
 builder against a tuple-keyed lookup, and of the projected quotient routes
 against the full-basis oracle, in each of the three elimination kernels'
-fields; map ranks also in characteristics 3 and 5. Powers of linear forms
+fields; map ranks and the listing of `initial` also in characteristics 3
+and 5. Powers of linear forms
 and the cokernel specs of map ranks, built on integers, are checked
 against repeated Fraction products."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -34,12 +35,18 @@ from lefschetz_kit.linalg import (
     matrix_rank,
     prime_field,
 )
-from lefschetz_kit.monomials import Monomial, enumerate_degree_piece
+from lefschetz_kit.monomials import (
+    Monomial,
+    _exponent_str,
+    enumerate_degree_piece,
+    revlex_sort_key,
+)
 from lefschetz_kit.quotient import (
     Form,
     IdealSpec,
     _capped_basis,
     _cokernel_spec,
+    _initial_exponents,
     _key,
     _product_rows,
     _radix,
@@ -229,17 +236,19 @@ def test_numpy_kernels_match_gauss_jordan(p):
 
 
 def _reference_product_rows(forms, mults, basis, p, drop_zero_rows):
-    """Product rows by a tuple-keyed lookup of every product exponent."""
+    """Product rows by a tuple-keyed lookup of every product exponent;
+    over Q, each form's rows times the lcm of its denominators."""
     col = {e: i for i, e in enumerate(basis)}
     out = []
     for f in forms:
+        den = lcm(*(c.denominator for _, c in f.terms))
         for m in mults:
             row = [0] * len(basis)
             for mm, c in f.terms:
                 j = col.get(tuple(x + y for x, y in zip(m, mm.exponents)))
                 if j is not None:
                     row[j] = (c.numerator * pow(c.denominator, -1, p) % p
-                              if p else c)
+                              if p else c * den)
             if any(row) or not drop_zero_rows:
                 out.append(row)
     return out
@@ -282,6 +291,8 @@ def test_product_rows_match_tuple_lookup(case):
         for tag in FIELDS + (prime_field(3),):
             nrows, triplets = _product_rows(forms, keys, index, radix, tag, drop)
             assert all(triplets[2]), tag
+            # over Q as well as modulo p, the values are ints
+            assert all(type(v) is int for v in triplets[2]), tag
             got = _from_triplets(triplets, nrows, len(basis), tag)
             if isinstance(got, np.ndarray):
                 got = got.tolist()
@@ -362,6 +373,19 @@ def test_initial_piece_is_the_full_basis_pivots(case):
         M = RationalMatrix.from_rows(full.entries, cols=full.cols, field_tag=tag)
         pivots = {monomials[c] for c in echelonize(M).pivot_columns}
         assert initial_degree_piece(spec, d, tag) == pivots, tag
+
+
+@PROPERTY
+@given(map_cases())
+def test_initial_listing_is_the_sorted_piece(case):
+    # initial lists its monomials from one pass over the degree-d exponents
+    spec, d, _ = case
+    for tag in FIELDS + (prime_field(3), prime_field(5)):
+        exps, pivots = _initial_exponents(spec, d, tag)
+        ordered = sorted(initial_degree_piece(spec, d, tag), key=revlex_sort_key)
+        assert exps == [m.exponents for m in ordered], tag
+        assert [_exponent_str(e) for e in exps] == [str(m) for m in ordered], tag
+        assert pivots == {e for e in exps if max(e) < spec.a}, tag
 
 
 @PROPERTY
