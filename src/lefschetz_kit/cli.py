@@ -154,10 +154,12 @@ def _run_sweep(cfg: RunConfig):
     _need_seeds(cfg)
     if cfg.n_range is None:
         raise ValueError("sweep needs --n-range A..B")
-    rows = []
-    for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-        rep = quotient.wlp_sweep(n, a, cfg.seeds, cfg.field)
-        rows.append({"n": n, **_wlp_payload(rep)})
+    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
+    # refuse an oversized n before the sweep of any n runs
+    for n in ns:
+        quotient._check_sweep(n, a, cfg.seeds, cfg.field)
+    rows = [{"n": n, **_wlp_payload(quotient.wlp_sweep(n, a, cfg.seeds, cfg.field))}
+            for n in ns]
     return 0, {"a": a, "n_range": list(cfg.n_range)}, {"rows": rows}
 
 

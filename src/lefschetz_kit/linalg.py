@@ -8,28 +8,30 @@ integer matrices the rank modulo p never exceeds the rational rank, so a
 full-rank verdict modulo p is already exact. Callers who see a
 prime-field rank deficit and need certainty must recompute rationally.
 
-One dispatch rule, `_numpy_field`, picks the representation and with it
-the elimination kernel: integer lists over Q, int64 numpy arrays modulo
-p < 2^31, Python int lists modulo larger primes. `_eliminate` applies it
-to its input, and `_from_triplets` applies it when it builds a matrix from
-(row, column, value) triplets, so callers such as the quotient module
-hand over triplets and never see numpy. Each representation has one
-forward-elimination loop. A rank or a set of pivot columns reads the
-forward pass alone; a reduced row echelon form is the forward pass plus a
-back-substitution over the pivot rows, and runs only where reduced rows
-are read. `_reduce_against` works over Q only: it takes rows modulo the
-span of a forward echelon fraction-free, by the same cross-multiplied
-update, and returns each remainder as a primitive integer row together
-with its scale against the Fraction remainder.
+The field alone picks the representation: integer lists over Q, and an
+ndarray of residues modulo p, of int64 below 2^31 and of Python ints
+(dtype=object) from 2^31 up (_dtype). `_from_triplets` builds a matrix in
+that representation from (row, column, value) triplets, so callers such
+as the quotient module hand over triplets and never see numpy, and
+`_eliminate` eliminates it in place. There are two forward-elimination
+loops, one per representation: `_forward_int` on integer lists and
+`_forward_numpy` on residue arrays of either dtype. A rank or a set of
+pivot columns reads the forward pass alone; a reduced row echelon form is
+the forward pass plus a back-substitution over the pivot rows, and runs
+only where reduced rows are read. `_reduce_against` works over Q only: it
+takes rows modulo the span of a forward echelon fraction-free, by the same
+cross-multiplied update, and returns each remainder as a primitive integer
+row together with its scale against the Fraction remainder.
 
-The int64 kernels delay reduction modulo p. Entries start as residues in
+The array kernels delay reduction modulo p. Entries start as residues in
 [0, p), each step works with a reduced pivot row and multiplier column,
 and so adds or subtracts at most one product of residues, below p^2, to
 any other entry. After k steps an entry is at most p + k p^2 in absolute
 value, which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the
 kernels reduce the entries still in play once every that many steps.
 The bound depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo
-2^31 - 1.
+2^31 - 1. Python ints cannot overflow, so arrays modulo p >= 2^31 are
+never reduced in between, and their entries stay below p + k p^2.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import numpy as np
 
 DEFAULT_PRIME = 2**61 - 1
 FAST_PRIME = 51999971  # largest prime whose squares stay far inside int64
-_NUMPY_PRIME_LIMIT = 2**31
 
 
 def _is_prime(p: int) -> bool:
@@ -167,53 +168,6 @@ class EchelonResult:
             raise ValueError("reduced rows must have exactly rank rows")
 
 
-def _clear(row, f, top, p: int) -> None:
-    """row -= f * top modulo p in place on the nonzero entries of top,
-    given as (column, value) pairs."""
-    for j, y in top:
-        row[j] = (row[j] - f * y) % p
-
-
-def _forward_list(rows: list[list[int]], ncols: int, p: int) -> list[int]:
-    """Forward elimination in place on residue lists modulo p; returns the
-    pivot columns.
-
-    Each pivot row is moved to its place and scaled to a unit pivot, and
-    only the rows below it are cleared, from the pivot column on.
-    """
-    piv: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        inv = pow(row[c], -1, p)
-        top = [(j, y * inv % p) for j in range(c, ncols) if (y := row[j])]
-        for j, y in top:
-            row[j] = y
-        for below in rows[r + 1:]:
-            if below[c]:
-                _clear(below, below[c], top, p)
-        piv.append(c)
-        r += 1
-    return piv
-
-
-def _back_substitute_list(rows: list[list[int]], piv: list[int], p: int) -> None:
-    """Clear above each pivot of a forward echelon modulo p in place,
-    bottom up, which leaves the reduced row echelon form."""
-    for i in range(len(piv) - 1, 0, -1):
-        c = piv[i]
-        top = [(j, y) for j in range(c, len(rows[i])) if (y := rows[i][j])]
-        for above in rows[:i]:
-            if above[c]:
-                _clear(above, above[c], top, p)
-
-
 def _integer_row(r) -> tuple[list[int], int]:
     """The rational row r times the lcm of its entries' denominators, as
     an int list, and that lcm."""
@@ -288,23 +242,35 @@ def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
     return piv
 
 
+def _dtype(p: int):
+    """The dtype of residue arrays modulo p: int64 below 2^31, where a
+    product of residues fits with room for the delayed reduction, and
+    Python ints above."""
+    return np.int64 if p < 2**31 else object
+
+
 def _reduction_budget(p: int) -> int:
-    """How many products of residues modulo p an int64 entry in [0, p) can
-    take, added or subtracted, before it could overflow."""
+    """How many products of residues modulo p an entry in [0, p) can take,
+    added or subtracted, before it could overflow, or 0 for no limit: the
+    Python ints of an object array never overflow."""
+    if _dtype(p) is object:
+        return 0
     return (2**63 - 1 - p) // (p * p)
 
 
 def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
-    """Forward elimination in place on an int64 array of residues modulo
-    p < 2^31; returns the pivot columns and leaves the array reduced.
+    """Forward elimination in place on an array of residues modulo p, of
+    the dtype _dtype(p); returns the pivot columns and leaves the array
+    reduced.
 
     Only the rows below the pivot that are nonzero in its column are
     updated, from the pivot column on. Reduction modulo p is delayed: each
     step reduces the pivot column below the pivot row and the pivot row,
     subtracts the products of residues from the trailing block unreduced,
     and the trailing block is reduced once every _reduction_budget(p)
-    steps. A step clears its column exactly and a column without a pivot
-    is reduced to zeros, so the result is reduced throughout.
+    steps, or never when that is 0. A step clears its column exactly and a
+    column without a pivot is reduced to zeros, so the result is reduced
+    throughout.
     """
     nrows, ncols = M.shape
     budget = _reduction_budget(p)
@@ -331,7 +297,7 @@ def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
         if idx.size:
             M[idx, c:] -= np.outer(M[idx, c], row)
             pending += 1
-            if pending == budget:
+            if budget and pending == budget:
                 M[r + 1:, c + 1:] %= p
                 pending = 0
         piv.append(c)
@@ -345,10 +311,10 @@ def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
 
     Reduction is delayed as in _forward_numpy: a row is reduced when it
     becomes the pivot row, after which no step changes it, and the rows
-    above are reduced once every _reduction_budget(p) steps. The steps
-    before the one at pivot column c change only columns right of c, so
-    its multiplier column is still reduced from the forward pass. Row 0
-    is reduced last.
+    above are reduced once every _reduction_budget(p) steps, or never when
+    that is 0. The steps before the one at pivot column c change only
+    columns right of c, so its multiplier column is still reduced from the
+    forward pass. Row 0 is reduced last.
     """
     budget = _reduction_budget(p)
     pending = 0
@@ -359,7 +325,7 @@ def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
         if idx.size:
             M[idx, c:] -= np.outer(M[idx, c], M[i, c:])
             pending += 1
-            if pending == budget:
+            if budget and pending == budget:
                 M[:i, c:] %= p
                 pending = 0
     M[:1] %= p
@@ -385,20 +351,18 @@ def _rref_fraction(rows: list[list[int]], ncols: int):
             for row, c in zip(rows, piv)], piv
 
 
-def _rref_mod_python(rows: list[list[int]], ncols: int, p: int):
-    """Reduced row echelon form of residue lists modulo p, in place."""
-    piv = _forward_list(rows, ncols, p)
-    _back_substitute_list(rows, piv, p)
-    return rows[:len(piv)], piv
-
-
 def _rref_mod_numpy(M: np.ndarray, p: int):
-    """Reduced row echelon form of an int64 residue array modulo p < 2^31,
-    in place."""
+    """Reduced row echelon form of a residue array modulo p, in place."""
     piv = _forward_numpy(M, p)
     M = M[:len(piv)]
     _back_substitute_numpy(M, piv, p)
     return M, piv
+
+
+def _rref_mod_python(M: np.ndarray, p: int):
+    """_rref_mod_numpy on a Python-int array modulo p >= 2^31, under the
+    name bench/spans.py times."""
+    return _rref_mod_numpy(M, p)
 
 
 def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
@@ -424,27 +388,24 @@ def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _numpy_field(p: int) -> bool:
-    """Whether matrices modulo p (0 for Q) are int64 arrays."""
-    return 0 < p < _NUMPY_PRIME_LIMIT
-
-
 def _from_triplets(triplets, nrows: int, ncols: int, field_tag: FieldTag):
     """The nrows x ncols matrix holding the (rows, cols, values) triplets
-    and zeros elsewhere, in the representation _eliminate works on.
+    and zeros elsewhere, in the field's representation, which _eliminate
+    takes without a copy.
 
     Values are ints over Q and residues modulo p otherwise, with no
-    position given twice. The matrix is an int64 array modulo p < 2^31,
-    which _eliminate takes without a copy, and int lists otherwise.
+    position given twice. The matrix is a list of int lists over Q and a
+    residue array of dtype _dtype(p) modulo p.
     """
     rows, cols, vals = triplets
-    if _numpy_field(field_tag.characteristic):
-        M = np.zeros((nrows, ncols), dtype=np.int64)
-        M[rows, cols] = vals
+    p = field_tag.characteristic
+    if not p:
+        M = [[0] * ncols for _ in range(nrows)]
+        for r, c, v in zip(rows, cols, vals):
+            M[r][c] = v
         return M
-    M = [[0] * ncols for _ in range(nrows)]
-    for r, c, v in zip(rows, cols, vals):
-        M[r][c] = v
+    M = np.zeros((nrows, ncols), dtype=_dtype(p))
+    M[rows, cols] = vals
     return M
 
 
@@ -452,33 +413,37 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     """Pivot columns of rows and, when reduce is set, their reduced row
     echelon form, by the field's one kernel; returns (rows, pivots).
 
-    Over Q the rows may hold ints, Fractions or both; each is scaled to an
-    integer list (_integer_row) and eliminated as such, and the reduced
-    rows returned are Fraction lists. Modulo p < 2^31 they are an int64
-    array, and int lists modulo larger primes. An int64 array given as rows is
-    taken to hold residues, as _from_triplets returns them, and is
-    eliminated in place. Without reduce, only the forward pass runs and
-    the rows returned are a forward echelon with zero rows left at the
-    bottom.
+    Over Q the rows are int lists, which are eliminated in place, and the
+    reduced rows returned are Fraction lists. Modulo p an array given as
+    rows is taken to hold residues of dtype _dtype(p), as _from_triplets
+    returns them, and is eliminated in place; other rows are copied into
+    such an array. Without reduce, only the forward pass runs and the rows
+    returned are a forward echelon with zero rows left at the bottom.
     """
     p = field_tag.characteristic
-    if _numpy_field(p):
-        if isinstance(rows, np.ndarray):
-            M = rows
-        else:
-            M = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-            M %= p
-        return _rref_mod_numpy(M, p) if reduce else (M, _forward_numpy(M, p))
     if not p:
-        M = _integer_rows(rows)
-        return _rref_fraction(M, ncols) if reduce else (M, _forward_int(M, ncols))
-    M = [[x % p for x in r] for r in rows]
-    return _rref_mod_python(M, ncols, p) if reduce else (M, _forward_list(M, ncols, p))
+        return _rref_fraction(rows, ncols) if reduce else (rows, _forward_int(rows, ncols))
+    if isinstance(rows, np.ndarray):
+        M = rows
+    else:
+        M = np.array(rows, dtype=_dtype(p)).reshape(len(rows), ncols)
+        M %= p
+    if not reduce:
+        return M, _forward_numpy(M, p)
+    if _dtype(p) is object:
+        return _rref_mod_python(M, p)
+    return _rref_mod_numpy(M, p)
 
 
 def _pivots(rows, ncols: int, field_tag: FieldTag) -> list[int]:
     """Pivot columns of rows, from the forward pass alone."""
     return _eliminate(rows, ncols, field_tag, reduce=False)[1]
+
+
+def _rows_of(M: RationalMatrix):
+    """The rows of M as _eliminate takes them: scaled to int lists over Q
+    (_integer_rows), the residues themselves otherwise."""
+    return _integer_rows(M.entries) if M.field_tag.is_rational else M.entries
 
 
 def _reduce_against(rows, echelon, piv):
@@ -523,7 +488,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
     unit pivot and cleared above and below. There are no pivoting
     heuristics, so equal inputs give identical results.
     """
-    red, piv = _eliminate(M.entries, M.cols, M.field_tag, reduce=True)
+    red, piv = _eliminate(_rows_of(M), M.cols, M.field_tag, reduce=True)
     if isinstance(red, np.ndarray):
         red = red.tolist()
     reduced = RationalMatrix(rows=len(red), cols=M.cols,
@@ -534,7 +499,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
 
 
 def matrix_rank(M: RationalMatrix) -> int:
-    return len(_pivots(M.entries, M.cols, M.field_tag))
+    return len(_pivots(_rows_of(M), M.cols, M.field_tag))
 
 
 def kernel_basis(M: RationalMatrix) -> list[tuple]:
@@ -574,4 +539,4 @@ def in_column_space(M: RationalMatrix, b: Sequence) -> bool:
         raise ValueError("b must have one entry per matrix row")
     aug = RationalMatrix.from_rows([list(r) + [v] for r, v in zip(M.entries, vec)],
                                    cols=M.cols + 1, field_tag=M.field_tag)
-    return M.cols not in _pivots(aug.entries, aug.cols, aug.field_tag)
+    return M.cols not in _pivots(_rows_of(aug), aug.cols, aug.field_tag)

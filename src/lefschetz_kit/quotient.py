@@ -27,7 +27,7 @@ exponent vector is keyed as one integer with the exponents as digits in
 radix 2a, so the key of a product is the sum of the keys of its factors
 and one dict lookup finds its basis column. `_product_rows` emits the
 products as (row, column, value) triplets, and `linalg._from_triplets`
-turns them into an int64 array or lists by the field's dispatch rule.
+turns them into integer lists over Q and a residue array modulo p.
 
 Before anything is enumerated, the shape of every span and lift matrix
 is read from closed-form monomial counts, and one of more than CELL_GUARD
@@ -35,7 +35,7 @@ cells is refused with GuardRefusal. The same bound caps the term count of
 a power of a linear form and the monomials of an initial piece. Queries
 that compute every degree or every n, graded_dimensions and
 injectivity_threshold_check, check all their shapes before the first
-span is built.
+span is built, and wlp_sweep checks every degree it is sure to reach.
 """
 
 from __future__ import annotations
@@ -362,7 +362,7 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
     the _key of each basis exponent to its column. The echelon rows, one
     per pivot, are integer lists in the rational case (each a multiple of
-    the Fraction row) and an int64 array or int lists in the prime case.
+    the Fraction row) and a residue array in the prime case.
     """
     _guard_span(spec, d)
     radix = _radix(spec)
@@ -536,7 +536,8 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
     in the other variables by their a-th powers, L^a, and each extra form
     f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e c_j^(a-e) m,
     and is dropped for e = a as a multiple of L^a. Cached, so that the
-    span cache keys of all degrees share one spec.
+    substituted forms are built once for all degrees of a query, and once
+    for the guard and the rank of each map.
     """
     p = field_tag.characteristic
     coeffs = linear_coefficients(ell) if ell.terms else ()
@@ -782,6 +783,38 @@ class WlpReport:
     seeds_used: tuple
 
 
+def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
+    """Validate a wlp_sweep and refuse it, before any span is built, when a
+    matrix of a degree it is sure to reach would be too large; returns the
+    spec and the seeds' linear forms.
+
+    The quotient by the p-th powers of the n variables and of their sum
+    first vanishes over Q in degree top = ceil(((p-1)n + p) / 2): the pure
+    powers have the strong Lefschetz property for the variable sum in
+    characteristic 0 (Stanley), so dim A_d = max(0, h(d) - h(d-p)) for
+    their Hilbert function h, which is symmetric about (p-1)n/2. The
+    dimensions over F_p are never smaller, so the sweep reaches top in
+    every field. Degrees 1 to top are checked in the sweep's own order:
+    the lift and the span of each degree, then, below top, each form's
+    map.
+    """
+    if n < 2 or p < 1:
+        raise ValueError("need n >= 2 and p >= 1")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    spec = IdealSpec(n=n, a=p)
+    forms = [random_linear_form(n, s) for s in seeds]
+    top = -(-((p - 1) * n + p) // 2)
+    for d in range(1, top + 1):
+        _check_map(spec, d, forms[0])
+        _guard_span(spec, d)
+        if d < top:
+            for ell in forms:
+                _guard_map(spec, d, ell, field_tag)
+    return spec, forms
+
+
 def wlp_sweep(n: int, p: int, seeds,
               field_tag: FieldTag = RATIONALS) -> WlpReport:
     """Maximal-rank check of multiplication by seeded random linear forms in
@@ -791,15 +824,12 @@ def wlp_sweep(n: int, p: int, seeds,
     variable sum. One linear form per seed is drawn once and reused across
     all degrees. Any seed reaching the maximal possible rank certifies that
     degree; otherwise all seeds must agree, with the same escalation rules
-    as the injectivity table.
+    as the injectivity table. Every degree the sweep is sure to reach is
+    checked against the guards first (_check_sweep), and a degree past
+    those when the sweep reaches it.
     """
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    spec = IdealSpec(n=n, a=p)
-    forms = [random_linear_form(n, s) for s in seeds]
+    spec, forms = _check_sweep(n, p, seeds, field_tag)
     records = []
     d = 1
     while True:

@@ -197,8 +197,9 @@ def test_oversized_matrices_are_refused_before_they_are_built():
 
 
 def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
-    # both run every n or every degree, so a shape beyond the guard anywhere
-    # is refused before the first span is built
+    # inject and froberg run every n or every degree, and wlp and sweep every
+    # degree they are sure to reach, so a shape beyond the guard there is
+    # refused before the first span is built
     built = []
 
     def span(spec, d, field_tag):
@@ -212,6 +213,10 @@ def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
         ("inject", "--a", "2", "--d", "6", "--n-range", "10..30", "--seeds", "1"),
         # the degree-7 span has 2.6e8 cells
         ("froberg", "--n", "16", "--a", "4", "--seeds", "1"),
+        # A vanishes from degree 9 on, and the degree-7 lift has 9.2e7 cells
+        ("wlp", "--n", "16", "--a", "2", "--seeds", "1"),
+        # the same lift at n = 16, refused before n = 10 is swept
+        ("sweep", "--a", "2", "--n-range", "10..16", "--seeds", "1"),
     ):
         assert main(list(args)) == 3, args
         assert "refusing" in capsys.readouterr().err, args

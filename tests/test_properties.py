@@ -2,11 +2,11 @@
 Gauss-Jordan, of the fraction-free reduction against a span and the
 kernel built on it against Fraction references, of the product-row
 builder against a tuple-keyed lookup, and of the projected quotient routes
-against the full-basis oracle, in each of the three elimination kernels'
-fields; map ranks and the listing of `initial` also in characteristics 3
-and 5. Powers of linear forms
-and the cokernel specs of map ranks, built on integers, are checked
-against repeated Fraction products."""
+against the full-basis oracle, over Q and modulo one prime below and one
+above 2^31, the two residue dtypes; map ranks and the listing of
+`initial` also in characteristics 3 and 5. Powers of linear forms and the
+cokernel specs of map ranks, built on integers, are checked against
+repeated Fraction products."""
 
 import random
 from fractions import Fraction
@@ -25,6 +25,7 @@ from lefschetz_kit.linalg import (
     _eliminate,
     _forward_numpy,
     _from_triplets,
+    _integer_rows,
     _pivots,
     _reduce_against,
     _residue,
@@ -65,7 +66,7 @@ from lefschetz_kit.quotient import (
     wlp_sweep,
 )
 
-# Q, then the numpy kernel (p < 2^31), then the Python-int kernel
+# Q, then int64 residue arrays (p < 2^31), then Python-int residue arrays
 FIELDS = (RATIONALS, prime_field(FAST_PRIME), prime_field(DEFAULT_PRIME))
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -131,22 +132,25 @@ def _gauss_jordan(rows, ncols, p):
 def test_elimination_matches_gauss_jordan(case):
     rows, ncols = case
     for tag in FIELDS:
-        red, piv = _eliminate(rows, ncols, tag, reduce=True)
+        # integer rows are eliminated in place over Q, so each call gets a copy
+        red, piv = _eliminate([list(r) for r in rows], ncols, tag, reduce=True)
         if isinstance(red, np.ndarray):
             red = red.tolist()
         assert (red, piv) == _gauss_jordan(rows, ncols, tag.characteristic), tag
         M = RationalMatrix.from_rows(rows, cols=ncols, field_tag=tag)
-        assert _pivots(rows, ncols, tag) == list(echelonize(M).pivot_columns), tag
+        assert (_pivots([list(r) for r in rows], ncols, tag)
+                == list(echelonize(M).pivot_columns)), tag
 
 
 @PROPERTY
 @given(small_matrices(RATIONAL_ENTRIES))
 def test_rational_elimination_matches_gauss_jordan(case):
     rows, ncols = case
-    red, piv = _eliminate(rows, ncols, RATIONALS, reduce=True)
+    red, piv = _eliminate(_integer_rows(rows), ncols, RATIONALS, reduce=True)
     assert (red, piv) == _gauss_jordan(rows, ncols, 0)
     M = RationalMatrix.from_rows(rows, cols=ncols)
-    assert _pivots(rows, ncols, RATIONALS) == list(echelonize(M).pivot_columns)
+    assert (_pivots(_integer_rows(rows), ncols, RATIONALS)
+            == list(echelonize(M).pivot_columns))
 
 
 @PROPERTY
@@ -188,7 +192,7 @@ def _fraction_reduce_against(rows, echelon, piv):
 @given(small_matrices(RATIONAL_ENTRIES), st.data())
 def test_reduce_against_is_a_multiple_of_the_fraction_remainder(case, data):
     span, ncols = case
-    echelon, piv = _eliminate(span, ncols, RATIONALS, reduce=False)
+    echelon, piv = _eliminate(_integer_rows(span), ncols, RATIONALS, reduce=False)
     echelon = echelon[:len(piv)]
     rows = data.draw(st.lists(st.lists(RATIONAL_ENTRIES, min_size=ncols,
                                        max_size=ncols), max_size=4))
@@ -207,12 +211,16 @@ def test_reduce_against_is_a_multiple_of_the_fraction_remainder(case, data):
     assert len(rems) == len(rows)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 1073741789, FAST_PRIME])
+@pytest.mark.parametrize("p", [2**31 - 1, 1073741789, FAST_PRIME,
+                               2147483659, DEFAULT_PRIME])
 def test_numpy_kernels_match_gauss_jordan(p):
-    # the int64 kernels reduce modulo p only once every (2^63-1-p) // p^2
-    # updates: 2 at 2^31-1 and 8 at 1073741789, fewer than the pivots here,
-    # so the periodic reduction runs. Entries near p make the unreduced
-    # products as large as they get.
+    # on int64 arrays the kernels reduce modulo p only once every
+    # (2^63-1-p) // p^2 updates: 2 at 2^31-1 and 8 at 1073741789, fewer
+    # than the pivots here, so the periodic reduction runs. Entries near p
+    # make the unreduced products as large as they get. From 2^31 up the
+    # arrays hold Python ints and are never reduced in between: at
+    # 2147483659, the smallest prime there, and at 2^61-1.
+    dtype = np.int64 if p < 2**31 else object
     rng = random.Random(p)
 
     def entry():
@@ -226,12 +234,12 @@ def test_numpy_kernels_match_gauss_jordan(p):
         for r in rows:
             r[ncols // 2] = 0
         want_red, want_piv = _gauss_jordan(rows, ncols, p)
-        M = np.array(rows, dtype=np.int64)
+        M = np.array(rows, dtype=dtype)
         piv = _forward_numpy(M, p)
         assert piv == want_piv
         assert M.min() >= 0 and M.max() < p
         assert not M[len(piv):].any()
-        red, piv = _rref_mod_numpy(np.array(rows, dtype=np.int64), p)
+        red, piv = _rref_mod_numpy(np.array(rows, dtype=dtype), p)
         assert (red.tolist(), piv) == (want_red, want_piv)
 
 
