@@ -29,13 +29,15 @@ and one dict lookup finds its basis column. `_product_rows` emits the
 products as (row, column, value) triplets, and `linalg._from_triplets`
 turns them into integer lists over Q and a residue array modulo p.
 
-Before anything is enumerated, the shape of every span and lift matrix
-is read from closed-form monomial counts, and one of more than CELL_GUARD
-cells is refused with GuardRefusal. The same bound caps the term count of
-a power of a linear form and the monomials of an initial piece. Queries
-that compute every degree or every n, graded_dimensions and
-injectivity_threshold_check, check all their shapes before the first
-span is built, and wlp_sweep checks every degree it is sure to reach.
+A query reads the shape of each matrix it will build, a span or the lift
+of multiplication_kernel, from n, a, the form count and d alone, and
+refuses one of more than CELL_GUARD cells with GuardRefusal before it
+builds any spec, form or span. The same bound caps the term count of a
+power of a linear form and the monomials of an initial piece. Queries
+that compute every degree or every n, random_powers_dimensions and
+injectivity_threshold_check, check all their shapes first, and wlp_sweep
+checks every degree it is sure to reach. The guard bounds cells, not
+time or bytes.
 """
 
 from __future__ import annotations
@@ -269,29 +271,21 @@ def _guard_cells(what: str, rows: int, cols: int) -> None:
     _guard_count(f"cells of the {rows} x {cols} {what}", rows * cols)
 
 
-def _guard_span(spec: IdealSpec, d: int) -> None:
-    """Refuse the extra-form span of spec in degree d when its matrix would
-    be too large."""
-    _guard_span_shape(spec.n, spec.a, len(spec.extra_forms), d)
-
-
-def _guard_span_shape(n: int, a: int, nforms: int, d: int) -> None:
-    """_guard_span for a spec of nforms extra forms, from its shape alone."""
+def _guard_span(n: int, a: int, nforms: int, d: int) -> None:
+    """Refuse the extra-form span in degree d of a spec of n variables,
+    exponent a and nforms extra forms when its matrix would be too large."""
     _guard_cells(f"span in degree {d}", nforms * _capped_count(n, a, d - a),
                  _capped_count(n, a, d))
 
 
-def _check_map(spec: IdealSpec, d: int, ell: Form) -> None:
-    """Validate multiplication by ell into degree d, and refuse it when its
-    matrix, the lift of degree d-1 into degree d, would be too large."""
+def _check_map(n: int, d: int, ell: Form) -> None:
+    """Validate multiplication by ell into degree d, in n variables."""
     if d < 1:
         raise ValueError("degree must be at least 1")
     if ell.degree != 1:
         raise ValueError("need a degree-1 form")
-    if ell.nvars is not None and ell.nvars != spec.n:
+    if ell.nvars is not None and ell.nvars != n:
         raise ValueError("the form must use n variables")
-    _guard_cells(f"lift into degree {d}", _capped_count(spec.n, spec.a, d - 1),
-                 _capped_count(spec.n, spec.a, d))
 
 
 def _radix(spec: IdealSpec) -> int:
@@ -364,7 +358,7 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     per pivot, are integer lists in the rational case (each a multiple of
     the Fraction row) and a residue array in the prime case.
     """
-    _guard_span(spec, d)
+    _guard_span(spec.n, spec.a, len(spec.extra_forms), d)
     radix = _radix(spec)
     basis = _capped_basis(spec, d)
     index = {_key(e, radix): i for i, e in enumerate(basis)}
@@ -453,20 +447,10 @@ def graded_dimension(spec: IdealSpec, d: int,
     return len(basis) - len(piv)
 
 
-def graded_dimensions(spec: IdealSpec, degrees,
-                      field_tag: FieldTag = RATIONALS) -> list[int]:
-    """graded_dimension in each of the degrees, after refusing the query
-    if the span of any of them would be too large."""
-    degrees = list(degrees)
-    for d in degrees:
-        _guard_span(spec, d)
-    return [graded_dimension(spec, d, field_tag) for d in degrees]
-
-
 def random_powers_dimensions(n: int, a: int, seeds, degrees,
                              field_tag: FieldTag = RATIONALS) -> list[list[int]]:
-    """graded_dimensions of the quotient by the a-th powers of the n
-    variables and of two seeded random linear forms, one list per seed.
+    """graded_dimension in each degree of the quotient by the a-th powers
+    of the n variables and of two seeded random linear forms, per seed.
 
     Before any form is built, the query is refused if the terms of a power
     or the span of any degree would be too large, checked in that order,
@@ -477,13 +461,13 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
     degrees = list(degrees)
     _guard_power(n, a)
     for d in degrees:
-        _guard_span_shape(n, a, 2, d)
+        _guard_span(n, a, 2, d)
     out = []
     for s in seeds:
         forms = tuple(form_power(random_linear_form(n, s, index=i), a)
                       for i in (1, 2))
-        out.append(graded_dimensions(IdealSpec(n=n, a=a, extra_forms=forms),
-                                     degrees, field_tag))
+        spec = IdealSpec(n=n, a=a, extra_forms=forms)
+        out.append([graded_dimension(spec, d, field_tag) for d in degrees])
     return out
 
 
@@ -536,13 +520,9 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
     in the other variables by their a-th powers, L^a, and each extra form
     f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e c_j^(a-e) m,
     and is dropped for e = a as a multiple of L^a. Cached, so that the
-    substituted forms are built once for all degrees of a query, and once
-    for the guard and the rank of each map.
+    substituted forms are built once for all degrees of a query.
     """
-    p = field_tag.characteristic
-    coeffs = linear_coefficients(ell) if ell.terms else ()
-    j = next((i for i, c in enumerate(coeffs) if (_residue(c, p) if p else c)),
-             None)
+    j = _pivot_variable(ell, field_tag.characteristic)
     if j is None:  # ell vanishes in the field
         return spec
     if spec.n == 1:  # ell is a unit times x_1, so A/ell A is k[x_1]/(x_1)
@@ -552,7 +532,7 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
     # whose coefficients are its integers over fden, has the integer
     # coefficients below over the one denominator fden * den^a
     a = spec.a
-    ints, den = _integer_row(coeffs)
+    ints, den = _integer_row(linear_coefficients(ell))
     cj = ints[j]
     powers = _linear_powers(ints[:j] + ints[j + 1:], a)
     radix = a + 1  # no exponent of a degree-a monomial exceeds a
@@ -580,15 +560,28 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
     return IdealSpec(spec.n - 1, a, tuple(forms))
 
 
-def _guard_map(spec: IdealSpec, d: int, ell: Form, field_tag: FieldTag) -> None:
-    """Validate multiplication by ell into degree d, and refuse it when its
-    lift or any span its rank reads would be too large, building no span."""
-    _check_map(spec, d, ell)
-    _guard_span(spec, d)
-    cok = _cokernel_spec(spec, ell, field_tag)
-    if cok is not spec:
-        _guard_span(cok, d)
-    _guard_span(spec, d - 1)
+def _pivot_variable(ell: Form, p: int) -> int | None:
+    """The first variable whose coefficient in the linear form ell, whose
+    terms run x_1, x_2, ..., is nonzero in the field of characteristic p
+    (Q for p = 0), or None when ell vanishes there."""
+    return next((m.exponents.index(1) for m, c in ell.terms
+                 if not p or _residue(c, p)), None)
+
+
+def _guard_map(n: int, a: int, nforms: int, d: int, ell: Form,
+               field_tag: FieldTag) -> None:
+    """Validate multiplication by ell into degree d of the quotient A of n
+    variables by their a-th powers and nforms extra forms, and refuse it
+    when a span its rank reads would be too large, from the shapes alone:
+    those of A in degrees d and d-1 and, unless ell vanishes in the field
+    or n = 1, that of A/ell A in degree d, whose spec (_cokernel_spec) has
+    n-1 variables and one more form.
+    """
+    _check_map(n, d, ell)
+    _guard_span(n, a, nforms, d)
+    if n > 1 and _pivot_variable(ell, field_tag.characteristic) is not None:
+        _guard_span(n - 1, a, nforms + 1, d)
+    _guard_span(n, a, nforms, d - 1)
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
@@ -600,10 +593,10 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
     and the matrix of the map is never built.
     """
-    _guard_map(spec, d, ell, mode)
+    _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode)
     dim_at = graded_dimension(spec, d, mode)
     cok = _cokernel_spec(spec, ell, mode)
-    if cok is spec:  # ell vanishes in the field
+    if cok == spec:  # ell vanishes in the field (an equal spec if cached)
         rank = 0
     else:
         basis, _, _, piv = _span_echelon(cok, d, mode)
@@ -619,9 +612,14 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     standard monomial basis of the quotient. The products of ell with that
     basis are reduced against the ideal span in degree d. The remainders
     are zero on the span's pivot columns, so keeping those columns adds
-    only zero equations.
+    only zero equations. The lift and both spans are guarded up front.
     """
-    _check_map(spec, d, ell)
+    n, a, nforms = spec.n, spec.a, len(spec.extra_forms)
+    _check_map(n, d, ell)
+    _guard_cells(f"lift into degree {d}", _capped_count(n, a, d - 1),
+                 _capped_count(n, a, d))
+    _guard_span(n, a, nforms, d - 1)
+    _guard_span(n, a, nforms, d)
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
     basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
     radix = _radix(spec)
@@ -694,8 +692,8 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
     """Injectivity verdicts of multiplication by seeded random linear forms.
 
     One row per n, its rank settled across the seeds by _consensus_rank,
-    so a full-rank seed certifies the row even in prime mode. Every n is
-    checked against the guards before any span is built. The default
+    so a full-rank seed certifies the row even in prime mode. The terms of
+    each (x_1 + ... + x_n)^a and every span are guarded first. The default
     field is F_p with p = FAST_PRIME. Each row also reports whether n meets
     the exact closed-form inequality that guarantees injectivity.
     """
@@ -709,13 +707,16 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
     cells = []
     for n in n_range:
         n = int(n)
-        spec = IdealSpec(n=n, a=a)
+        if n < 1:
+            raise ValueError("need at least one variable")
         forms = [random_linear_form(n, s) for s in seeds]
+        _guard_power(n, a)
         for ell in forms:
-            _guard_map(spec, d, ell, tag)
-        cells.append((n, spec, forms))
+            _guard_map(n, a, 1, d, ell, tag)
+        cells.append((n, forms))
     rows = []
-    for n, spec, forms in cells:
+    for n, forms in cells:
+        spec = IdealSpec(n=n, a=a)
         rank, dim_below, dim_at = _consensus_rank(spec, d, forms, tag)
         rows.append({"n": n, "dim_below": dim_below, "dim_at": dim_at,
                      "rank": rank, "injective": rank == dim_below,
@@ -784,9 +785,9 @@ class WlpReport:
 
 
 def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
-    """Validate a wlp_sweep and refuse it, before any span is built, when a
-    matrix of a degree it is sure to reach would be too large; returns the
-    spec and the seeds' linear forms.
+    """Validate a wlp_sweep and refuse it when the terms of (x_1 + ... +
+    x_n)^p or a span of a degree it is sure to reach would be too large;
+    returns the seeds' linear forms, and builds no power, spec or span.
 
     The quotient by the p-th powers of the n variables and of their sum
     first vanishes over Q in degree top = ceil(((p-1)n + p) / 2): the pure
@@ -794,25 +795,22 @@ def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
     characteristic 0 (Stanley), so dim A_d = max(0, h(d) - h(d-p)) for
     their Hilbert function h, which is symmetric about (p-1)n/2. The
     dimensions over F_p are never smaller, so the sweep reaches top in
-    every field. Degrees 1 to top are checked in the sweep's own order:
-    the lift and the span of each degree, then, below top, each form's
-    map.
+    every field. Degrees are checked in the sweep's own order: each form's
+    map into degrees 1 to top-1, then the span of degree top.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    spec = IdealSpec(n=n, a=p)
     forms = [random_linear_form(n, s) for s in seeds]
+    _guard_power(n, p)
     top = -(-((p - 1) * n + p) // 2)
-    for d in range(1, top + 1):
-        _check_map(spec, d, forms[0])
-        _guard_span(spec, d)
-        if d < top:
-            for ell in forms:
-                _guard_map(spec, d, ell, field_tag)
-    return spec, forms
+    for d in range(1, top):
+        for ell in forms:
+            _guard_map(n, p, 1, d, ell, field_tag)
+    _guard_span(n, p, 1, top)
+    return forms
 
 
 def wlp_sweep(n: int, p: int, seeds,
@@ -829,12 +827,11 @@ def wlp_sweep(n: int, p: int, seeds,
     those when the sweep reaches it.
     """
     seeds = list(seeds)
-    spec, forms = _check_sweep(n, p, seeds, field_tag)
+    forms = _check_sweep(n, p, seeds, field_tag)
+    spec = IdealSpec(n=n, a=p)
     records = []
     d = 1
     while True:
-        # refuse an oversized lift before the span of its degree is built
-        _check_map(spec, d, forms[0])
         if graded_dimension(spec, d, field_tag) == 0:
             break
         rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)

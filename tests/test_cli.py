@@ -181,7 +181,7 @@ def test_oversized_witness_is_refused():
 
 def test_oversized_matrices_are_refused_before_they_are_built():
     for args in (
-        # the degree-4 lift of n=30 squares has 1.1e8 cells
+        # the degree-5 span of n = 30 squares has 5.8e8 cells
         ("wlp", "--n", "30", "--a", "2", "--seeds", "1"),
         ("inject", "--a", "2", "--d", "12", "--n-range", "40..40",
          "--seeds", "1"),
@@ -199,24 +199,34 @@ def test_oversized_matrices_are_refused_before_they_are_built():
 def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
     # inject and froberg run every n or every degree, and wlp and sweep every
     # degree they are sure to reach, so a shape beyond the guard there is
-    # refused before the first span is built
+    # refused from n, a and the form count alone, before the first power of
+    # a linear form, cokernel spec or span is built
     built = []
 
     def span(spec, d, field_tag):
         built.append((spec.n, d))
         raise AssertionError("a span was built before the refusal")
 
+    def build(*args):
+        raise AssertionError("a power or cokernel spec was built before the "
+                             "refusal")
+
+    quotient._default_form.cache_clear()
     monkeypatch.setattr(quotient, "_span_echelon", span)
     monkeypatch.setattr(quotient, "_reduce_spec", span)
+    monkeypatch.setattr(quotient, "form_power", build)
+    monkeypatch.setattr(quotient, "_cokernel_spec", build)
     for args in (
-        # the degree-6 lift at n = 17 has 7.7e7 cells
+        # the degree-6 span at n = 18 has 5.7e7 cells
         ("inject", "--a", "2", "--d", "6", "--n-range", "10..30", "--seeds", "1"),
         # the degree-7 span has 2.6e8 cells
         ("froberg", "--n", "16", "--a", "4", "--seeds", "1"),
-        # A vanishes from degree 9 on, and the degree-7 lift has 9.2e7 cells
+        # A vanishes from degree 9 on, and the degree-8 span has 1.0e8 cells
         ("wlp", "--n", "16", "--a", "2", "--seeds", "1"),
-        # the same lift at n = 16, refused before n = 10 is swept
+        # the same span at n = 16, refused before n = 10 is swept
         ("sweep", "--a", "2", "--n-range", "10..16", "--seeds", "1"),
+        # the degree-13 span has 9.9e7 cells
+        ("wlp", "--n", "9", "--a", "9", "--seeds", "1"),
     ):
         assert main(list(args)) == 3, args
         assert "refusing" in capsys.readouterr().err, args

@@ -6,17 +6,20 @@ against the full-basis oracle, over Q and modulo one prime below and one
 above 2^31, the two residue dtypes; map ranks and the listing of
 `initial` also in characteristics 3 and 5. Powers of linear forms and the
 cokernel specs of map ranks, built on integers, are checked against
-repeated Fraction products."""
+repeated Fraction products, and the span shapes the map guard reads from
+n, a and the form count against the matrices a map rank builds."""
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lefschetz_kit import quotient
 from lefschetz_kit.linalg import (
     DEFAULT_PRIME,
     FAST_PRIME,
@@ -555,3 +558,61 @@ def test_cokernel_spec_matches_fraction_substitution(case):
 ])
 def test_cokernel_spec_edge_forms(n, a, coeffs):
     _assert_cokernel_matches(IdealSpec(n=n, a=a), linear_form(coeffs))
+
+
+# Q, two characteristics where coefficients of ell vanish, and one prime of
+# each residue dtype
+SHAPE_FIELDS = (RATIONALS, prime_field(3), prime_field(5),
+                prime_field(FAST_PRIME), prime_field(DEFAULT_PRIME))
+
+
+@st.composite
+def map_shape_cases(draw):
+    """Specs of n = 1 to 5 variables, the default one or with zero to two
+    extra forms, a field, and ell with no, some or all of its coefficients
+    multiples of the characteristic (zero over Q)."""
+    n = draw(st.integers(1, 5))
+    a = draw(st.integers(1, 3))
+    tag = draw(st.sampled_from(SHAPE_FIELDS))
+    if draw(st.booleans()):
+        spec = IdealSpec(n=n, a=a)
+    else:
+        degree_a = enumerate_degree_piece(n, a)
+        spec = IdealSpec(n=n, a=a, extra_forms=tuple(
+            form_from_coefficients(a, {m: draw(st.integers(-3, 3))
+                                       for m in degree_a})
+            for _ in range(draw(st.integers(0, 2)))))
+    vanish = draw(st.sampled_from(("none", "some", "all")))
+    coeffs = []
+    for _ in range(n):
+        if vanish == "all" or (vanish == "some" and draw(st.booleans())):
+            coeffs.append(tag.characteristic * draw(st.integers(-2, 2)))
+        else:
+            coeffs.append(draw(st.integers(-10**6, 10**6)))
+    d = draw(st.integers(1, (a - 1) * n + 2))
+    return spec, d, linear_form(coeffs), tag
+
+
+@PROPERTY
+@given(map_shape_cases())
+def test_map_guard_checks_the_shapes_the_rank_builds(case):
+    # the spans of A in degree d, of A/ell A in degree d and of A in degree
+    # d-1, in that order; a built span drops its zero rows
+    spec, d, ell, tag = case
+    checked, built = [], []
+    with mock.patch.object(quotient, "_guard_cells",
+                           lambda what, rows, cols: checked.append((rows, cols))):
+        quotient._guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, tag)
+
+    def record(triplets, nrows, ncols, field_tag):
+        built.append((nrows, ncols))
+        return _from_triplets(triplets, nrows, ncols, field_tag)
+
+    _reduce_spec.cache_clear()
+    with mock.patch.object(quotient, "_from_triplets", record):
+        multiplication_map_rank(spec, d, ell, mode=tag)
+    if spec.n == 1 and len(built) == 3:
+        # A/ell A is k[x_1]/(x_1), with no monomial in degree d >= 1
+        assert built.pop(1) == (0, 0)
+    assert [cols for _, cols in built] == [cols for _, cols in checked]
+    assert all(rows <= bound for (rows, _), (bound, _) in zip(built, checked))

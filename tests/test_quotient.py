@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from lefschetz_kit import quotient
+from lefschetz_kit.errors import GuardRefusal
 from lefschetz_kit.hilbert import complement_count
 from lefschetz_kit.linalg import (
     FAST_PRIME,
@@ -180,6 +182,32 @@ def test_multiplication_kernel_products_lie_in_the_ideal():
         stacked = RationalMatrix.from_rows(list(ideal.entries) + [vec],
                                            cols=len(cols))
         assert matrix_rank(stacked) == base_rank
+
+
+def test_oversized_lift_refuses_the_kernel_but_not_the_rank(monkeypatch):
+    # only the kernel builds the lift of degree 2 into degree 3, 21 x 35 =
+    # 735 cells; the spans the rank reads have at most 7 x 35 = 245 cells
+    spec, ell = IdealSpec(n=7, a=2), random_linear_form(7, 1)
+    want = multiplication_map_rank(spec, 3, ell)
+    shapes = []
+    guard_cells = quotient._guard_cells
+
+    def record(what, rows, cols):
+        shapes.append((what, rows, cols))
+        guard_cells(what, rows, cols)
+
+    monkeypatch.setattr(quotient, "_guard_cells", record)
+    monkeypatch.setattr(quotient, "CELL_GUARD", 500)
+    quotient._reduce_spec.cache_clear()
+    assert multiplication_map_rank(spec, 3, ell) == want
+    assert shapes[:3] == [("span in degree 3", 7, 35),
+                          ("span in degree 3", 12, 20),
+                          ("span in degree 2", 1, 21)]
+    assert max(rows * cols for _, rows, cols in shapes) == 245
+    with pytest.raises(GuardRefusal,
+                       match="cells of the 21 x 35 lift into degree 3 would "
+                             "number 735, above the guard of 500"):
+        multiplication_kernel(spec, 3, ell)
 
 
 def test_monomial_quotient_rank_and_kernel():
