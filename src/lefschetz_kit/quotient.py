@@ -8,11 +8,15 @@ pure powers alone; multiples of pure powers are projected away instead of
 being carried as matrix rows, which gives the same ranks and the same
 initial ideal as the full multiplication matrix.
 
-Dimensions read the pivots of a cached forward echelon of the extra-form
-span. A/ell A is again such a quotient, in one variable fewer, so the rank
-of multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs
-no matrix of its own. Each span of A/ell A is read once and skips the
-cache.
+Dimensions read the pivots of a forward echelon of the extra-form span,
+cached for the spans of A. Modulo p a span keeps its basis and pivots and
+frees its residue array when the forward pass returns; over Q it keeps
+its integer echelon rows, which multiplication_kernel and the witness
+reduce against. A/ell A is again such a quotient, in one variable fewer,
+so the rank of multiplication by ell into degree d, dim A_d - dim (A/ell
+A)_d, needs no matrix of its own. Each span of A/ell A is read once,
+skips the cache and is freed before the next span is built, so modulo p
+at most one span matrix is alive at a time.
 
 Spans are built from integers. A power of a linear form comes from the
 multinomial theorem on its coefficients scaled to integers
@@ -37,7 +41,9 @@ power of a linear form and the monomials of an initial piece. Queries
 that compute every degree or every n, random_powers_dimensions and
 injectivity_threshold_check, check all their shapes first, and wlp_sweep
 checks every degree it is sure to reach. The guard bounds cells, not
-time or bytes.
+time or bytes: a residue array takes 8 bytes per cell modulo p < 2^31,
+400 MB at CELL_GUARD, and from 2^31 up a pointer per cell plus a Python
+int per nonzero entry.
 """
 
 from __future__ import annotations
@@ -354,9 +360,12 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     """Forward echelon of the extra-form span in capped degree d.
 
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
-    the _key of each basis exponent to its column. The echelon rows, one
-    per pivot, are integer lists in the rational case (each a multiple of
-    the Fraction row) and a residue array in the prime case.
+    the _key of each basis exponent to its column. Over Q the echelon
+    rows, one per pivot, are integer lists, each a multiple of the
+    Fraction row, which multiplication_kernel and the witness reduce
+    against. Modulo p nothing reads them, so echelon_rows is None and the
+    residue array is freed when the forward pass returns: a cached span
+    then holds no matrix.
     """
     _guard_span(spec.n, spec.a, len(spec.extra_forms), d)
     radix = _radix(spec)
@@ -367,7 +376,10 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     nrows, triplets = _product_rows(spec.extra_forms, mults, index, radix,
                                     field_tag, drop_zero_rows=True)
     rows = _from_triplets(triplets, nrows, len(basis), field_tag)
+    del triplets  # freed before the elimination, which peaks in memory
     echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
+    if field_tag.characteristic:
+        return basis, index, None, piv
     return basis, index, echelon[:len(piv)], piv
 
 
@@ -443,7 +455,13 @@ def graded_dimension(spec: IdealSpec, d: int,
     """Dimension of degree d of the quotient by the ideal."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    basis, _, _, piv = _reduce_spec(spec, d, field_tag)
+    return _dimension(_reduce_spec(spec, d, field_tag))
+
+
+def _dimension(span) -> int:
+    """The quotient dimension a span echelon leaves: its basis size less
+    its rank."""
+    basis, _, _, piv = span
     return len(basis) - len(piv)
 
 
@@ -591,7 +609,9 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     The map goes from degree d-1 of the quotient A to degree d. Returns the
     rank together with both quotient dimensions. A_{d-1} -> A_d ->
     (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
-    and the matrix of the map is never built.
+    and the matrix of the map is never built. Only the dimension of the
+    cokernel span is kept, so its matrix is freed before the span of
+    A_{d-1} is built.
     """
     _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode)
     dim_at = graded_dimension(spec, d, mode)
@@ -599,8 +619,7 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     if cok == spec:  # ell vanishes in the field (an equal spec if cached)
         rank = 0
     else:
-        basis, _, _, piv = _span_echelon(cok, d, mode)
-        rank = dim_at - (len(basis) - len(piv))
+        rank = dim_at - _dimension(_span_echelon(cok, d, mode))
     return {"rank": rank,
             "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
 
@@ -730,18 +749,18 @@ def _consensus_rank(spec: IdealSpec, d: int, forms,
 
     Returns (rank, dim_below, dim_at). Any form reaching the maximal
     possible rank min(dim_below, dim_at) certifies it, and that
-    certificate is exact even in prime mode. Otherwise every form must give
-    the same rank; in prime mode a disagreement escalates to rational
-    arithmetic, and a rational disagreement raises InternalFault.
+    certificate is exact even in prime mode, so the forms are evaluated in
+    order and the first such one settles the rank. Otherwise every form
+    must give the same rank; in prime mode a disagreement escalates to
+    rational arithmetic, and a rational disagreement raises InternalFault.
     """
-    datas = [multiplication_map_rank(spec, d, ell, mode=field_tag)
-             for ell in forms]
-    dim_below = datas[0]["dim_below"]
-    dim_at = datas[0]["dim_at"]
-    full = min(dim_below, dim_at)
-    ranks = {dt["rank"] for dt in datas}
-    if full in ranks:
-        return full, dim_below, dim_at
+    ranks = set()
+    for ell in forms:
+        data = multiplication_map_rank(spec, d, ell, mode=field_tag)
+        dim_below, dim_at = data["dim_below"], data["dim_at"]
+        if data["rank"] == min(dim_below, dim_at):
+            return data["rank"], dim_below, dim_at
+        ranks.add(data["rank"])
     if len(ranks) == 1:
         return ranks.pop(), dim_below, dim_at
     if field_tag.is_rational:

@@ -7,7 +7,9 @@ above 2^31, the two residue dtypes; map ranks and the listing of
 `initial` also in characteristics 3 and 5. Powers of linear forms and the
 cokernel specs of map ranks, built on integers, are checked against
 repeated Fraction products, and the span shapes the map guard reads from
-n, a and the form count against the matrices a map rank builds."""
+n, a and the form count against the matrices a map rank builds. Span
+echelons keep their rows over Q only, and their textbook pivots in every
+field."""
 
 import random
 from fractions import Fraction
@@ -309,6 +311,30 @@ def test_product_rows_match_tuple_lookup(case):
                 got = got.tolist()
             assert got == _reference_product_rows(
                 forms, mults, basis, tag.characteristic, drop), tag
+
+
+@PROPERTY
+@given(product_cases())
+def test_span_keeps_echelon_rows_over_q_only(case):
+    # modulo p a span returns no echelon rows, only the textbook pivots;
+    # over Q it returns the forward echelon of its integer rows, which the
+    # kernel and the witness reduce against
+    spec, d, _ = case
+    basis = _capped_basis(spec, d)
+    mults = _capped_basis(spec, d - spec.a)
+    for tag in FIELDS + (prime_field(3),):
+        p = tag.characteristic
+        rows = _reference_product_rows(spec.extra_forms, mults, basis, p, True)
+        got_basis, _, echelon, piv = _reduce_spec(spec, d, tag)
+        assert got_basis == basis, tag
+        assert piv == _gauss_jordan(rows, len(basis), p)[1], tag
+        if p:
+            assert echelon is None, tag
+        else:
+            ints = [[int(x) for x in r] for r in rows]
+            forward, want = _eliminate(ints, len(basis), RATIONALS, reduce=False)
+            assert (echelon, piv) == (forward[:len(want)], want)
+            assert all(type(x) is int for r in echelon for x in r)
 
 
 @st.composite

@@ -1,15 +1,19 @@
 """Exact quotient computations against closed-form counts and hand checks."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from lefschetz_kit import quotient
-from lefschetz_kit.errors import GuardRefusal
+from lefschetz_kit.errors import GuardRefusal, InternalFault
 from lefschetz_kit.hilbert import complement_count
 from lefschetz_kit.linalg import (
+    DEFAULT_PRIME,
     FAST_PRIME,
+    RATIONALS,
     RationalMatrix,
     matrix_rank,
     prime_field,
@@ -24,6 +28,7 @@ from lefschetz_kit.monomials import (
 )
 from lefschetz_kit.quotient import (
     DegreeRecord,
+    _consensus_rank,
     IdealSpec,
     Form,
     form_from_coefficients,
@@ -254,6 +259,89 @@ def test_injectivity_threshold_check():
         injectivity_threshold_check(3, 2, range(5, 6), seeds=(1,))
     with pytest.raises(ValueError):
         injectivity_threshold_check(2, 3, range(5, 6), seeds=())
+
+
+def test_consensus_settles_at_the_first_full_rank_seed(monkeypatch):
+    # n = 7 >= 3d - 2 is injective, so seed 1 certifies the cell and seed
+    # 2 builds no cokernel span; the cached spans of A go through
+    # _reduce_spec, which keeps its own reference to the function it wraps
+    calls = []
+    span = quotient._span_echelon
+
+    def count(spec, d, field_tag):
+        calls.append((spec.n, d))
+        return span(spec, d, field_tag)
+
+    monkeypatch.setattr(quotient, "_span_echelon", count)
+    row = injectivity_threshold_check(2, 3, [7], [1, 2], FAST)[0]
+    assert row["injective"] is True
+    assert calls == [(6, 3)]
+
+
+def _eager_consensus(spec, d, forms, field_tag):
+    """The consensus rank with every form evaluated before any is read."""
+    datas = [multiplication_map_rank(spec, d, ell, mode=field_tag)
+             for ell in forms]
+    dim_below, dim_at = datas[0]["dim_below"], datas[0]["dim_at"]
+    ranks = {dt["rank"] for dt in datas}
+    if min(dim_below, dim_at) in ranks:
+        return min(dim_below, dim_at), dim_below, dim_at
+    if len(ranks) == 1:
+        return ranks.pop(), dim_below, dim_at
+    if field_tag.is_rational:
+        raise InternalFault("rational ranks disagree")
+    return _eager_consensus(spec, d, forms, RATIONALS)
+
+
+@pytest.mark.parametrize("n, a, d, seeds, field, escalates", [
+    (7, 2, 3, [1, 2], FAST, False),             # injective: seed 1 settles
+    (5, 2, 3, [1, 2, 3], FAST, False),          # not injective: all seeds
+    (4, 3, 4, [1, 2], RATIONALS, False),
+    (6, 2, 4, [2, 1], prime_field(DEFAULT_PRIME), False),
+    # modulo 3 the seeds give ranks 9 and 12 of 14, and modulo 5 ranks 35
+    # and 36 of 37, so Q settles the cell
+    (6, 2, 3, [1, 2], prime_field(3), True),
+    (5, 3, 5, [1, 2], prime_field(5), True),
+])
+def test_consensus_matches_eager_evaluation(monkeypatch, n, a, d, seeds,
+                                            field, escalates):
+    spec = IdealSpec(n=n, a=a)
+    forms = [random_linear_form(n, s) for s in seeds]
+    want = _eager_consensus(spec, d, forms, field)
+    modes = []
+    map_rank = quotient.multiplication_map_rank
+
+    def record(spec, d, ell, mode):
+        modes.append(mode)
+        return map_rank(spec, d, ell, mode=mode)
+
+    monkeypatch.setattr(quotient, "multiplication_map_rank", record)
+    assert _consensus_rank(spec, d, forms, field) == want
+    assert any(mode != field for mode in modes) == escalates
+
+
+def test_prime_span_cache_holds_no_matrix(monkeypatch):
+    # modulo p a cached span keeps its basis, index and pivots and frees
+    # its residue array, so what the injectivity table leaves allocated is
+    # less than the largest single span matrix it builds
+    shapes = []
+    from_triplets = quotient._from_triplets
+
+    def record(triplets, nrows, ncols, field_tag):
+        shapes.append((nrows, ncols))
+        return from_triplets(triplets, nrows, ncols, field_tag)
+
+    monkeypatch.setattr(quotient, "_from_triplets", record)
+    quotient._reduce_spec.cache_clear()
+    tracemalloc.start()
+    try:
+        injectivity_threshold_check(2, 5, range(10, 15), [1, 2], FAST)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        quotient._reduce_spec.cache_clear()
+    largest = max(r * c for r, c in shapes) * np.dtype(np.int64).itemsize
+    assert held < largest
 
 
 def test_degree_record_flag_validation():
