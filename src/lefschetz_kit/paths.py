@@ -4,10 +4,15 @@ Walks have n+2 unit steps starting at 0, with the first and last step
 forced upward, and must end at n+2-2d. The admissible count keeps walks
 between the wall at 0 and the wall at n+3-2d, while the double-cross count
 collects walks whose first wall violation is the upper one and which later
-violate the lower one. Under the default convention a wall is violated
-only by stepping strictly beyond it; the alternative convention, kept for
-comparison, already counts touching a wall and fails the binomial
-calibration.
+violate the lower one. Both are read from one walk (_walk), which tracks
+each walk's wall violations with one rule (_phase_after). Under the
+default convention a wall is violated only by stepping strictly beyond
+it; the alternative convention, kept for comparison, already counts
+touching a wall and fails the binomial calibration.
+
+The dimension the admissible count is compared against comes from
+quotient.random_powers_dimensions, which checks that the seeds agree and
+guards the span before it builds anything.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .errors import InternalFault
-from .linalg import RATIONALS
-from .quotient import IdealSpec, form_power, graded_dimension, random_linear_form
+from .quotient import random_powers_dimensions
 
 
 class BoundaryConvention(Enum):
@@ -55,43 +58,6 @@ class PathCounts:
             raise ValueError("a valid closed form needs a value")
 
 
-def count_admissible_paths(spec: PathSpec) -> int:
-    """Walks that stay within both walls and end at n+2-2d.
-
-    Returns 0 when the endpoint is negative. Under the touch convention the
-    interior positions must avoid the walls themselves; the final position
-    is exempt since it must sit at the upper wall's height.
-    """
-    n, d = spec.n, spec.d
-    r = n + 2 - 2 * d
-    if r < 0:
-        return 0
-    touch = spec.boundary_convention is BoundaryConvention.CROSS_MEANS_TOUCH
-    steps = n + 2
-
-    def allowed(x: int, is_final: bool) -> bool:
-        if x < 0 or x > r:
-            return False
-        if touch and not is_final and (x == 0 or x == r):
-            return False
-        return True
-
-    cur: dict[int, int] = {}
-    if allowed(1, steps == 1):
-        cur[1] = 1
-    for i in range(2, steps + 1):
-        is_final = i == steps
-        moves = (1,) if is_final else (1, -1)
-        nxt: dict[int, int] = {}
-        for x, cnt in cur.items():
-            for dx in moves:
-                y = x + dx
-                if allowed(y, is_final):
-                    nxt[y] = nxt.get(y, 0) + cnt
-        cur = nxt
-    return cur.get(r, 0)
-
-
 def closed_form_a(n: int, d: int) -> int | None:
     """Alternating binomial value, defined only for d <= floor(n/3) + 1."""
     if n < 1 or d < 2:
@@ -106,6 +72,14 @@ def closed_form_a(n: int, d: int) -> int | None:
 
 
 def _phase_after(phase: int, x: int, interior: bool, r: int, touch: bool):
+    """The phase of a walk that reaches x in the given phase, or None when
+    it leaves the family: phase 0 has violated no wall, phase 1 has
+    violated the upper wall first, and phase 2 has since violated the
+    lower one. A walk that violates the lower wall first is dropped.
+
+    A position violates a wall by lying strictly beyond it, or under the
+    touch convention at an interior position also by touching it.
+    """
     if touch and interior:
         hi = x >= r
         lo = x <= 0
@@ -123,9 +97,8 @@ def _phase_after(phase: int, x: int, interior: bool, r: int, touch: bool):
     return 2
 
 
-def count_double_cross(spec: PathSpec) -> int:
-    """Walks ending at n+2-2d whose first wall violation is the upper wall
-    and which later violate the lower wall, same step rules as above."""
+def _walk(spec: PathSpec) -> dict[tuple[int, int], int]:
+    """The walks of spec, counted by (end position, _phase_after phase)."""
     n, d = spec.n, spec.d
     r = n + 2 - 2 * d
     touch = spec.boundary_convention is BoundaryConvention.CROSS_MEANS_TOUCH
@@ -147,7 +120,25 @@ def count_double_cross(spec: PathSpec) -> int:
                 key = (y, nph)
                 nxt[key] = nxt.get(key, 0) + cnt
         cur = nxt
-    return cur.get((r, 2), 0)
+    return cur
+
+
+def count_admissible_paths(spec: PathSpec) -> int:
+    """Walks that stay within both walls and end at n+2-2d: those that end
+    there in phase 0 of _walk.
+
+    Returns 0 when the endpoint is negative. Under the touch convention the
+    interior positions must avoid the walls themselves; the final position
+    is exempt since it must sit at the upper wall's height.
+    """
+    return _walk(spec).get((spec.n + 2 - 2 * spec.d, 0), 0)
+
+
+def count_double_cross(spec: PathSpec) -> int:
+    """Walks ending at n+2-2d whose first wall violation is the upper wall
+    and which later violate the lower wall, same step rules as above: those
+    that end there in phase 2 of _walk."""
+    return _walk(spec).get((spec.n + 2 - 2 * spec.d, 2), 0)
 
 
 def path_counts(spec: PathSpec) -> PathCounts:
@@ -163,26 +154,15 @@ def conjecture_check(n: int, d: int, seeds) -> dict:
     """Compare the admissible count against an exact quotient dimension.
 
     The dimension is that of degree d of the quotient by all variable
-    squares plus the squares of two seeded random linear forms. All seeds
-    must give the same dimension. Callers should treat exact_dim above
-    a_count as a finding; equality is reported in "agrees". An oversized
-    span is refused with GuardRefusal by the shape guard of quotient.
+    squares plus the squares of two seeded random linear forms, from
+    quotient.random_powers_dimensions: all seeds must give the same
+    dimension, and an oversized power or span is refused with
+    GuardRefusal before any form is built. Callers should treat exact_dim
+    above a_count as a finding; equality is reported in "agrees".
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    spec = PathSpec(n=n, d=d)
-    a_count = count_admissible_paths(spec)
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    dims = set()
-    for s in seeds:
-        f1 = form_power(random_linear_form(n, s, index=1), 2)
-        f2 = form_power(random_linear_form(n, s, index=2), 2)
-        q = IdealSpec(n=n, a=2, extra_forms=(f1, f2))
-        dims.add(graded_dimension(q, d, RATIONALS))
-    if len(dims) > 1:
-        raise InternalFault(f"seeded dimensions disagree: {sorted(dims)}")
-    exact_dim = dims.pop()
+    a_count = count_admissible_paths(PathSpec(n=n, d=d))
+    (exact_dim,) = random_powers_dimensions(n, 2, seeds, [d])
     return {"a_count": a_count, "exact_dim": exact_dim,
             "agrees": exact_dim == a_count}

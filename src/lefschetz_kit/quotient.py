@@ -10,13 +10,14 @@ initial ideal as the full multiplication matrix.
 
 Dimensions read the pivots of a forward echelon of the extra-form span,
 cached for the spans of A. Modulo p a span keeps its basis and pivots and
-frees its residue array when the forward pass returns; over Q it keeps
-its integer echelon rows, which multiplication_kernel and the witness
-reduce against. A/ell A is again such a quotient, in one variable fewer,
-so the rank of multiplication by ell into degree d, dim A_d - dim (A/ell
-A)_d, needs no matrix of its own. Each span of A/ell A is read once,
-skips the cache and is freed before the next span is built, so modulo p
-at most one span matrix is alive at a time.
+frees its residue array and column index when the forward pass returns;
+over Q it keeps its column index and integer echelon rows, which
+multiplication_kernel and the witness reduce against. A/ell A is again
+such a quotient, in one variable fewer, so the rank of multiplication by
+ell into degree d, dim A_d - dim (A/ell A)_d, needs no matrix of its own.
+Each span of A/ell A is read once, skips the cache and is freed before
+the next span is built, so modulo p at most one span matrix is alive at a
+time.
 
 Spans are built from integers. A power of a linear form comes from the
 multinomial theorem on its coefficients scaled to integers
@@ -38,12 +39,12 @@ of multiplication_kernel, from n, a, the form count and d alone, and
 refuses one of more than CELL_GUARD cells with GuardRefusal before it
 builds any spec, form or span. The same bound caps the term count of a
 power of a linear form and the monomials of an initial piece. Queries
-that compute every degree or every n, random_powers_dimensions and
-injectivity_threshold_check, check all their shapes first, and wlp_sweep
-checks every degree it is sure to reach. The guard bounds cells, not
-time or bytes: a residue array takes 8 bytes per cell modulo p < 2^31,
-400 MB at CELL_GUARD, and from 2^31 up a pointer per cell plus a Python
-int per nonzero entry.
+that compute every degree or every n, random_powers_dimensions,
+injectivity_threshold_check and wlp_sweep, check all their shapes first;
+a sweep takes its degrees from the closed form of dim A_d over Q
+(_check_sweep). The guard bounds cells, not time or bytes: a residue
+array takes 8 bytes per cell modulo p < 2^31, 400 MB at CELL_GUARD, and
+from 2^31 up a pointer per cell plus a Python int per nonzero entry.
 """
 
 from __future__ import annotations
@@ -363,9 +364,10 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     the _key of each basis exponent to its column. Over Q the echelon
     rows, one per pivot, are integer lists, each a multiple of the
     Fraction row, which multiplication_kernel and the witness reduce
-    against. Modulo p nothing reads them, so echelon_rows is None and the
-    residue array is freed when the forward pass returns: a cached span
-    then holds no matrix.
+    against, with index to place their own products. Modulo p nothing
+    reads either, so both are None and the residue array and the index
+    are freed when the forward pass returns: a cached span then holds its
+    basis and pivots only.
     """
     _guard_span(spec.n, spec.a, len(spec.extra_forms), d)
     radix = _radix(spec)
@@ -379,7 +381,7 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     del triplets  # freed before the elimination, which peaks in memory
     echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
     if field_tag.characteristic:
-        return basis, index, None, piv
+        return basis, None, None, piv
     return basis, index, echelon[:len(piv)], piv
 
 
@@ -466,27 +468,32 @@ def _dimension(span) -> int:
 
 
 def random_powers_dimensions(n: int, a: int, seeds, degrees,
-                             field_tag: FieldTag = RATIONALS) -> list[list[int]]:
+                             field_tag: FieldTag = RATIONALS) -> list[int]:
     """graded_dimension in each degree of the quotient by the a-th powers
-    of the n variables and of two seeded random linear forms, per seed.
+    of the n variables and of two seeded random linear forms.
 
-    Before any form is built, the query is refused if the terms of a power
-    or the span of any degree would be too large, checked in that order,
-    which is the order building the forms and then the spans would check
-    them. Random linear forms have no zero coefficient, so each has n
-    terms.
+    Every seed must give the same dimension vector, which is returned; a
+    disagreement raises InternalFault. Before any form is built, the query
+    is refused if the terms of a power or the span of any degree would be
+    too large, checked in that order, which is the order building the
+    forms and then the spans would check them. Random linear forms have no
+    zero coefficient, so each has n terms.
     """
-    degrees = list(degrees)
+    seeds, degrees = list(seeds), list(degrees)
+    if not seeds:
+        raise ValueError("need at least one seed")
     _guard_power(n, a)
     for d in degrees:
         _guard_span(n, a, 2, d)
-    out = []
+    vectors = set()
     for s in seeds:
         forms = tuple(form_power(random_linear_form(n, s, index=i), a)
                       for i in (1, 2))
         spec = IdealSpec(n=n, a=a, extra_forms=forms)
-        out.append([graded_dimension(spec, d, field_tag) for d in degrees])
-    return out
+        vectors.add(tuple(graded_dimension(spec, d, field_tag) for d in degrees))
+    if len(vectors) > 1:
+        raise InternalFault(f"seeded dimensions disagree: {sorted(vectors)}")
+    return list(vectors.pop())
 
 
 def standard_monomials(spec: IdealSpec, d: int,
@@ -728,11 +735,7 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
         n = int(n)
         if n < 1:
             raise ValueError("need at least one variable")
-        forms = [random_linear_form(n, s) for s in seeds]
-        _guard_power(n, a)
-        for ell in forms:
-            _guard_map(n, a, 1, d, ell, tag)
-        cells.append((n, forms))
+        cells.append((n, _checked_forms(n, a, seeds, [d], tag)))
     rows = []
     for n, forms in cells:
         spec = IdealSpec(n=n, a=a)
@@ -803,62 +806,68 @@ class WlpReport:
     seeds_used: tuple
 
 
+def _checked_forms(n: int, a: int, seeds, degrees,
+                   field_tag: FieldTag) -> list[Form]:
+    """The seeds' linear forms in n variables, returned once the terms of
+    (x_1 + ... + x_n)^a and the spans that each form's map into each of
+    degrees reads (_guard_map) pass the guards; builds no power, spec or
+    span."""
+    forms = [random_linear_form(n, s) for s in seeds]
+    _guard_power(n, a)
+    for d in degrees:
+        for ell in forms:
+            _guard_map(n, a, 1, d, ell, field_tag)
+    return forms
+
+
 def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
     """Validate a wlp_sweep and refuse it when the terms of (x_1 + ... +
-    x_n)^p or a span of a degree it is sure to reach would be too large;
-    returns the seeds' linear forms, and builds no power, spec or span.
+    x_n)^p or a span of a degree it reads would be too large; returns the
+    seeds' linear forms and the degrees of the sweep, and builds no power,
+    spec or span.
 
-    The quotient by the p-th powers of the n variables and of their sum
-    first vanishes over Q in degree top = ceil(((p-1)n + p) / 2): the pure
-    powers have the strong Lefschetz property for the variable sum in
-    characteristic 0 (Stanley), so dim A_d = max(0, h(d) - h(d-p)) for
-    their Hilbert function h, which is symmetric about (p-1)n/2. The
-    dimensions over F_p are never smaller, so the sweep reaches top in
-    every field. Degrees are checked in the sweep's own order: each form's
-    map into degrees 1 to top-1, then the span of degree top.
+    The sweep runs degrees 1 to top-1, where top = ceil(((p-1)n + p) / 2)
+    is the first degree in which the quotient by the p-th powers of the n
+    variables and of their sum vanishes over Q: the pure powers have the
+    strong Lefschetz property for the variable sum in characteristic 0
+    (Stanley), so dim A_d = max(0, h(d) - h(d-p)) for their Hilbert
+    function h, which is symmetric about (p-1)n/2. No piece is smaller
+    over a prime field, so every degree swept is nonzero there too; a small
+    characteristic can leave pieces from top on nonzero, and those are not
+    swept.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    forms = [random_linear_form(n, s) for s in seeds]
-    _guard_power(n, p)
-    top = -(-((p - 1) * n + p) // 2)
-    for d in range(1, top):
-        for ell in forms:
-            _guard_map(n, p, 1, d, ell, field_tag)
-    _guard_span(n, p, 1, top)
-    return forms
+    degrees = range(1, -(-((p - 1) * n + p) // 2))
+    return _checked_forms(n, p, seeds, degrees, field_tag), degrees
 
 
 def wlp_sweep(n: int, p: int, seeds,
               field_tag: FieldTag = RATIONALS) -> WlpReport:
     """Maximal-rank check of multiplication by seeded random linear forms in
-    every degree with a nonzero quotient piece.
+    every degree d with A_d nonzero over Q, d = 1 to ceil(((p-1)n + p) / 2)
+    - 1 (_check_sweep).
 
     The ideal is the p-th powers of the variables plus the p-th power of the
     variable sum. One linear form per seed is drawn once and reused across
     all degrees. Any seed reaching the maximal possible rank certifies that
     degree; otherwise all seeds must agree, with the same escalation rules
-    as the injectivity table. Every degree the sweep is sure to reach is
-    checked against the guards first (_check_sweep), and a degree past
-    those when the sweep reaches it.
+    as the injectivity table. Every degree is checked against the guards
+    before the first is computed.
     """
     seeds = list(seeds)
-    forms = _check_sweep(n, p, seeds, field_tag)
+    forms, degrees = _check_sweep(n, p, seeds, field_tag)
     spec = IdealSpec(n=n, a=p)
     records = []
-    d = 1
-    while True:
-        if graded_dimension(spec, d, field_tag) == 0:
-            break
+    for d in degrees:
         rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)
         records.append(DegreeRecord(
             d=d, dim_below=dim_below, dim_at=dim_at, map_rank=rank,
             injective=rank == dim_below, surjective=rank == dim_at,
             maximal_rank=rank == min(dim_below, dim_at)))
-        d += 1
     return WlpReport(n=n, a=p, records=tuple(records),
                      overall_wlp=all(r.maximal_rank for r in records),
                      seeds_used=tuple(seeds))

@@ -88,6 +88,18 @@ def test_initial_mismatch_in_characteristic_three():
     }
 
 
+def test_small_prime_sweep_reports_the_degrees_of_q(capsys):
+    # the sweep runs degrees 1 to ceil((n + 2) / 2) - 1, where A vanishes
+    # over Q; modulo 3 degree 4 is nonzero but is not swept
+    degrees = {}
+    for field in ("rational", "prime:3"):
+        assert main(["wlp", "--n", "5", "--a", "2", "--seeds", "1,2",
+                     "--field", field]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        degrees[field] = [r["d"] for r in result["degrees"]]
+    assert degrees == {"rational": [1, 2, 3], "prime:3": [1, 2, 3]}
+
+
 def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
     real = quotient._reduce_spec
 

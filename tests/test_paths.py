@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from lefschetz_kit.errors import GuardRefusal
+from lefschetz_kit import quotient
+from lefschetz_kit.errors import GuardRefusal, InternalFault
 from lefschetz_kit.paths import (
     BoundaryConvention,
     PathCounts,
@@ -152,6 +153,23 @@ def test_conjecture_check_known_values():
         conjecture_check(6, 3, ())
 
 
-def test_conjecture_check_guard():
-    with pytest.raises(GuardRefusal):
+def test_conjecture_check_guard(monkeypatch):
+    # the span is refused from its shape before either form is built
+    def build(coeffs, k):
+        raise AssertionError("a form was built before the refusal")
+
+    monkeypatch.setattr(quotient, "_linear_powers", build)
+    with pytest.raises(GuardRefusal, match="the cells of the 182780 x 3838380 "
+                                           "span in degree 6 would number"):
         conjecture_check(40, 6, (1,))
+
+
+def test_conjecture_check_seeds_must_agree(monkeypatch):
+    # a dimension that changed with the seed would make the comparison
+    # depend on which seed was read, so it is a fault, not an answer
+    dims = iter([8, 9])
+    monkeypatch.setattr(quotient, "graded_dimension",
+                        lambda spec, d, field_tag: next(dims))
+    with pytest.raises(InternalFault,
+                       match=r"seeded dimensions disagree: \[\(8,\), \(9,\)\]"):
+        conjecture_check(6, 3, (1, 2))

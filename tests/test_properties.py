@@ -316,21 +316,24 @@ def test_product_rows_match_tuple_lookup(case):
 @PROPERTY
 @given(product_cases())
 def test_span_keeps_echelon_rows_over_q_only(case):
-    # modulo p a span returns no echelon rows, only the textbook pivots;
-    # over Q it returns the forward echelon of its integer rows, which the
-    # kernel and the witness reduce against
+    # modulo p a span returns no column index and no echelon rows, only the
+    # textbook pivots; over Q it returns the index of its basis and the
+    # forward echelon of its integer rows, which the kernel and the witness
+    # reduce against
     spec, d, _ = case
     basis = _capped_basis(spec, d)
     mults = _capped_basis(spec, d - spec.a)
     for tag in FIELDS + (prime_field(3),):
         p = tag.characteristic
         rows = _reference_product_rows(spec.extra_forms, mults, basis, p, True)
-        got_basis, _, echelon, piv = _reduce_spec(spec, d, tag)
+        got_basis, index, echelon, piv = _reduce_spec(spec, d, tag)
         assert got_basis == basis, tag
         assert piv == _gauss_jordan(rows, len(basis), p)[1], tag
         if p:
-            assert echelon is None, tag
+            assert index is None and echelon is None, tag
         else:
+            radix = _radix(spec)
+            assert index == {_key(e, radix): i for i, e in enumerate(basis)}
             ints = [[int(x) for x in r] for r in rows]
             forward, want = _eliminate(ints, len(basis), RATIONALS, reduce=False)
             assert (echelon, piv) == (forward[:len(want)], want)

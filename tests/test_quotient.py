@@ -9,7 +9,7 @@ import pytest
 
 from lefschetz_kit import quotient
 from lefschetz_kit.errors import GuardRefusal, InternalFault
-from lefschetz_kit.hilbert import complement_count
+from lefschetz_kit.hilbert import aci_hilbert, complement_count
 from lefschetz_kit.linalg import (
     DEFAULT_PRIME,
     FAST_PRIME,
@@ -143,6 +143,25 @@ def test_graded_dimension_matches_combinatorial_count():
         for d in range(0, 6):
             assert graded_dimension(IdealSpec(n=n, a=3), d) == \
                 complement_count(CUBES, n, d)
+
+
+def test_default_spec_dimensions_follow_the_closed_form():
+    # wlp_sweep runs degrees 1 to top - 1 because, over Q, A_d of the
+    # default spec is the clamped h(d) - h(d-a) of the pure powers, which
+    # is positive below top and zero from top on; a prime field never
+    # makes a piece smaller
+    grid = [(n, a) for n in range(1, 6) for a in range(2, 5)]
+    grid += [(n, a) for n in (6, 7) for a in (2, 3)]
+    for n, a in grid:
+        spec = IdealSpec(n=n, a=a)
+        top = -(-((a - 1) * n + a) // 2)
+        for d in range(top + 1):
+            q = graded_dimension(spec, d)
+            assert q == aci_hilbert(n, a, d), (n, a, d)
+            assert (q > 0) == (d < top), (n, a, d)
+            for p in (3, 5, 7):
+                assert graded_dimension(spec, d, prime_field(p)) >= q, \
+                    (n, a, d, p)
 
 
 def test_standard_monomials_complement_the_initial_ideal():
@@ -321,8 +340,8 @@ def test_consensus_matches_eager_evaluation(monkeypatch, n, a, d, seeds,
 
 
 def test_prime_span_cache_holds_no_matrix(monkeypatch):
-    # modulo p a cached span keeps its basis, index and pivots and frees
-    # its residue array, so what the injectivity table leaves allocated is
+    # modulo p a cached span keeps its basis and pivots and frees its
+    # residue array and index, so what the injectivity table leaves allocated is
     # less than the largest single span matrix it builds
     shapes = []
     from_triplets = quotient._from_triplets
