@@ -7,13 +7,17 @@ weighted form agrees with Q' times the squared variable sum outside the
 squares, so the product lands in the ideal, while Q itself stays out of it.
 Both facts are verified exactly, the second by two independent routes.
 
-Both checks run on Python ints in the square-free basis, where a monomial
-is keyed by its support bitmask. The congruence forms only the products
+Both checks run in the square-free basis, where a monomial is keyed by its
+support bitmask. Q and Q' are summed on Python ints, from the weights and
+the epsilon and psi tables scaled to integers, and each coefficient
+becomes one Fraction at the end. The congruence forms only the products
 that stay square-free, from Q, Q' and the weights scaled to integers.
-Nonmembership is decided twice, fraction-free: by a forward pass over the
-0/1 containment matrix of index sets with Q's scaled coefficients as one
-more column, and by reducing Q against the cached forward echelon of the
-ideal span with linalg._reduce_against.
+Nonmembership is decided twice. Route one is a rank certificate modulo
+FAST_PRIME over the 0/1 containment matrix of index sets, with Q's scaled
+coefficients as one more column, and falls back to a fraction-free pass
+over the same matrix only when the certificate does not fire. Route two
+reduces Q fraction-free against the cached forward echelon of the ideal
+span with linalg._reduce_against, so the two routes share no elimination.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .errors import GuardRefusal, InternalFault
-from .linalg import RATIONALS, _forward_int, _integer_row, _reduce_against
+from .linalg import (FAST_PRIME, RATIONALS, _forward_int, _forward_numpy,
+                     _integer_row, _reduce_against)
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _key, _radix, _reduce_spec,
-                       form_from_coefficients)
+from .quotient import (Form, IdealSpec, _guard_span, _key, _radix,
+                       _reduce_spec, form_from_coefficients)
 
 SUBSET_GUARD = 10**6
 
@@ -149,6 +156,15 @@ def _guard(n: int, d: int) -> None:
             f"C({n},{d - 1}) = {comb(n, d - 1)} exceeds the subset guard {SUBSET_GUARD}")
 
 
+def _guard_nonmembership(n: int, d: int) -> None:
+    """_guard, then the guard on the C(n,d-3) x C(n,d-1) ideal span in
+    degree d-1 that route two echelonizes. Route one's array is the
+    transpose of its containment matrix with one row more, so a query that
+    route two would refuse is refused before Q or either matrix is built."""
+    _guard(n, d)
+    _guard_span(n, 2, 1, d - 1)
+
+
 def _elementary(values, k: int) -> list:
     """Elementary symmetric sums e_0..e_k of values."""
     e = [1] + [0] * k
@@ -165,16 +181,15 @@ def _colex_combinations(n: int, k: int) -> list[tuple[int, ...]]:
 
 def _split_sums(a, index_sets, k: int, weights):
     """For each index set S, the sum over all size-k index sets J of the
-    weight product over J times weights[|S meet J|].
+    weight product over J times weights[|S meet J|], on integers.
 
-    Splitting J into its parts inside and outside S turns the sum into
+    a and weights are ints, as _integer_row scales them. Splitting J into
+    its parts inside and outside S turns the sum into
     sum_t weights[t] e_t(a_S) e_(k-t)(a outside S), so no J is enumerated.
     The sums outside S come from those of all weights, divided by
     (1 + a_i x) for each i in S as power series in x. Yields
-    (S, e(a_S), sum).
+    (S, e(a_S), sum), all ints.
     """
-    # integral weights as ints, so that only the final sums are Fractions
-    a = [v.numerator if v.denominator == 1 else v for v in a]
     e_all = _elementary(a, k)
     for S in index_sets:
         e_in = _elementary((a[i] for i in S), len(S))
@@ -192,16 +207,23 @@ def build_Q(params: WitnessParams) -> Form:
     The coefficient of the monomial on a size d-1 index set I is the weight
     product over I times the epsilon-weighted sum of weight products over
     all index sets of size n-2d+2.
+
+    With D_a and D_e the lcms of the denominators of the weights and of
+    the epsilon table, both scaled to ints by _integer_row, a coefficient
+    is summed on ints as D_e D_a^(n-d+1) times its value and becomes one
+    Fraction at the end.
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
-    eps = epsilon_table(d).values
+    k = n - 2 * d + 2
+    a, den_a = _integer_row(params.a_values)
+    eps, den = _integer_row(epsilon_table(d).values)
+    den *= den_a ** (k + d - 1)
     cmap = {}
-    for I, e_in, s in _split_sums(params.a_values, _colex_combinations(n, d - 1),
-                                  n - 2 * d + 2, eps):
+    for I, e_in, s in _split_sums(a, _colex_combinations(n, d - 1), k, eps):
         coeff = e_in[d - 1] * s
         if coeff:
-            cmap[Monomial.square_free(n, I)] = coeff
+            cmap[Monomial.square_free(n, I)] = Fraction(coeff, den)
     return form_from_coefficients(d - 1, cmap)
 
 
@@ -212,19 +234,22 @@ def build_Qprime(params: WitnessParams) -> Form:
     all size d-2 index sets L, of the weight product outside L, indexed by
     |K meet L|. The raw sums are scaled by 1/(d-1); with that normalization
     the products in verify_congruence agree exactly.
+
+    The 1/(d-1) is folded into the psi table before it is scaled to ints,
+    so, as in build_Q, each coefficient is summed on ints and becomes one
+    Fraction at the end.
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
-    psi = psi_table(d).values
-    scale = Fraction(1, d - 1)
+    k = n - d + 2
+    a, den_a = _integer_row(params.a_values)
     # the complement M of L has size n-d+2, and |K meet L| = d-2 - |K meet M|
-    weights = psi[::-1]
+    psi, den = _integer_row([Fraction(x, d - 1) for x in psi_table(d).values[::-1]])
+    den *= den_a ** k
     cmap = {}
-    for K, _, s in _split_sums(params.a_values, _colex_combinations(n, d - 2),
-                               n - d + 2, weights):
-        coeff = s * scale
-        if coeff:
-            cmap[Monomial.square_free(n, K)] = coeff
+    for K, _, s in _split_sums(a, _colex_combinations(n, d - 2), k, psi):
+        if s:
+            cmap[Monomial.square_free(n, K)] = Fraction(s, den)
     return form_from_coefficients(d - 2, cmap)
 
 
@@ -275,24 +300,42 @@ def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
 
 def _outside_containment_span(params: WitnessParams, q: Form) -> bool:
     """Route one: whether Q is outside the column span of the containment
-    matrix, rows the size d-1 index sets I, columns the size d-3 sets J,
+    matrix W, rows the size d-1 index sets I, columns the size d-3 sets J,
     and entry 1 where J lies inside I.
 
     Column J is the square-free part of x^J times the squared variable sum,
     halved, so the span is the degree d-1 piece of the ideal in the
     square-free basis. Q's coefficients, times their common denominator,
-    are appended as a last column, and Q lies outside exactly when that
-    column holds a pivot of the fraction-free forward pass. Index sets and
-    Q's monomials are keyed by their support bitmasks.
+    form one more column b, and Q lies outside exactly when [W | b] has
+    full column rank over Q. Index sets and Q's monomials are keyed by
+    their support bitmasks.
+
+    The certificate is a rank modulo FAST_PRIME: the transpose of [W | b]
+    is built as an int64 array of residues, straight from the bitmasks,
+    and eliminated by linalg._forward_numpy. A rank modulo p never exceeds
+    the rank over Q, so a pivot in every one of its rows certifies that Q
+    is outside. Only when the certificate does not fire, because Q is a
+    member or b is degenerate modulo p, are the integer rows of [W | b]
+    built and eliminated fraction-free by linalg._forward_int, and Q is
+    outside when b holds a pivot; that pass alone may answer inside.
     """
     n, d = params.n, params.d
     qcoeff = {_key(m.exponents, 2): c for m, c in q.terms}
     cols = [sum(1 << j for j in J) for J in _colex_combinations(n, d - 3)]
     keys = [sum(1 << i for i in I) for I in _colex_combinations(n, d - 1)]
     b, _ = _integer_row([qcoeff.get(k, 0) for k in keys])
+    ncols = len(cols)
+    M = np.empty((ncols + 1, len(keys)), dtype=np.int64)
+    masks = np.array(cols, dtype=np.int64)[:, None]
+    np.bitwise_and(masks, np.array(keys, dtype=np.int64), out=M[:ncols])
+    M[:ncols] = M[:ncols] == masks
+    M[ncols] = [x % FAST_PRIME for x in b]
+    if len(_forward_numpy(M, FAST_PRIME)) == ncols + 1:
+        return True
+    del M
     rows = [[1 if mj & k == mj else 0 for mj in cols] + [x]
             for k, x in zip(keys, b)]
-    return len(cols) in _forward_int(rows, len(cols) + 1)
+    return ncols in _forward_int(rows, ncols + 1)
 
 
 def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
@@ -312,12 +355,14 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     """Certify that Q is not in the degree d-1 piece of the ideal.
 
     Route one expresses membership as a containment-matrix column-space
-    question over the square-free index sets. Route two reduces Q against
-    the echelonized ideal span in the quotient and looks for a nonzero
-    residual. Both eliminate fraction-free on integers. The routes are
-    independent and must agree; a mismatch raises InternalFault.
+    question over the square-free index sets, and answers outside from a
+    full rank modulo FAST_PRIME; only when that certificate does not fire
+    does it eliminate fraction-free on integers. Route two reduces Q
+    fraction-free against the echelonized ideal span in the quotient and
+    looks for a nonzero residual. The routes are independent and must
+    agree; a mismatch raises InternalFault.
     """
-    _guard(params.n, params.d)
+    _guard_nonmembership(params.n, params.d)
     return _not_in_ideal(params, build_Q(params))
 
 
@@ -341,6 +386,7 @@ def random_witness_params(n: int, d: int, seed) -> WitnessParams:
 
 def witness_record(params: WitnessParams) -> dict:
     """JSON-ready record: exact coefficient strings plus both verdicts."""
+    _guard_nonmembership(params.n, params.d)
     q = build_Q(params)
     qp = build_Qprime(params)
     return {

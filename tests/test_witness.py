@@ -1,12 +1,16 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz_kit import witness
 from lefschetz_kit.errors import GuardRefusal
+from lefschetz_kit.linalg import FAST_PRIME, _forward_int, _integer_row
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
@@ -162,6 +166,14 @@ def test_guard_refusal_on_huge_subsets():
         build_Q(params)
     with pytest.raises(GuardRefusal):
         verify_nonmembership(params)
+    # C(18,6) subsets pass, but the 3060 x 18564 ideal span that
+    # nonmembership reduces against is refused before Q is built
+    params = random_witness_params(18, 7, 1)
+    with mock.patch.object(witness, "build_Q") as build:
+        for check in (verify_nonmembership, witness_record):
+            with pytest.raises(GuardRefusal, match="3060 x 18564"):
+                check(params)
+    assert not build.called
 
 
 def _brute_force_forms(params):
@@ -274,6 +286,46 @@ def _ideal_member(n, d, multipliers):
     return form_from_coefficients(d - 1, coeffs)
 
 
+def test_witness_record_at_degree_six():
+    record = witness_record(random_witness_params(13, 6, 1))
+    assert record["congruence_ok"] is True
+    assert record["nonmembership_ok"] is True
+
+
+def test_witness_record_at_degree_seven():
+    start = time.monotonic()
+    record = witness_record(random_witness_params(13, 7, 1))
+    elapsed = time.monotonic() - start
+    assert record["congruence_ok"] is True
+    assert record["nonmembership_ok"] is True
+    assert elapsed < 20, elapsed
+
+
+def _reference_outside(params, q):
+    """Route one without its certificate: whether the column of Q's scaled
+    coefficients holds a pivot of the fraction-free forward pass over the
+    integer rows of the containment matrix, built from index sets."""
+    n, d = params.n, params.d
+    coeffs = dict(q.terms)
+    row_sets = list(itertools.combinations(range(n), d - 1))
+    col_sets = [set(J) for J in itertools.combinations(range(n), d - 3)]
+    b, _ = _integer_row([coeffs.get(Monomial.square_free(n, I), 0)
+                         for I in row_sets])
+    rows = [[int(J <= set(I)) for J in col_sets] + [x]
+            for I, x in zip(row_sets, b)]
+    return len(col_sets) in _forward_int(rows, len(col_sets) + 1)
+
+
+def _route_one_checked(params, q):
+    """Route one's verdict on q, once the fraction-free reference and route
+    two have agreed with it, and whether it ran its fraction-free pass."""
+    with mock.patch.object(witness, "_forward_int", wraps=_forward_int) as spy:
+        verdict = _outside_containment_span(params, q)
+    assert _reference_outside(params, q) is verdict
+    assert _nonzero_in_quotient(params, q) is verdict
+    return verdict, spy.called
+
+
 @PROPERTY
 @given(witness_sizes(), st.data())
 def test_nonmembership_routes_agree_on_ideal_members(size, data):
@@ -283,20 +335,30 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
     multipliers = data.draw(st.lists(
         st.tuples(st.sampled_from(subsets), WEIGHTS), min_size=1, max_size=4))
     member = _ideal_member(n, d, multipliers)
-    assert not _outside_containment_span(params, member)
-    assert not _nonzero_in_quotient(params, member)
+    # a member is inside, and only the fraction-free pass may say so
+    assert _route_one_checked(params, member) == (False, True)
     # the ideal is symmetric and misses part of degree d-1, so it holds no
-    # monomial of that degree, and a member plus one is outside it
+    # monomial of that degree, and a member plus a multiple of one is
+    # outside it; plus p times one it is a member modulo p, so the rank
+    # certificate cannot fire and the fraction-free pass answers
     extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
-    coeffs = dict(member.terms)
     m = Monomial.square_free(n, extra)
-    coeffs[m] = coeffs.get(m, 0) + 1
-    outsider = form_from_coefficients(d - 1, coeffs)
-    assert _outside_containment_span(params, outsider)
-    assert _nonzero_in_quotient(params, outsider)
+    for shift in (1, FAST_PRIME):
+        coeffs = dict(member.terms)
+        coeffs[m] = coeffs.get(m, 0) + shift
+        verdict, fallback = _route_one_checked(
+            params, form_from_coefficients(d - 1, coeffs))
+        assert verdict is True
+    assert fallback
+    drawn = data.draw(witness_params())
+    _route_one_checked(drawn, build_Q(drawn))
 
 
-def test_witness_record_at_degree_six():
-    record = witness_record(random_witness_params(13, 6, 1))
-    assert record["congruence_ok"] is True
-    assert record["nonmembership_ok"] is True
+def test_genuine_witness_needs_no_fraction_free_pass():
+    params = random_witness_params(12, 5, 1)
+
+    def refuse(*args):
+        raise AssertionError("the fraction-free fallback ran")
+
+    with mock.patch.object(witness, "_forward_int", refuse):
+        assert _outside_containment_span(params, build_Q(params)) is True
