@@ -23,15 +23,18 @@ takes rows modulo the span of a forward echelon fraction-free, by the same
 cross-multiplied update, and returns each remainder as a primitive integer
 row together with its scale against the Fraction remainder.
 
-The array kernels delay reduction modulo p. Entries start as residues in
-[0, p), each step works with a reduced pivot row and multiplier column,
-and so adds or subtracts at most one product of residues, below p^2, to
-any other entry. After k steps an entry is at most p + k p^2 in absolute
-value, which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the
-kernels reduce the entries still in play once every that many steps.
-The bound depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo
-2^31 - 1. Python ints cannot overflow, so arrays modulo p >= 2^31 are
-never reduced in between, and their entries stay below p + k p^2.
+The array kernels clear a column from the rows below or above its pivot
+in row blocks of at most _BLOCK_CELLS cells, so the temporaries of a
+step stay that small however many rows are still in play. They also
+delay reduction modulo p. Entries start as residues in [0, p), each step
+works with a reduced pivot row and multiplier column, and so adds or
+subtracts at most one product of residues, below p^2, to any other
+entry. After k steps an entry is at most p + k p^2 in absolute value,
+which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the kernels
+reduce the entries still in play once every that many steps. The bound
+depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo 2^31 - 1.
+Python ints cannot overflow, so arrays modulo p >= 2^31 are never
+reduced in between, and their entries stay below p + k p^2.
 """
 
 from __future__ import annotations
@@ -258,6 +261,23 @@ def _reduction_budget(p: int) -> int:
     return (2**63 - 1 - p) // (p * p)
 
 
+# the most cells of one row block that an elimination step updates at a
+# time; a step's temporaries, the gathered block and the products taken
+# from it, are each at most this size
+_BLOCK_CELLS = 1 << 14
+
+
+def _clear_column(M: np.ndarray, idx: np.ndarray, c: int,
+                  row: np.ndarray) -> None:
+    """Subtract from each row idx of M, from column c on, its entry in
+    column c times row, unreduced, in blocks of at most _BLOCK_CELLS
+    cells. The rows idx exclude the row that row views."""
+    step = max(1, _BLOCK_CELLS // row.size)
+    for s in range(0, idx.size, step):
+        block = idx[s:s + step]
+        M[block, c:] -= np.outer(M[block, c], row)
+
+
 def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
     """Forward elimination in place on an array of residues modulo p, of
     the dtype _dtype(p); returns the pivot columns and leaves the array
@@ -295,7 +315,7 @@ def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
         # place r was zero there
         idx = r + nz[1:]
         if idx.size:
-            M[idx, c:] -= np.outer(M[idx, c], row)
+            _clear_column(M, idx, c, row)
             pending += 1
             if budget and pending == budget:
                 M[r + 1:, c + 1:] %= p
@@ -323,7 +343,7 @@ def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
         M[i, c:] %= p
         idx = np.flatnonzero(M[:i, c])
         if idx.size:
-            M[idx, c:] -= np.outer(M[idx, c], M[i, c:])
+            _clear_column(M, idx, c, M[i, c:])
             pending += 1
             if budget and pending == budget:
                 M[:i, c:] %= p

@@ -19,6 +19,16 @@ Each span of A/ell A is read once, skips the cache and is freed before
 the next span is built, so modulo p at most one span matrix is alive at a
 time.
 
+The default spec, the pure powers plus (x_1 + ... + x_n)^a, needs no span
+of A where a theorem fixes its dimensions (_closed_dimension): over Q for
+every a, by Stanley's strong Lefschetz property of the pure powers, and
+for a = 2 in every characteristic, by Wilson's rank of the inclusion
+matrix of (d-2)-subsets against d-subsets. Its map ranks then read the one
+span of A/ell A. Over Q that span is eliminated modulo FAST_PRIME first:
+its dimension there bounds the one over Q from above, so a maximal rank
+left modulo p is the rank over Q, and the span is eliminated over Q only
+when the bound falls short.
+
 Spans are built from integers. A power of a linear form comes from the
 multinomial theorem on its coefficients scaled to integers
 (_linear_powers), with one Fraction made per term at the end. The default
@@ -35,16 +45,17 @@ products as (row, column, value) triplets, and `linalg._from_triplets`
 turns them into integer lists over Q and a residue array modulo p.
 
 A query reads the shape of each matrix it will build, a span or the lift
-of multiplication_kernel, from n, a, the form count and d alone, and
-refuses one of more than CELL_GUARD cells with GuardRefusal before it
-builds any spec, form or span. The same bound caps the term count of a
-power of a linear form and the monomials of an initial piece. Queries
-that compute every degree or every n, random_powers_dimensions,
-injectivity_threshold_check and wlp_sweep, check all their shapes first;
-a sweep takes its degrees from the closed form of dim A_d over Q
-(_check_sweep). The guard bounds cells, not time or bytes: a residue
-array takes 8 bytes per cell modulo p < 2^31, 400 MB at CELL_GUARD, and
-from 2^31 up a pointer per cell plus a Python int per nonzero entry.
+of multiplication_kernel, from n, a, the form count, d and whether the
+closed form holds alone, and refuses one of more than CELL_GUARD cells
+with GuardRefusal before it builds any spec, form or span. The same
+bound caps the term count of a power of a linear form and the monomials
+of an initial piece. Queries that compute every degree or every n,
+random_powers_dimensions, injectivity_threshold_check and wlp_sweep,
+check all their shapes first; a sweep takes its degrees from the closed
+form of dim A_d over Q (_check_sweep). The guard bounds cells, not time
+or bytes: a residue array takes 8 bytes per cell modulo p < 2^31, 400 MB
+at CELL_GUARD, and from 2^31 up a pointer per cell plus a Python int per
+nonzero entry.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .hilbert import power_ci_hilbert
+from .hilbert import aci_hilbert, power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
                      _eliminate, _from_triplets, _integer_row, _pivots,
                      _reduce_against, _residue, kernel_basis, prime_field)
@@ -454,9 +465,13 @@ def _initial_exponents(spec: IdealSpec, d: int, field_tag: FieldTag):
 
 def graded_dimension(spec: IdealSpec, d: int,
                      field_tag: FieldTag = RATIONALS) -> int:
-    """Dimension of degree d of the quotient by the ideal."""
+    """Dimension of degree d of the quotient by the ideal: the closed form
+    where one holds (_closed_dimension), and otherwise what the span
+    echelon leaves."""
     if d < 0:
         raise ValueError("degree must be non-negative")
+    if _has_closed_form(spec, field_tag.characteristic):
+        return _closed_dimension(spec.n, spec.a, d, field_tag.characteristic)
     return _dimension(_reduce_spec(spec, d, field_tag))
 
 
@@ -465,6 +480,58 @@ def _dimension(span) -> int:
     its rank."""
     basis, _, _, piv = span
     return len(basis) - len(piv)
+
+
+def _closed_form(a: int, p: int) -> bool:
+    """Whether the dimensions of the default spec of exponent a have a
+    closed form in characteristic p (_closed_dimension): over Q for every
+    a >= 2, and in every characteristic for a = 2."""
+    return a == 2 or (a > 2 and not p)
+
+
+def _has_closed_form(spec: IdealSpec, p: int) -> bool:
+    """Whether graded_dimension of spec in characteristic p reads the
+    closed form rather than a span: spec is the default one, whose one
+    extra form is (x_1 + ... + x_n)^a, and _closed_form(a, p) holds. The
+    term count is compared first, so no power is built for other forms."""
+    forms, n, a = spec.extra_forms, spec.n, spec.a
+    return (_closed_form(a, p) and len(forms) == 1
+            and len(forms[0].terms) == comb(n + a - 1, a)
+            and forms[0] == _default_form(n, a))
+
+
+def _closed_dimension(n: int, a: int, d: int, p: int) -> int:
+    """dim A_d of the default spec of n variables and exponent a in
+    characteristic p, where _closed_form(a, p) holds.
+
+    Over Q the pure powers have the strong Lefschetz property (Stanley),
+    so multiplication by (x_1 + ... + x_n)^a has maximal rank on their
+    quotient and dim A_d = aci_hilbert(n, a, d). For a = 2, a product of
+    (x_1 + ... + x_n)^2 with a square-free monomial of degree d-2 is, in
+    the square-free basis, twice the row of its support in the inclusion
+    matrix W_{d-2,d}(n). The span is zero modulo 2, and otherwise has the
+    rank of that matrix (_inclusion_rank).
+    """
+    if not p:
+        return aci_hilbert(n, a, d)
+    return comb(n, d) - (_inclusion_rank(n, d - 2, d, p) if p != 2 else 0)
+
+
+def _inclusion_rank(n: int, t: int, k: int, p: int) -> int:
+    """Rank modulo the prime p of the inclusion matrix W_{t,k}(n), whose
+    rows are the t-subsets of n points, its columns the k-subsets, and
+    whose entry is 1 where the row's set lies in the column's.
+
+    For t <= min(k, n-k) it is the sum of C(n,i) - C(n,i-1) over the
+    i <= t with p not dividing C(k-i, t-i) (R. M. Wilson, Eur. J.
+    Combin. 11, 1990). For t > n-k, complementing every set turns the
+    matrix into the transpose of W_{n-k,n-t}(n), for which that holds. A
+    negative t leaves no row.
+    """
+    if t > n - k:
+        t, k = n - k, n - t
+    return sum(comb(n, i) - (comb(n, i - 1) if i else 0)
+               for i in range(t + 1) if comb(k - i, t - i) % p)
 
 
 def random_powers_dimensions(n: int, a: int, seeds, degrees,
@@ -594,19 +661,33 @@ def _pivot_variable(ell: Form, p: int) -> int | None:
 
 
 def _guard_map(n: int, a: int, nforms: int, d: int, ell: Form,
-               field_tag: FieldTag) -> None:
+               field_tag: FieldTag, closed: bool) -> None:
     """Validate multiplication by ell into degree d of the quotient A of n
     variables by their a-th powers and nforms extra forms, and refuse it
     when a span its rank reads would be too large, from the shapes alone:
-    those of A in degrees d and d-1 and, unless ell vanishes in the field
-    or n = 1, that of A/ell A in degree d, whose spec (_cokernel_spec) has
-    n-1 variables and one more form.
+    unless closed says that the dimensions of A follow from the closed form
+    (_has_closed_form), those of A in degrees d and d-1, and, unless ell
+    vanishes in the field or n = 1, that of A/ell A in degree d, whose spec
+    (_cokernel_spec) has n-1 variables and one more form, in the order
+    multiplication_map_rank builds them.
     """
     _check_map(n, d, ell)
-    _guard_span(n, a, nforms, d)
+    if not closed:
+        _guard_span(n, a, nforms, d)
     if n > 1 and _pivot_variable(ell, field_tag.characteristic) is not None:
         _guard_span(n - 1, a, nforms + 1, d)
-    _guard_span(n, a, nforms, d - 1)
+    if not closed:
+        _guard_span(n, a, nforms, d - 1)
+
+
+def _cokernel_dimension(spec: IdealSpec, d: int, ell: Form,
+                        field_tag: FieldTag) -> int | None:
+    """dim (A/ell A)_d in the field, or None when ell vanishes there. The
+    span is read once and freed when its dimension is known."""
+    cok = _cokernel_spec(spec, ell, field_tag)
+    if cok == spec:  # ell vanishes in the field (an equal spec if cached)
+        return None
+    return _dimension(_span_echelon(cok, d, field_tag))
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
@@ -618,17 +699,43 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
     and the matrix of the map is never built. Only the dimension of the
     cokernel span is kept, so its matrix is freed before the span of
-    A_{d-1} is built.
+    A_{d-1} is built; the dimensions of a spec with a closed form
+    (_has_closed_form) read no span at all.
+
+    Over Q such a spec first reads its cokernel span modulo FAST_PRIME. A
+    rank modulo p never exceeds the rank over Q, so dim (A/ell A)_d modulo
+    p is at least its dimension over Q, and B = dim A_d less it is a lower
+    bound on the rank over Q. When B is the maximal rank min(dim A_{d-1},
+    dim A_d), it is the rank. Only when B falls short, or ell does not
+    reduce modulo FAST_PRIME, is the cokernel span eliminated over Q.
     """
-    _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode)
+    closed = _has_closed_form(spec, mode.characteristic)
+    _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode, closed)
     dim_at = graded_dimension(spec, d, mode)
-    cok = _cokernel_spec(spec, ell, mode)
-    if cok == spec:  # ell vanishes in the field (an equal spec if cached)
-        rank = 0
-    else:
-        rank = dim_at - _dimension(_span_echelon(cok, d, mode))
+    rank = None
+    if closed and mode.is_rational:
+        rank = _certified_rank(spec, d, ell, dim_at)
+    if rank is None:
+        cok = _cokernel_dimension(spec, d, ell, mode)
+        rank = 0 if cok is None else dim_at - cok
     return {"rank": rank,
             "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
+
+
+def _certified_rank(spec: IdealSpec, d: int, ell: Form,
+                    dim_at: int) -> int | None:
+    """The rank over Q of multiplication by ell into degree d of a spec
+    with a closed form, when its cokernel span modulo FAST_PRIME leaves the
+    maximal rank, and None otherwise or when ell does not reduce modulo
+    FAST_PRIME."""
+    if any(c.denominator % FAST_PRIME == 0 for _, c in ell.terms):
+        return None
+    cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
+    if cok is None:
+        return None
+    bound = dim_at - cok
+    full = min(dim_at, graded_dimension(spec, d - 1))
+    return bound if bound == full else None
 
 
 def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
@@ -814,9 +921,10 @@ def _checked_forms(n: int, a: int, seeds, degrees,
     span."""
     forms = [random_linear_form(n, s) for s in seeds]
     _guard_power(n, a)
+    closed = _closed_form(a, field_tag.characteristic)
     for d in degrees:
         for ell in forms:
-            _guard_map(n, a, 1, d, ell, field_tag)
+            _guard_map(n, a, 1, d, ell, field_tag, closed)
     return forms
 
 

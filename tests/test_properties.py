@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lefschetz_kit import quotient
+from lefschetz_kit import linalg, quotient
 from lefschetz_kit.linalg import (
     DEFAULT_PRIME,
     FAST_PRIME,
@@ -67,6 +67,7 @@ from lefschetz_kit.quotient import (
     multiplication_kernel,
     multiply_forms,
     multiplication_map_rank,
+    random_linear_form,
     standard_monomials,
     wlp_sweep,
 )
@@ -216,9 +217,23 @@ def test_reduce_against_is_a_multiple_of_the_fraction_remainder(case, data):
     assert len(rems) == len(rows)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 1073741789, FAST_PRIME,
-                               2147483659, DEFAULT_PRIME])
+NUMPY_PRIMES = [2**31 - 1, 1073741789, FAST_PRIME, 2147483659, DEFAULT_PRIME]
+
+
+@pytest.mark.parametrize("p", NUMPY_PRIMES)
 def test_numpy_kernels_match_gauss_jordan(p):
+    _check_numpy_kernels(p)
+
+
+@pytest.mark.parametrize("p", NUMPY_PRIMES)
+def test_numpy_kernels_match_gauss_jordan_in_small_row_blocks(monkeypatch, p):
+    # blocks of 40 cells hold one or two rows of these arrays, so every
+    # step that clears more than two rows runs several blocks
+    monkeypatch.setattr(linalg, "_BLOCK_CELLS", 40)
+    _check_numpy_kernels(p)
+
+
+def _check_numpy_kernels(p):
     # on int64 arrays the kernels reduce modulo p only once every
     # (2^63-1-p) // p^2 updates: 2 at 2^31-1 and 8 at 1073741789, fewer
     # than the pivots here, so the periodic reduction runs. Entries near p
@@ -401,6 +416,72 @@ def test_map_rank_edge_forms_match_oracle(n, a, coeffs, tag):
     for d in range(1, (a - 1) * n + 2):
         assert (multiplication_map_rank(spec, d, ell, mode=tag)["rank"]
                 == _oracle_rank(spec, d, ell, tag)), d
+
+
+def _oracle_dimension(spec, d, field_tag):
+    """dim A_d as the monomials of degree d less the rank of the ideal's
+    full-basis matrix."""
+    ideal = ideal_degree_basis(spec, d)
+    M = RationalMatrix.from_rows(ideal.entries, cols=ideal.cols,
+                                 field_tag=field_tag)
+    return ideal.cols - matrix_rank(M)
+
+
+# characteristic 2, where the span of the squares spec vanishes, and 7
+DEFAULT_MAP_FIELDS = MAP_FIELDS + (prime_field(2), prime_field(7))
+
+
+@pytest.mark.parametrize("n, a, d, seeds", [
+    (1, 2, 1, [1]),
+    (3, 2, 2, [1, 2]),
+    (5, 2, 3, [1, 2]),
+    (6, 2, 3, [1, 2]),   # deficient over Q: rank 13 of 14
+    (7, 2, 3, [1, 2]),
+    (8, 2, 4, [1]),      # deficient over Q: rank 41 of 42
+    (4, 3, 4, [1, 2]),   # deficient over Q: rank 14 of 15
+    (5, 3, 4, [1, 2]),
+    (3, 4, 4, [1]),
+])
+def test_default_spec_map_rank_matches_full_basis_oracle(n, a, d, seeds):
+    # the dimensions of A come from the closed form over Q and, for a = 2,
+    # in every field; over Q the rank comes from the cokernel span modulo
+    # FAST_PRIME where that leaves the maximal rank, and from the span over
+    # Q where it falls short
+    spec = IdealSpec(n=n, a=a)
+    for s in seeds:
+        ell = random_linear_form(n, s)
+        for tag in DEFAULT_MAP_FIELDS:
+            assert multiplication_map_rank(spec, d, ell, mode=tag) == {
+                "rank": _oracle_rank(spec, d, ell, tag),
+                "dim_below": _oracle_dimension(spec, d - 1, tag),
+                "dim_at": _oracle_dimension(spec, d, tag)}, (s, tag)
+
+
+@pytest.mark.parametrize("n, a, d, full", [
+    (7, 2, 3, True), (5, 3, 4, True), (3, 4, 4, True),
+    (6, 2, 3, False), (4, 3, 4, False),
+])
+@pytest.mark.parametrize("unlucky", [False, True])
+def test_rational_rank_reads_the_q_span_only_when_the_bound_falls_short(
+        monkeypatch, n, a, d, full, unlucky):
+    # the cokernel span modulo FAST_PRIME certifies a maximal rank over Q
+    # alone; one that reports a dimension too many, as an unlucky prime
+    # would, leaves the bound short, and the span over Q gives the rank
+    spans = []
+    cokernel_dimension = quotient._cokernel_dimension
+    fast = prime_field(FAST_PRIME)
+
+    def read(spec, d, ell, field_tag):
+        spans.append(field_tag)
+        dim = cokernel_dimension(spec, d, ell, field_tag)
+        return dim + 1 if unlucky and field_tag == fast else dim
+
+    monkeypatch.setattr(quotient, "_cokernel_dimension", read)
+    spec, ell = IdealSpec(n=n, a=a), random_linear_form(n, 1)
+    got = multiplication_map_rank(spec, d, ell)
+    assert got["rank"] == _oracle_rank(spec, d, ell, RATIONALS)
+    assert (got["rank"] == min(got["dim_below"], got["dim_at"])) == full
+    assert spans == ([fast] if full and not unlucky else [fast, RATIONALS])
 
 
 @PROPERTY
@@ -626,22 +707,47 @@ def map_shape_cases(draw):
 @given(map_shape_cases())
 def test_map_guard_checks_the_shapes_the_rank_builds(case):
     # the spans of A in degree d, of A/ell A in degree d and of A in degree
-    # d-1, in that order; a built span drops its zero rows
+    # d-1, in that order, where the dimensions of A have no closed form;
+    # over Q a default spec builds A/ell A modulo FAST_PRIME first, and
+    # over Q as well when that leaves no maximal rank; a built span drops
+    # its zero rows
     spec, d, ell, tag = case
-    checked, built = [], []
+    closed = quotient._has_closed_form(spec, tag.characteristic)
+    checked, built, cokernel = [], [], []
     with mock.patch.object(quotient, "_guard_cells",
                            lambda what, rows, cols: checked.append((rows, cols))):
-        quotient._guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, tag)
+        quotient._guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, tag,
+                            closed)
 
     def record(triplets, nrows, ncols, field_tag):
-        built.append((nrows, ncols))
+        built.append((nrows, ncols, field_tag, bool(cokernel)))
         return _from_triplets(triplets, nrows, ncols, field_tag)
 
+    # the cached spans of A keep their own reference to _span_echelon, so
+    # only the spans of A/ell A pass through this one
+    span = quotient._span_echelon
+
+    def cokernel_span(*args):
+        cokernel.append(True)
+        try:
+            return span(*args)
+        finally:
+            cokernel.pop()
+
     _reduce_spec.cache_clear()
-    with mock.patch.object(quotient, "_from_triplets", record):
+    with mock.patch.object(quotient, "_from_triplets", record), \
+            mock.patch.object(quotient, "_span_echelon", cokernel_span):
         multiplication_map_rank(spec, d, ell, mode=tag)
-    if spec.n == 1 and len(built) == 3:
+    assert [is_cok for *_, is_cok in built] == (
+        [True] * len(built) if closed
+        else [False] + [True] * (len(built) - 2) + [False])
+    if spec.n == 1:
         # A/ell A is k[x_1]/(x_1), with no monomial in degree d >= 1
-        assert built.pop(1) == (0, 0)
-    assert [cols for _, cols in built] == [cols for _, cols in checked]
-    assert all(rows <= bound for (rows, _), (bound, _) in zip(built, checked))
+        assert all(b[:2] == (0, 0) for b in built if b[3])
+        built = [b for b in built if not b[3]]
+    if closed and tag.is_rational and len(built) == 2:
+        assert [b[2] for b in built] == [prime_field(FAST_PRIME), RATIONALS]
+        assert built[0][1] == built[1][1]
+        built.pop(0)
+    assert [cols for _, cols, *_ in built] == [cols for _, cols in checked]
+    assert all(rows <= bound for (rows, *_), (bound, _) in zip(built, checked))

@@ -29,6 +29,8 @@ from lefschetz_kit.monomials import (
 from lefschetz_kit.quotient import (
     DegreeRecord,
     _consensus_rank,
+    _dimension,
+    _span_echelon,
     IdealSpec,
     Form,
     form_from_coefficients,
@@ -149,19 +151,37 @@ def test_default_spec_dimensions_follow_the_closed_form():
     # wlp_sweep runs degrees 1 to top - 1 because, over Q, A_d of the
     # default spec is the clamped h(d) - h(d-a) of the pure powers, which
     # is positive below top and zero from top on; a prime field never
-    # makes a piece smaller
+    # makes a piece smaller. The spans are read directly, since
+    # graded_dimension returns the closed form itself
     grid = [(n, a) for n in range(1, 6) for a in range(2, 5)]
     grid += [(n, a) for n in (6, 7) for a in (2, 3)]
     for n, a in grid:
         spec = IdealSpec(n=n, a=a)
         top = -(-((a - 1) * n + a) // 2)
         for d in range(top + 1):
-            q = graded_dimension(spec, d)
-            assert q == aci_hilbert(n, a, d), (n, a, d)
+            q = _dimension(_span_echelon(spec, d, RATIONALS))
+            assert q == aci_hilbert(n, a, d) == graded_dimension(spec, d), \
+                (n, a, d)
             assert (q > 0) == (d < top), (n, a, d)
             for p in (3, 5, 7):
-                assert graded_dimension(spec, d, prime_field(p)) >= q, \
-                    (n, a, d, p)
+                span = _span_echelon(spec, d, prime_field(p))
+                assert _dimension(span) >= q, (n, a, d, p)
+
+
+def test_squares_dimensions_modulo_p_follow_wilsons_rank():
+    # in the square-free basis the span of the default squares spec in
+    # degree d is twice the inclusion matrix W_{d-2,d}(n), so it is zero
+    # modulo 2 and otherwise has the p-rank that Wilson's formula gives;
+    # p = 2, 3, 5, 7 and 11 make the divisibility filter drop terms, and
+    # 2d - 2 > n needs the complemented matrix
+    for n in range(1, 11):
+        spec = IdealSpec(n=n, a=2)
+        for p in (2, 3, 5, 7, 11, 13, FAST_PRIME, DEFAULT_PRIME):
+            tag = prime_field(p)
+            assert quotient._has_closed_form(spec, p)
+            for d in range(n + 2):
+                assert (graded_dimension(spec, d, tag)
+                        == _dimension(_span_echelon(spec, d, tag))), (n, d, p)
 
 
 def test_standard_monomials_complement_the_initial_ideal():
@@ -210,7 +230,10 @@ def test_multiplication_kernel_products_lie_in_the_ideal():
 
 def test_oversized_lift_refuses_the_kernel_but_not_the_rank(monkeypatch):
     # only the kernel builds the lift of degree 2 into degree 3, 21 x 35 =
-    # 735 cells; the spans the rank reads have at most 7 x 35 = 245 cells
+    # 735 cells; the rank reads the dimensions of A from the closed form
+    # and only the 12 x 20 = 240 cells of the span of A/ell A, which the
+    # map guard checks and which is built modulo FAST_PRIME, where it
+    # certifies the maximal rank
     spec, ell = IdealSpec(n=7, a=2), random_linear_form(7, 1)
     want = multiplication_map_rank(spec, 3, ell)
     shapes = []
@@ -224,10 +247,7 @@ def test_oversized_lift_refuses_the_kernel_but_not_the_rank(monkeypatch):
     monkeypatch.setattr(quotient, "CELL_GUARD", 500)
     quotient._reduce_spec.cache_clear()
     assert multiplication_map_rank(spec, 3, ell) == want
-    assert shapes[:3] == [("span in degree 3", 7, 35),
-                          ("span in degree 3", 12, 20),
-                          ("span in degree 2", 1, 21)]
-    assert max(rows * cols for _, rows, cols in shapes) == 245
+    assert shapes == [("span in degree 3", 12, 20)] * 2
     with pytest.raises(GuardRefusal,
                        match="cells of the 21 x 35 lift into degree 3 would "
                              "number 735, above the guard of 500"):
