@@ -8,20 +8,23 @@ integer matrices the rank modulo p never exceeds the rational rank, so a
 full-rank verdict modulo p is already exact. Callers who see a
 prime-field rank deficit and need certainty must recompute rationally.
 
-The field alone picks the representation: integer lists over Q, and an
-ndarray of residues modulo p, of int64 below 2^31 and of Python ints
-(dtype=object) from 2^31 up (_dtype). `_from_triplets` builds a matrix in
-that representation from (row, column, value) triplets, so callers such
-as the quotient module hand over triplets and never see numpy, and
+The field alone picks the representation (_dtype): integer lists over Q,
+and an ndarray of residues modulo p, of int64 below 2^31, of uint64
+modulo DEFAULT_PRIME = 2^61 - 1, and of Python ints (dtype=object) for
+the other primes from 2^31 up. `_from_triplets` builds a matrix in that
+representation from (row, column, value) triplets, so callers such as
+the quotient module hand over triplets and never see numpy, and
 `_eliminate` eliminates it in place. There are two forward-elimination
 loops, one per representation: `_forward_int` on integer lists and
-`_forward_numpy` on residue arrays of either dtype. A rank or a set of
-pivot columns reads the forward pass alone; a reduced row echelon form is
-the forward pass plus a back-substitution over the pivot rows, and runs
-only where reduced rows are read. `_reduce_against` works over Q only: it
-takes rows modulo the span of a forward echelon fraction-free, by the same
-cross-multiplied update, and returns each remainder as a primitive integer
-row together with its scale against the Fraction remainder.
+`_forward_numpy` on residue arrays of every dtype, which differ only in
+how a step scales the pivot row (_unit_pivot) and clears a column
+(_clear_column). A rank or a set of pivot columns reads the forward pass
+alone; a reduced row echelon form is the forward pass plus a
+back-substitution over the pivot rows, and runs only where reduced rows
+are read. `_reduce_against` works over Q only: it takes rows modulo the
+span of a forward echelon fraction-free, by the same cross-multiplied
+update, and returns each remainder as a primitive integer row together
+with its scale against the Fraction remainder.
 
 The array kernels clear a column from the rows below or above its pivot
 in row blocks of at most _BLOCK_CELLS cells, so the temporaries of a
@@ -33,8 +36,11 @@ entry. After k steps an entry is at most p + k p^2 in absolute value,
 which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the kernels
 reduce the entries still in play once every that many steps. The bound
 depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo 2^31 - 1.
-Python ints cannot overflow, so arrays modulo p >= 2^31 are never
-reduced in between, and their entries stay below p + k p^2.
+Python ints cannot overflow, so object arrays are never reduced in
+between, and their entries stay below p + k p^2. A product of residues
+modulo 2^61 - 1 does not fit in 64 bits, so a uint64 step forms it from
+limbs and reduces every entry it updates at once (_mul_mersenne); those
+arrays are reduced throughout and need no delayed reduction.
 """
 
 from __future__ import annotations
@@ -246,19 +252,78 @@ def _forward_int(rows: list[list[int]], ncols: int) -> list[int]:
 
 
 def _dtype(p: int):
-    """The dtype of residue arrays modulo p: int64 below 2^31, where a
-    product of residues fits with room for the delayed reduction, and
-    Python ints above."""
+    """The dtype of residue arrays modulo p: uint64 modulo DEFAULT_PRIME,
+    whose products _mul_mersenne forms exactly from limbs; int64 below
+    2^31, where a product of residues fits with room for the delayed
+    reduction; and Python ints for the other primes."""
+    if p == DEFAULT_PRIME:
+        return np.uint64
     return np.int64 if p < 2**31 else object
 
 
 def _reduction_budget(p: int) -> int:
     """How many products of residues modulo p an entry in [0, p) can take,
     added or subtracted, before it could overflow, or 0 for no limit: the
-    Python ints of an object array never overflow."""
-    if _dtype(p) is object:
+    Python ints of an object array never overflow, and every step leaves
+    the entries of a uint64 array reduced."""
+    if _dtype(p) is not np.int64:
         return 0
     return (2**63 - 1 - p) // (p * p)
+
+
+def _reduce(v: np.ndarray, p: int) -> None:
+    """Reduce the entries of v modulo p in place; those of a uint64 array
+    are reduced already."""
+    if v.dtype != np.uint64:
+        v %= p
+
+
+_P61 = np.uint64(DEFAULT_PRIME)
+_LOW31 = np.uint64(2**31 - 1)
+_LOW30 = np.uint64(2**30 - 1)
+
+
+def _mul_mersenne(x, y, out: np.ndarray) -> None:
+    """Add x y to out modulo P = 2^61 - 1 in place, leaving out reduced.
+
+    x, y and out hold uint64 residues in [0, P], and x and y broadcast to
+    the shape of out. Each factor splits into a low limb of 31 bits and a
+    high one of 30, so x y is xl yl + m 2^31 + xh yh 2^62 with m = xl yh +
+    xh yl, and every product is below 2^62. As 2^61 = 1 modulo P, 2^62 is
+    2 and m 2^31 is (m >> 30) + (m mod 2^30) 2^31, so out becomes a sum
+    below 2^61 + 2^62 + 2^61 + 2^32 + 2^61 < 2^64. Folding its bits from
+    61 up onto the rest leaves it below P + 5, and one conditional
+    subtraction of P, np.minimum(v, v - P), where v - P wraps round for
+    v < P, reduces it.
+    """
+    xl, xh = x & _LOW31, x >> 31
+    yl, yh = y & _LOW31, y >> 31
+    m = xl * yh
+    m += xh * yl
+    out += xl * yl
+    out += (xh * yh) << 1
+    out += m >> 30
+    m &= _LOW30
+    m <<= 31
+    out += m
+    high = out >> 61
+    out &= _P61
+    out += high
+    np.minimum(out, out - _P61, out=out)
+
+
+def _unit_pivot(row: np.ndarray, p: int) -> None:
+    """Scale the pivot row in place so that its first entry, nonzero
+    modulo p, is 1, leaving every entry reduced."""
+    if row.dtype == np.uint64:
+        entries = row.copy()
+        row[...] = 0
+        inverse = np.array([pow(int(entries[0]), -1, p)], dtype=np.uint64)
+        _mul_mersenne(inverse, entries, row)
+        return
+    row %= p
+    row *= pow(int(row[0]), -1, p)
+    row %= p
 
 
 # the most cells of one row block that an elimination step updates at a
@@ -270,12 +335,23 @@ _BLOCK_CELLS = 1 << 14
 def _clear_column(M: np.ndarray, idx: np.ndarray, c: int,
                   row: np.ndarray) -> None:
     """Subtract from each row idx of M, from column c on, its entry in
-    column c times row, unreduced, in blocks of at most _BLOCK_CELLS
-    cells. The rows idx exclude the row that row views."""
+    column c times row, whose first entry is 1, in blocks of at most
+    _BLOCK_CELLS cells; this clears column c in those rows. The rows idx
+    exclude the row that row views.
+
+    The products stay unreduced, except on a uint64 array, where each
+    block is reduced by _mul_mersenne as it adds P minus each entry in
+    column c times row.
+    """
     step = max(1, _BLOCK_CELLS // row.size)
     for s in range(0, idx.size, step):
         block = idx[s:s + step]
-        M[block, c:] -= np.outer(M[block, c], row)
+        if M.dtype == np.uint64:
+            rows = M[block, c:]
+            _mul_mersenne(_P61 - rows[:, :1], row, rows)
+            M[block, c:] = rows
+        else:
+            M[block, c:] -= M[block, c, None] * row
 
 
 def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
@@ -290,7 +366,9 @@ def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
     and the trailing block is reduced once every _reduction_budget(p)
     steps, or never when that is 0. A step clears its column exactly and a
     column without a pivot is reduced to zeros, so the result is reduced
-    throughout.
+    throughout. Every step leaves the entries of a uint64 array reduced
+    (_clear_column, _unit_pivot), so there the reductions are skipped
+    (_reduce).
     """
     nrows, ncols = M.shape
     budget = _reduction_budget(p)
@@ -300,22 +378,20 @@ def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
         if r == nrows:
             break
         col = M[r:, c]
-        col %= p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
+        _reduce(col, p)
+        nz = col.nonzero()[0]
+        if not nz.size:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr], c:] = M[[pr, r], c:]
+        if nz[0]:
+            # the row at r is zero in column c; it trades places with the
+            # first row that is not
+            pr = r + nz[0]
+            M[r, c:], M[pr, c:] = M[pr, c:], M[r, c:].copy()
         row = M[r, c:]
-        row %= p
-        row *= pow(int(row[0]), -1, p)
-        row %= p
-        # rows below that are nonzero in column c; the row swapped out of
-        # place r was zero there
-        idx = r + nz[1:]
-        if idx.size:
-            _clear_column(M, idx, c, row)
+        _unit_pivot(row, p)
+        if nz.size > 1:
+            # the rows below that are nonzero in column c
+            _clear_column(M, r + nz[1:], c, row)
             pending += 1
             if budget and pending == budget:
                 M[r + 1:, c + 1:] %= p
@@ -340,15 +416,15 @@ def _back_substitute_numpy(M: np.ndarray, piv: list[int], p: int) -> None:
     pending = 0
     for i in range(len(piv) - 1, 0, -1):
         c = piv[i]
-        M[i, c:] %= p
-        idx = np.flatnonzero(M[:i, c])
+        _reduce(M[i, c:], p)
+        idx = M[:i, c].nonzero()[0]
         if idx.size:
             _clear_column(M, idx, c, M[i, c:])
             pending += 1
             if budget and pending == budget:
                 M[:i, c:] %= p
                 pending = 0
-    M[:1] %= p
+    _reduce(M[:1], p)
 
 
 def _rref_fraction(rows: list[list[int]], ncols: int):
@@ -380,8 +456,8 @@ def _rref_mod_numpy(M: np.ndarray, p: int):
 
 
 def _rref_mod_python(M: np.ndarray, p: int):
-    """_rref_mod_numpy on a Python-int array modulo p >= 2^31, under the
-    name bench/spans.py times."""
+    """_rref_mod_numpy on a Python-int array modulo a prime p from 2^31 up
+    other than DEFAULT_PRIME, under the name bench/spans.py times."""
     return _rref_mod_numpy(M, p)
 
 
@@ -436,8 +512,8 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     Over Q the rows are int lists, which are eliminated in place, and the
     reduced rows returned are Fraction lists. Modulo p an array given as
     rows is taken to hold residues of dtype _dtype(p), as _from_triplets
-    returns them, and is eliminated in place; other rows are copied into
-    such an array. Without reduce, only the forward pass runs and the rows
+    returns them, and is eliminated in place; other rows are reduced
+    modulo p into such an array. Without reduce, only the forward pass runs and the rows
     returned are a forward echelon with zero rows left at the bottom.
     """
     p = field_tag.characteristic
@@ -446,8 +522,8 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     if isinstance(rows, np.ndarray):
         M = rows
     else:
-        M = np.array(rows, dtype=_dtype(p)).reshape(len(rows), ncols)
-        M %= p
+        M = np.array([[x % p for x in r] for r in rows],
+                     dtype=_dtype(p)).reshape(len(rows), ncols)
     if not reduce:
         return M, _forward_numpy(M, p)
     if _dtype(p) is object:

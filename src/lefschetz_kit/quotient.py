@@ -53,9 +53,9 @@ of an initial piece. Queries that compute every degree or every n,
 random_powers_dimensions, injectivity_threshold_check and wlp_sweep,
 check all their shapes first; a sweep takes its degrees from the closed
 form of dim A_d over Q (_check_sweep). The guard bounds cells, not time
-or bytes: a residue array takes 8 bytes per cell modulo p < 2^31, 400 MB
-at CELL_GUARD, and from 2^31 up a pointer per cell plus a Python int per
-nonzero entry.
+or bytes: a residue array takes 8 bytes per cell modulo p < 2^31 and
+modulo 2^61 - 1, 400 MB at CELL_GUARD, and modulo the other primes from
+2^31 up a pointer per cell plus a Python int per nonzero entry.
 """
 
 from __future__ import annotations
@@ -601,22 +601,33 @@ def support_bound_check(n: int, a: int, d: int) -> bool:
     return True
 
 
-# one query asks for the same few specs over all its degrees; a larger
-# cache mostly keeps the forms of finished queries alive
-@lru_cache(maxsize=16)
 def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec:
-    """The quotient A/ell A as a spec, where A is the quotient by spec.
+    """The quotient A/ell A as a spec, where A is the quotient by spec, or
+    spec itself when ell vanishes in the field.
 
-    With c_j the first coefficient of ell nonzero in the field and L the
-    sum of c_i x_i over i != j, A/ell A is the quotient of the polynomials
-    in the other variables by their a-th powers, L^a, and each extra form
-    f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e c_j^(a-e) m,
-    and is dropped for e = a as a multiple of L^a. Cached, so that the
-    substituted forms are built once for all degrees of a query.
+    With c_j the first coefficient of ell nonzero in the field, A/ell A is
+    the quotient by the substituted forms of _substituted_spec(spec, ell,
+    j). They have rational coefficients, so the field picks only j, and
+    every field with the same j shares one cached spec.
     """
     j = _pivot_variable(ell, field_tag.characteristic)
-    if j is None:  # ell vanishes in the field
-        return spec
+    return spec if j is None else _substituted_spec(spec, ell, j)
+
+
+# one query asks for the same few specs over all its degrees, and over Q
+# for the same spec modulo FAST_PRIME and over Q; a larger cache mostly
+# keeps the forms of finished queries alive
+@lru_cache(maxsize=16)
+def _substituted_spec(spec: IdealSpec, ell: Form, j: int) -> IdealSpec:
+    """A/ell A as a spec, where A is the quotient by spec and c_j, the
+    coefficient of x_j in ell, is nonzero in the field.
+
+    With L the sum of c_i x_i over i != j, A/ell A is the quotient of the
+    polynomials in the other variables by their a-th powers, L^a, and each
+    extra form f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e
+    c_j^(a-e) m, and is dropped for e = a as a multiple of L^a. Cached, so
+    that the substituted forms are built once for all degrees of a query.
+    """
     if spec.n == 1:  # ell is a unit times x_1, so A/ell A is k[x_1]/(x_1)
         return IdealSpec(n=1, a=1, extra_forms=())
     # with den the lcm of the denominators of ell, c_j = cj / den and
@@ -669,10 +680,15 @@ def _guard_map(n: int, a: int, nforms: int, d: int, ell: Form,
     (_has_closed_form), those of A in degrees d and d-1, and, unless ell
     vanishes in the field or n = 1, that of A/ell A in degree d, whose spec
     (_cokernel_spec) has n-1 variables and one more form, in the order
-    multiplication_map_rank builds them.
+    multiplication_map_rank builds them. Where the closed form leaves
+    A_{d-1} or A_d zero, the rank is 0 and no span is read.
     """
     _check_map(n, d, ell)
-    if not closed:
+    if closed:
+        p = field_tag.characteristic
+        if not min(_closed_dimension(n, a, d, p), _closed_dimension(n, a, d - 1, p)):
+            return
+    else:
         _guard_span(n, a, nforms, d)
     if n > 1 and _pivot_variable(ell, field_tag.characteristic) is not None:
         _guard_span(n - 1, a, nforms + 1, d)
@@ -685,7 +701,7 @@ def _cokernel_dimension(spec: IdealSpec, d: int, ell: Form,
     """dim (A/ell A)_d in the field, or None when ell vanishes there. The
     span is read once and freed when its dimension is known."""
     cok = _cokernel_spec(spec, ell, field_tag)
-    if cok == spec:  # ell vanishes in the field (an equal spec if cached)
+    if cok is spec:  # ell vanishes in the field
         return None
     return _dimension(_span_echelon(cok, d, field_tag))
 
@@ -700,7 +716,8 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     and the matrix of the map is never built. Only the dimension of the
     cokernel span is kept, so its matrix is freed before the span of
     A_{d-1} is built; the dimensions of a spec with a closed form
-    (_has_closed_form) read no span at all.
+    (_has_closed_form) read no span at all, and where they leave A_{d-1}
+    or A_d zero, neither does the rank, which is 0.
 
     Over Q such a spec first reads its cokernel span modulo FAST_PRIME. A
     rank modulo p never exceeds the rank over Q, so dim (A/ell A)_d modulo
@@ -713,8 +730,12 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode, closed)
     dim_at = graded_dimension(spec, d, mode)
     rank = None
-    if closed and mode.is_rational:
-        rank = _certified_rank(spec, d, ell, dim_at)
+    if closed:
+        full = min(dim_at, graded_dimension(spec, d - 1, mode))
+        if not full:
+            rank = 0
+        elif mode.is_rational:
+            rank = _certified_rank(spec, d, ell, dim_at, full)
     if rank is None:
         cok = _cokernel_dimension(spec, d, ell, mode)
         rank = 0 if cok is None else dim_at - cok
@@ -722,19 +743,18 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
             "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
 
 
-def _certified_rank(spec: IdealSpec, d: int, ell: Form,
-                    dim_at: int) -> int | None:
+def _certified_rank(spec: IdealSpec, d: int, ell: Form, dim_at: int,
+                    full: int) -> int | None:
     """The rank over Q of multiplication by ell into degree d of a spec
     with a closed form, when its cokernel span modulo FAST_PRIME leaves the
-    maximal rank, and None otherwise or when ell does not reduce modulo
-    FAST_PRIME."""
+    maximal rank full, and None otherwise or when ell does not reduce
+    modulo FAST_PRIME."""
     if any(c.denominator % FAST_PRIME == 0 for _, c in ell.terms):
         return None
     cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
     if cok is None:
         return None
     bound = dim_at - cok
-    full = min(dim_at, graded_dimension(spec, d - 1))
     return bound if bound == full else None
 
 

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,30 @@ def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
         assert main(list(args)) == 3, args
         assert "refusing" in capsys.readouterr().err, args
     assert built == []
+
+
+def test_map_rank_of_dimension_zero_builds_no_span(monkeypatch, capsys):
+    # degree 11 lies above the top degree 9 of the squares quotient at
+    # n = 16, and degree 20 above the top degree 15 at n = 30, so the closed
+    # form gives dim_below = dim_at = 0 and the rank is 0; the cokernel span
+    # of the first has 2 C(15, 9) x C(15, 11) cells, seconds of elimination,
+    # and that of the second is far above the guard
+    def span(*args):
+        raise AssertionError("a span was built")
+
+    monkeypatch.setattr(quotient, "_span_echelon", span)
+    monkeypatch.setattr(quotient, "_reduce_spec", span)
+    for n, d, field in ((16, 11, "prime:51999971"), (16, 11, "prime"),
+                        (16, 11, "rational"), (30, 20, "prime:51999971")):
+        t0 = time.perf_counter()
+        code = main(["inject", "--a", "2", "--d", str(d), "--n-range", f"{n}..{n}",
+                     "--seeds", "1", "--field", field])
+        elapsed = time.perf_counter() - t0
+        assert code == 0, (n, d, field)
+        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+        assert rows == [{"n": n, "dim_below": 0, "dim_at": 0, "rank": 0,
+                         "injective": True, "inequality_met": False}], field
+        assert elapsed < 1, (n, d, field, elapsed)
 
 
 def test_refused_froberg_builds_no_form(monkeypatch, capsys):

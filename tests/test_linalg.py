@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from lefschetz_kit.linalg import (
+    _BLOCK_CELLS,
     DEFAULT_PRIME,
     FAST_PRIME,
     RATIONALS,
     RationalMatrix,
+    _dtype,
+    _forward_numpy,
     _mod_matmul,
+    _mul_mersenne,
+    _rref_mod_numpy,
+    _rref_mod_python,
     echelonize,
     in_column_space,
     kernel_basis,
@@ -151,3 +157,67 @@ def test_mod_matmul_matches_python_ints(p):
             for row in A]
     got = _mod_matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
     assert got.tolist() == want
+
+
+def test_mersenne_products_match_python_ints():
+    # every pair of limb extremes: low limbs of 0, 1 and 2^31 - 1, high
+    # limbs of 0, 1 and 2^30 - 1, and P itself, which the kernels take as a
+    # factor; sums from P - 1 + 1 up need the final subtraction of P
+    P = DEFAULT_PRIME
+    values = sorted({lo + (hi << 31) for lo in (0, 1, 2**31 - 1)
+                     for hi in (0, 1, 2**30 - 1)} | {P - 1, P - 2, 2, 3})
+    for acc in (0, 1, P - 1, P - 2):
+        x = np.array(values, dtype=np.uint64)[:, None]
+        y = np.array(values, dtype=np.uint64)
+        out = np.full((len(values), len(values)), acc, dtype=np.uint64)
+        _mul_mersenne(x, y, out)
+        assert out.tolist() == [[(acc + a * b) % P for b in values] for a in values]
+
+
+def _mersenne_rows(case):
+    """Residues modulo 2^61 - 1 for the uint64 kernel tests."""
+    P = DEFAULT_PRIME
+    rng = random.Random(case)
+    if case == "p-1":
+        # P - 1 everywhere but on a perturbed diagonal, so every multiplier
+        # and most entries of every pivot row are P - 1 or close to it
+        rows = [[P - 1] * 18 for _ in range(16)]
+        for i in range(16):
+            rows[i][i] = P - 2 - rng.randrange(5)
+        return rows
+    if case == "dense":
+        # every entry nonzero, so the last rows are updated once per pivot
+        # above them, about 200 times each; 230 x 220 is 50600 cells
+        nrows, ncols = 230, 220
+    else:
+        # few rows wide enough that each step's rows are split into blocks
+        nrows, ncols = 40, 2 * _BLOCK_CELLS // 40
+    rows = [[P - 1 - rng.randrange(3) if rng.random() < 0.5 else rng.randrange(1, P)
+             for _ in range(ncols)] for _ in range(nrows)]
+    # a rank drop: combinations of other rows, and a zero column
+    for i in range(4, nrows, 7):
+        rows[i] = [(x + 3 * y) % P for x, y in zip(rows[i - 1], rows[i - 2])]
+    for r in rows:
+        r[ncols // 3] = 0
+    return rows
+
+
+@pytest.mark.parametrize("case", ["p-1", "dense", "blocks"])
+def test_mersenne_kernels_match_python_ints(case):
+    # modulo 2^61 - 1 residues are uint64 and every step reduces them by
+    # limb products; the reference runs the same elimination on Python
+    # ints, which the Gauss-Jordan tests check at 2147483659
+    P = DEFAULT_PRIME
+    assert _dtype(P) is np.uint64
+    rows = _mersenne_rows(case)
+    if case != "p-1":
+        assert len(rows) * len(rows[0]) > _BLOCK_CELLS
+    want = np.array(rows, dtype=object)
+    want_piv = _forward_numpy(want, P)
+    M = np.array(rows, dtype=np.uint64)
+    assert _forward_numpy(M, P) == want_piv
+    assert M.tolist() == want.tolist()
+    want_red, want_piv = _rref_mod_python(np.array(rows, dtype=object), P)
+    red, piv = _rref_mod_numpy(np.array(rows, dtype=np.uint64), P)
+    assert piv == want_piv
+    assert red.tolist() == want_red.tolist()

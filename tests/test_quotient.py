@@ -359,6 +359,27 @@ def test_consensus_matches_eager_evaluation(monkeypatch, n, a, d, seeds,
     assert any(mode != field for mode in modes) == escalates
 
 
+def test_cokernel_spec_is_built_once_per_form_over_q(monkeypatch):
+    # over Q a default-spec map rank reads its cokernel span modulo
+    # FAST_PRIME, and over Q where the bound that leaves falls short, as at
+    # degree 4 here; both substitute the first variable, so they share one
+    # cokernel spec, built once for the one form of the sweep
+    fields = []
+    span = quotient._span_echelon
+
+    def record(spec, d, field_tag):
+        fields.append(field_tag)
+        return span(spec, d, field_tag)
+
+    monkeypatch.setattr(quotient, "_span_echelon", record)
+    quotient._substituted_spec.cache_clear()
+    report = wlp_sweep(8, 2, [897735])
+    assert [(r.d, r.map_rank) for r in report.records
+            if not r.maximal_rank] == [(4, 41)]
+    assert set(fields) == {FAST, RATIONALS}
+    assert quotient._substituted_spec.cache_info().misses == 1
+
+
 def test_prime_span_cache_holds_no_matrix(monkeypatch):
     # modulo p a cached span keeps its basis and pivots and frees its
     # residue array and index, so what the injectivity table leaves allocated is
