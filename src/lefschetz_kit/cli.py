@@ -245,24 +245,12 @@ def _run_paths(cfg: RunConfig):
     return (1 if findings else 0), params, result
 
 
-_HANDLERS = {
-    "initial": _run_initial,
-    "hilbert": _run_hilbert,
-    "froberg": _run_froberg,
-    "wlp": _run_wlp,
-    "inject": _run_inject,
-    "witness": _run_witness,
-    "paths": _run_paths,
-    "sweep": _run_sweep,
-}
-
-
 def dispatch(config: RunConfig) -> tuple[int, dict]:
     """Run one subcommand and return the exit code with the full report."""
-    if config.subcommand not in _HANDLERS:
+    if config.subcommand not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand: {config.subcommand}")
     t0 = time.monotonic()
-    code, params, result = _HANDLERS[config.subcommand](config)
+    code, params, result = _SUBCOMMANDS[config.subcommand][2](config)
     report = {
         "schema": SCHEMA,
         "query": config.subcommand,
@@ -390,25 +378,27 @@ _FLAGS = {
     "verify_rational": {"action": "store_true"},
 }
 
-# help text and the flags each subcommand reads; --format and --out go on all
+# help text, the flags each subcommand reads and its handler; --format and
+# --out go on all
 _SUBCOMMANDS = {
     "initial": ("degree piece of the initial ideal, checked combinatorially",
-                ("n", "a", "d", "field")),
+                ("n", "a", "d", "field"), _run_initial),
     "hilbert": ("quotient dimension counts per degree",
-                ("n", "a", "d", "d_range")),
+                ("n", "a", "d", "d_range"), _run_hilbert),
     "froberg": ("predicted series against exact dimensions",
-                ("n", "a", "seeds", "field")),
+                ("n", "a", "seeds", "field"), _run_froberg),
     "wlp": ("maximal-rank sweep over degrees 1 to ceil(((a-1)n+a)/2)-1 "
             "for one n",
-            ("n", "a", "seeds", "field")),
+            ("n", "a", "seeds", "field"), _run_wlp),
     "inject": ("injectivity table over a range of n",
-               ("a", "d", "n_range", "seeds", "field", "verify_rational")),
+               ("a", "d", "n_range", "seeds", "field", "verify_rational"),
+               _run_inject),
     "witness": ("kernel witness pairs with exact verification",
-                ("n", "d", "seeds")),
+                ("n", "d", "seeds"), _run_witness),
     "paths": ("bounded walk counts and the dimension comparison",
-              ("n", "d", "seeds", "boundary")),
+              ("n", "d", "seeds", "boundary"), _run_paths),
     "sweep": ("maximal-rank sweeps over a range of n",
-              ("a", "n_range", "seeds", "field")),
+              ("a", "n_range", "seeds", "field"), _run_sweep),
 }
 
 
@@ -417,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lefschetz-kit",
         description="Exact computations around weak Lefschetz multiplication maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, flags, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])

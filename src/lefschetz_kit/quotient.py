@@ -23,11 +23,16 @@ The default spec, the pure powers plus (x_1 + ... + x_n)^a, needs no span
 of A where a theorem fixes its dimensions (_closed_dimension): over Q for
 every a, by Stanley's strong Lefschetz property of the pure powers, and
 for a = 2 in every characteristic, by Wilson's rank of the inclusion
-matrix of (d-2)-subsets against d-subsets. Its map ranks then read the one
-span of A/ell A. Over Q that span is eliminated modulo FAST_PRIME first:
-its dimension there bounds the one over Q from above, so a maximal rank
-left modulo p is the rank over Q, and the span is eliminated over Q only
-when the bound falls short.
+matrix of (d-2)-subsets against d-subsets. graded_dimension reads that
+closed form where it holds and a span of A otherwise.
+
+Every map rank, of any spec in any field, takes one route
+(multiplication_map_rank): dim A_d and dim A_{d-1}, rank 0 when either is
+0, and otherwise the span of A/ell A. Over Q, when the forms reduce
+modulo FAST_PRIME, that span is eliminated there first: its dimension
+there bounds the one over Q from above, so a maximal rank left modulo p
+is the rank over Q, and the span is eliminated over Q only when the bound
+falls short.
 
 Spans are built from integers. A power of a linear form comes from the
 multinomial theorem on its coefficients scaled to integers
@@ -675,13 +680,16 @@ def _guard_map(n: int, a: int, nforms: int, d: int, ell: Form,
                field_tag: FieldTag, closed: bool) -> None:
     """Validate multiplication by ell into degree d of the quotient A of n
     variables by their a-th powers and nforms extra forms, and refuse it
-    when a span its rank reads would be too large, from the shapes alone:
-    unless closed says that the dimensions of A follow from the closed form
-    (_has_closed_form), those of A in degrees d and d-1, and, unless ell
-    vanishes in the field or n = 1, that of A/ell A in degree d, whose spec
-    (_cokernel_spec) has n-1 variables and one more form, in the order
-    multiplication_map_rank builds them. Where the closed form leaves
-    A_{d-1} or A_d zero, the rank is 0 and no span is read.
+    from the shapes alone when a span its rank reads would be too large.
+
+    The spans are checked in the order multiplication_map_rank builds
+    them: those of A in degrees d and d-1, unless closed says that the
+    dimensions of A follow from the closed form (_has_closed_form), and
+    then, unless ell vanishes in the field or n = 1, that of A/ell A in
+    degree d, whose spec (_cokernel_spec) has n-1 variables and one more
+    form, and which has the same shape modulo FAST_PRIME as over Q. Where
+    the closed form leaves A_{d-1} or A_d zero, the rank is 0 and no span
+    is read.
     """
     _check_map(n, d, ell)
     if closed:
@@ -690,10 +698,9 @@ def _guard_map(n: int, a: int, nforms: int, d: int, ell: Form,
             return
     else:
         _guard_span(n, a, nforms, d)
+        _guard_span(n, a, nforms, d - 1)
     if n > 1 and _pivot_variable(ell, field_tag.characteristic) is not None:
         _guard_span(n - 1, a, nforms + 1, d)
-    if not closed:
-        _guard_span(n, a, nforms, d - 1)
 
 
 def _cokernel_dimension(spec: IdealSpec, d: int, ell: Form,
@@ -713,49 +720,39 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     The map goes from degree d-1 of the quotient A to degree d. Returns the
     rank together with both quotient dimensions. A_{d-1} -> A_d ->
     (A/ell A)_d -> 0 is exact, so the rank is dim A_d - dim (A/ell A)_d,
-    and the matrix of the map is never built. Only the dimension of the
-    cokernel span is kept, so its matrix is freed before the span of
-    A_{d-1} is built; the dimensions of a spec with a closed form
-    (_has_closed_form) read no span at all, and where they leave A_{d-1}
-    or A_d zero, neither does the rank, which is 0.
+    and the matrix of the map is never built. Every spec and field takes
+    one route, after _guard_map:
 
-    Over Q such a spec first reads its cokernel span modulo FAST_PRIME. A
-    rank modulo p never exceeds the rank over Q, so dim (A/ell A)_d modulo
-    p is at least its dimension over Q, and B = dim A_d less it is a lower
-    bound on the rank over Q. When B is the maximal rank min(dim A_{d-1},
-    dim A_d), it is the rank. Only when B falls short, or ell does not
-    reduce modulo FAST_PRIME, is the cokernel span eliminated over Q.
+    1. dim A_d, then dim A_{d-1}, each read once by graded_dimension, from
+       the closed form where one holds and otherwise from a span of A;
+    2. where either is 0, the rank is 0 and no span of A/ell A is built;
+    3. over Q, when ell and every extra form reduce modulo FAST_PRIME, the
+       span of A/ell A is eliminated there first. A rank modulo p never
+       exceeds the rank over Q, so dim (A/ell A)_d modulo p is at least
+       its dimension over Q, and B = dim A_d less it is a lower bound on
+       the rank over Q. When B is the maximal rank min(dim A_{d-1},
+       dim A_d), it is the rank;
+    4. otherwise the span of A/ell A is eliminated in the query's field.
+
+    Only the dimension of a span of A/ell A is kept, so its matrix is
+    freed before the next span is built.
     """
-    closed = _has_closed_form(spec, mode.characteristic)
-    _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode, closed)
+    _guard_map(spec.n, spec.a, len(spec.extra_forms), d, ell, mode,
+               _has_closed_form(spec, mode.characteristic))
     dim_at = graded_dimension(spec, d, mode)
-    rank = None
-    if closed:
-        full = min(dim_at, graded_dimension(spec, d - 1, mode))
-        if not full:
-            rank = 0
-        elif mode.is_rational:
-            rank = _certified_rank(spec, d, ell, dim_at, full)
-    if rank is None:
+    dim_below = graded_dimension(spec, d - 1, mode)
+    full = min(dim_below, dim_at)
+    rank = 0
+    if full and mode.is_rational and all(
+            c.denominator % FAST_PRIME
+            for f in (ell, *spec.extra_forms) for _, c in f.terms):
+        cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
+        if cok is not None and dim_at - cok == full:
+            rank = full
+    if rank < full:
         cok = _cokernel_dimension(spec, d, ell, mode)
         rank = 0 if cok is None else dim_at - cok
-    return {"rank": rank,
-            "dim_below": graded_dimension(spec, d - 1, mode), "dim_at": dim_at}
-
-
-def _certified_rank(spec: IdealSpec, d: int, ell: Form, dim_at: int,
-                    full: int) -> int | None:
-    """The rank over Q of multiplication by ell into degree d of a spec
-    with a closed form, when its cokernel span modulo FAST_PRIME leaves the
-    maximal rank full, and None otherwise or when ell does not reduce
-    modulo FAST_PRIME."""
-    if any(c.denominator % FAST_PRIME == 0 for _, c in ell.terms):
-        return None
-    cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
-    if cok is None:
-        return None
-    bound = dim_at - cok
-    return bound if bound == full else None
+    return {"rank": rank, "dim_below": dim_below, "dim_at": dim_at}
 
 
 def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:

@@ -101,6 +101,30 @@ def test_small_prime_sweep_reports_the_degrees_of_q(capsys):
     assert degrees == {"rational": [1, 2, 3], "prime:3": [1, 2, 3]}
 
 
+def test_verify_rational_reports_the_rows_of_q(capsys):
+    # modulo 3 both maps lose rank and dim_at is 49 and 76; --verify-rational
+    # reports Q's rows under the field of the query, and only JSON says
+    # whether the prime agreed
+    query = ["inject", "--a", "2", "--d", "3", "--seeds", "1",
+             "--verify-rational"]
+    assert main([*query, "--n-range", "8..9", "--field", "prime:3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["field"] == "prime:3"
+    assert report["result"]["rational_confirmed"] is False
+    assert [(r["n"], r["dim_at"], r["injective"])
+            for r in report["result"]["rows"]] == [(8, 48, True), (9, 75, True)]
+    assert main([*query, "--n-range", "8..9", "--field", "prime:3",
+                 "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# inject field=prime:3 seeds=1"
+    assert [line.split()[2] for line in lines[2:]] == ["48", "75"]
+    assert "rational_confirmed" not in "\n".join(lines)
+    assert main([*query, "--n-range", "5..7", "--field", "prime:51999971"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["rational_confirmed"] is True
+    assert [r["injective"] for r in result["rows"]] == [False, False, True]
+
+
 def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
     real = quotient._reduce_spec
 

@@ -420,6 +420,24 @@ def test_map_rank_edge_forms_match_oracle(n, a, coeffs, tag):
                 == _oracle_rank(spec, d, ell, tag)), d
 
 
+@pytest.mark.parametrize("where", ["extra form", "ell"])
+def test_map_rank_of_forms_without_residues_modulo_p_matches_oracle(where):
+    # a denominator divisible by FAST_PRIME has no residue there, so over Q
+    # such a rank reads the span of A/ell A over Q alone
+    n, a = 4, 2
+    den = FAST_PRIME if where == "extra form" else 1
+    form = form_from_coefficients(a, {
+        m: Fraction(i + 1, den if i == 2 else 1)
+        for i, m in enumerate(enumerate_degree_piece(n, a))})
+    spec = IdealSpec(n=n, a=a, extra_forms=(form,))
+    ell = linear_form([3, Fraction(1, FAST_PRIME if where == "ell" else 2), -1, 5])
+    for d in range(1, (a - 1) * n + 2):
+        assert multiplication_map_rank(spec, d, ell) == {
+            "rank": _oracle_rank(spec, d, ell, RATIONALS),
+            "dim_below": _oracle_dimension(spec, d - 1, RATIONALS),
+            "dim_at": _oracle_dimension(spec, d, RATIONALS)}, d
+
+
 def _oracle_dimension(spec, d, field_tag):
     """dim A_d as the monomials of degree d less the rank of the ideal's
     full-basis matrix."""
@@ -708,11 +726,12 @@ def map_shape_cases(draw):
 @PROPERTY
 @given(map_shape_cases())
 def test_map_guard_checks_the_shapes_the_rank_builds(case):
-    # the spans of A in degree d, of A/ell A in degree d and of A in degree
-    # d-1, in that order, where the dimensions of A have no closed form;
-    # over Q a default spec builds A/ell A modulo FAST_PRIME first, and
-    # over Q as well when that leaves no maximal rank; a built span drops
-    # its zero rows
+    # the spans of A in degrees d and d-1, where the dimensions of A have
+    # no closed form, then that of A/ell A in degree d, in that order;
+    # over Q A/ell A is built modulo FAST_PRIME first, and over Q as well
+    # when that leaves no maximal rank; where a dimension of A is 0 no
+    # span of A/ell A is built, though the guard checks it; a built span
+    # drops its zero rows
     spec, d, ell, tag = case
     closed = quotient._has_closed_form(spec, tag.characteristic)
     checked, built, cokernel = [], [], []
@@ -739,17 +758,25 @@ def test_map_guard_checks_the_shapes_the_rank_builds(case):
     _reduce_spec.cache_clear()
     with mock.patch.object(quotient, "_from_triplets", record), \
             mock.patch.object(quotient, "_span_echelon", cokernel_span):
-        multiplication_map_rank(spec, d, ell, mode=tag)
-    assert [is_cok for *_, is_cok in built] == (
-        [True] * len(built) if closed
-        else [False] + [True] * (len(built) - 2) + [False])
+        data = multiplication_map_rank(spec, d, ell, mode=tag)
+    full = min(data["dim_below"], data["dim_at"])
+    is_cok = [b[3] for b in built]
+    assert is_cok == sorted(is_cok)
+    assert is_cok.count(False) == (0 if closed else 2)
+    if not full:
+        assert not any(is_cok)
+    if tag.is_rational and any(is_cok):
+        # every form here has integer coefficients, so reduces modulo p
+        fields = [b[2] for b in built if b[3]]
+        assert fields == [prime_field(FAST_PRIME), RATIONALS][:len(fields)]
+        assert len(fields) == 2 or data["rank"] == full
+        if len(fields) == 2:
+            assert built[-2][1] == built[-1][1]
+            built.pop(-2)
     if spec.n == 1:
         # A/ell A is k[x_1]/(x_1), with no monomial in degree d >= 1
         assert all(b[:2] == (0, 0) for b in built if b[3])
         built = [b for b in built if not b[3]]
-    if closed and tag.is_rational and len(built) == 2:
-        assert [b[2] for b in built] == [prime_field(FAST_PRIME), RATIONALS]
-        assert built[0][1] == built[1][1]
-        built.pop(0)
-    assert [cols for _, cols, *_ in built] == [cols for _, cols in checked]
+    want = [cols for _, cols in checked]
+    assert [cols for _, cols, *_ in built] == (want if full else want[:len(built)])
     assert all(rows <= bound for (rows, *_), (bound, _) in zip(built, checked))

@@ -380,6 +380,28 @@ def test_cokernel_spec_is_built_once_per_form_over_q(monkeypatch):
     assert quotient._substituted_spec.cache_info().misses == 1
 
 
+def test_rational_rank_of_another_spec_is_certified_modulo_p(monkeypatch):
+    # squares plus (x_1 + 2 x_2 + ... + 10 x_10)^2 have no closed form, but
+    # their map into degree 4 has maximal rank, so the span of A/ell A
+    # modulo FAST_PRIME settles the rank over Q and none is built over Q;
+    # the cached spans of A do not pass through the patched _span_echelon
+    n = 10
+    spec = IdealSpec(n=n, a=2, extra_forms=(
+        form_power(variable_sum(n), 2),
+        form_power(linear_form(range(1, n + 1)), 2)))
+    fields = []
+    span = quotient._span_echelon
+
+    def record(spec, d, field_tag):
+        fields.append(field_tag)
+        return span(spec, d, field_tag)
+
+    monkeypatch.setattr(quotient, "_span_echelon", record)
+    assert multiplication_map_rank(spec, 4, random_linear_form(n, 1)) == {
+        "rank": 100, "dim_below": 100, "dim_at": 121}
+    assert fields == [FAST]
+
+
 def test_prime_span_cache_holds_no_matrix(monkeypatch):
     # modulo p a cached span keeps its basis and pivots and frees its
     # residue array and index, so what the injectivity table leaves allocated is
