@@ -1,9 +1,9 @@
 """Command line interface: argument parsing, dispatch, serialization.
 
 Exit codes: 0 for success, 1 when a computation contradicts a proven or
-conjectured statement the tool checks, 2 for invalid input, 3 when a
-resource guard refuses the computation, 4 when two independent internal
-routes disagree.
+conjectured statement the tool checks, 2 for invalid input or an --out
+path that cannot be written, 3 when a resource guard refuses the
+computation, 4 when two independent internal routes disagree.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def _run_initial(cfg: RunConfig):
 
 def _run_hilbert(cfg: RunConfig):
     n, a = _need(cfg, "n", "a")
+    # the default degree range is empty below these, so no row checks them
+    if n < 1 or a < 2:
+        raise ValueError("need n >= 1 and a >= 2")
     if cfg.d is not None:
         degrees = [cfg.d]
     elif cfg.d_range is not None:
@@ -440,8 +443,12 @@ def main(argv=None) -> int:
         print(f"error: independent checks disagree: {exc}", file=sys.stderr)
         return 4
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -41,6 +41,14 @@ between, and their entries stay below p + k p^2. A product of residues
 modulo 2^61 - 1 does not fit in 64 bits, so a uint64 step forms it from
 limbs and reduces every entry it updates at once (_mul_mersenne); those
 arrays are reduced throughout and need no delayed reduction.
+
+numpy is imported when a residue array is first built or eliminated, not
+with this module. _numpy binds it to np, with the uint64 constants of
+_mul_mersenne; the kernels that other modules and tests call
+(_from_triplets, _eliminate, _dtype, _forward_numpy, _rref_mod_numpy,
+_mul_mersenne, _mod_matmul) call it before they read np, and the helpers
+they call run only after. Work over Q never calls it, so a process that
+builds no residue array never loads numpy.
 """
 
 from __future__ import annotations
@@ -50,10 +58,24 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-import numpy as np
-
 DEFAULT_PRIME = 2**61 - 1
 FAST_PRIME = 51999971  # largest prime whose squares stay far inside int64
+
+# numpy and the uint64 constants of _mul_mersenne, bound by _numpy when a
+# residue array is first built or eliminated
+np = _P61 = _LOW31 = _LOW30 = None
+
+
+def _numpy() -> None:
+    """Import numpy on first use, bind it to np and create the uint64
+    constants of _mul_mersenne."""
+    global np, _P61, _LOW31, _LOW30
+    if np is None:
+        import numpy
+        _P61 = numpy.uint64(DEFAULT_PRIME)
+        _LOW31 = numpy.uint64(2**31 - 1)
+        _LOW30 = numpy.uint64(2**30 - 1)
+        np = numpy
 
 
 def _is_prime(p: int) -> bool:
@@ -255,7 +277,8 @@ def _dtype(p: int):
     """The dtype of residue arrays modulo p: uint64 modulo DEFAULT_PRIME,
     whose products _mul_mersenne forms exactly from limbs; int64 below
     2^31, where a product of residues fits with room for the delayed
-    reduction; and Python ints for the other primes."""
+    reduction; and Python ints for the other primes. Binds np (_numpy)."""
+    _numpy()
     if p == DEFAULT_PRIME:
         return np.uint64
     return np.int64 if p < 2**31 else object
@@ -278,11 +301,6 @@ def _reduce(v: np.ndarray, p: int) -> None:
         v %= p
 
 
-_P61 = np.uint64(DEFAULT_PRIME)
-_LOW31 = np.uint64(2**31 - 1)
-_LOW30 = np.uint64(2**30 - 1)
-
-
 def _mul_mersenne(x, y, out: np.ndarray) -> None:
     """Add x y to out modulo P = 2^61 - 1 in place, leaving out reduced.
 
@@ -296,6 +314,7 @@ def _mul_mersenne(x, y, out: np.ndarray) -> None:
     subtraction of P, np.minimum(v, v - P), where v - P wraps round for
     v < P, reduces it.
     """
+    _numpy()
     xl, xh = x & _LOW31, x >> 31
     yl, yh = y & _LOW31, y >> 31
     m = xl * yh
@@ -370,6 +389,7 @@ def _forward_numpy(M: np.ndarray, p: int) -> list[int]:
     (_clear_column, _unit_pivot), so there the reductions are skipped
     (_reduce).
     """
+    _numpy()
     nrows, ncols = M.shape
     budget = _reduction_budget(p)
     piv: list[int] = []
@@ -469,6 +489,7 @@ def _mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     _reduction_budget(p) of them, and at the end. Nothing in the package
     calls it; bench/spans.py times it by name.
     """
+    _numpy()
     budget = _reduction_budget(p)
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     pending = 0
@@ -500,6 +521,7 @@ def _from_triplets(triplets, nrows: int, ncols: int, field_tag: FieldTag):
         for r, c, v in zip(rows, cols, vals):
             M[r][c] = v
         return M
+    _numpy()
     M = np.zeros((nrows, ncols), dtype=_dtype(p))
     M[rows, cols] = vals
     return M
@@ -519,6 +541,7 @@ def _eliminate(rows, ncols: int, field_tag: FieldTag, reduce: bool):
     p = field_tag.characteristic
     if not p:
         return _rref_fraction(rows, ncols) if reduce else (rows, _forward_int(rows, ncols))
+    _numpy()
     if isinstance(rows, np.ndarray):
         M = rows
     else:
@@ -585,7 +608,7 @@ def echelonize(M: RationalMatrix) -> EchelonResult:
     heuristics, so equal inputs give identical results.
     """
     red, piv = _eliminate(_rows_of(M), M.cols, M.field_tag, reduce=True)
-    if isinstance(red, np.ndarray):
+    if not M.field_tag.is_rational:
         red = red.tolist()
     reduced = RationalMatrix(rows=len(red), cols=M.cols,
                              entries=tuple(map(tuple, red)),

@@ -18,6 +18,9 @@ coefficients as one more column, and falls back to a fraction-free pass
 over the same matrix only when the certificate does not fire. Route two
 reduces Q fraction-free against the cached forward echelon of the ideal
 span with linalg._reduce_against, so the two routes share no elimination.
+
+Route one's residue array is this module's one use of numpy, which it
+imports when it first runs, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-
-import numpy as np
 
 from .errors import GuardRefusal, InternalFault
 from .linalg import (FAST_PRIME, RATIONALS, _forward_int, _forward_numpy,
@@ -319,6 +320,8 @@ def _outside_containment_span(params: WitnessParams, q: Form) -> bool:
     built and eliminated fraction-free by linalg._forward_int, and Q is
     outside when b holds a pivot; that pass alone may answer inside.
     """
+    import numpy as np
+
     n, d = params.n, params.d
     qcoeff = {_key(m.exponents, 2): c for m, c in q.terms}
     cols = [sum(1 << j for j in J) for J in _colex_combinations(n, d - 3)]

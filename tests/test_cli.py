@@ -178,6 +178,15 @@ def test_out_writes_file(tmp_path):
     assert report["result"]["rows"][0]["power_ci"] == 6
 
 
+def test_out_to_an_unopenable_path_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["hilbert", "--n", "3", "--a", "2", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.parent.exists()
+
+
 def test_prime_field_flag():
     proc = run_cli("inject", "--a", "2", "--d", "3", "--n-range", "6..7",
                    "--seeds", "1", "--field", "prime:51999971")
@@ -188,10 +197,15 @@ def test_prime_field_flag():
     assert verdicts == {6: False, 7: True}
 
 
-def test_missing_flag_is_invalid_input():
+def test_missing_flag_is_invalid_input(capsys):
     proc = run_cli("hilbert", "--a", "2")
     assert proc.returncode == 2
     assert "invalid input" in proc.stderr
+    # bad n or a, where the default degree range is empty
+    for n, a in ((-1, 2), (3, 0), (3, -2), (0, 2), (3, 1)):
+        assert main(["hilbert", "--n", str(n), "--a", str(a)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid input:"), (n, a)
 
 
 def test_missing_seeds_is_invalid_input():
