@@ -8,16 +8,20 @@ pure powers alone; multiples of pure powers are projected away instead of
 being carried as matrix rows, which gives the same ranks and the same
 initial ideal as the full multiplication matrix.
 
-Dimensions read the pivots of a forward echelon of the extra-form span,
-cached for the spans of A. Modulo p a span keeps its basis and pivots and
-frees its residue array and column index when the forward pass returns;
-over Q it keeps its column index and integer echelon rows, which
-multiplication_kernel and the witness reduce against. A/ell A is again
-such a quotient, in one variable fewer, so the rank of multiplication by
-ell into degree d, dim A_d - dim (A/ell A)_d, needs no matrix of its own.
-Each span of A/ell A is read once, skips the cache and is freed before
-the next span is built, so modulo p at most one span matrix is alive at a
-time.
+Dimensions read the pivots of a forward echelon of the extra-form span.
+Modulo p a span keeps its basis and pivots and frees its residue array
+and column index when the forward pass returns; over Q it keeps its
+column index and integer echelon rows, which multiplication_kernel and
+the witness reduce against. The spans of A that queries read again sit
+in a least-recently-used cache (_reduce_spec) bounded not by a span
+count but by SPAN_CACHE_CELLS cells kept (_span_cells), since spans
+range from a few cells to millions; the span just stored is never
+evicted. A span that is read only once skips the cache. A/ell A is
+again such a quotient, in one variable fewer, so the rank of
+multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs no
+matrix of its own. Each span of A/ell A, and each span of a seeded spec
+of random_powers_dimensions, is read once and freed before the next span
+is built, so modulo p at most one span matrix is alive at a time.
 
 The default spec, the pure powers plus (x_1 + ... + x_n)^a, needs no span
 of A where a theorem fixes its dimensions (_closed_dimension): over Q for
@@ -66,9 +70,10 @@ modulo 2^61 - 1, 400 MB at CELL_GUARD, and modulo the other primes from
 from __future__ import annotations
 
 import random
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
@@ -83,6 +88,14 @@ from .monomials import (GeneratorCase, Monomial, _in_ideal, _iter_exponents,
 # linear form's power or monomials of an initial piece; larger ones are
 # refused from closed-form counts before any enumeration
 CELL_GUARD = 5 * 10**7
+
+# the most cells the cached spans of A keep together (_cell_cache). Over Q
+# a cell is a list slot and the int it holds, 12 to 24 bytes measured, so a
+# full cache holds about 50 to 100 MB; modulo p it is an exponent tuple of
+# the basis, about 140 bytes, and a span keeps one per column. The 75 spans
+# of a pass of the small-queries benchmark keep 14,571 cells together, and
+# the span of a degree-7 witness at n = 13 over Q 1.2 million
+SPAN_CACHE_CELLS = 2**22
 
 
 def _guard_count(what: str, count: int) -> None:
@@ -401,9 +414,61 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     return basis, index, echelon[:len(piv)], piv
 
 
+def _span_cells(span) -> int:
+    """The cells a span echelon keeps: its basis modulo p, and over Q its
+    basis, or its index, once plus once per echelon row."""
+    basis, _, echelon, _ = span
+    return len(basis) * (1 + len(echelon or ()))
+
+
+SpanCacheInfo = namedtuple("SpanCacheInfo", "hits misses currsize cells")
+
+
+def _cell_cache(span_echelon):
+    """span_echelon behind a least-recently-used cache whose entries keep
+    at most SPAN_CACHE_CELLS cells together (_span_cells).
+
+    A miss stores its span and then evicts the least recently used others
+    until the rest fits, so the span just stored is kept, alone if it is
+    larger than the budget, until the next miss. The wrapper keeps its own
+    reference to span_echelon and has cache_info() and cache_clear().
+    """
+    entries: OrderedDict = OrderedDict()
+    hits = misses = cells = 0
+
+    @wraps(span_echelon)
+    def cached(spec: IdealSpec, d: int, field_tag: FieldTag):
+        nonlocal hits, misses, cells
+        key = (spec, d, field_tag)
+        span = entries.get(key)
+        if span is not None:
+            hits += 1
+            entries.move_to_end(key)
+            return span
+        misses += 1
+        span = entries[key] = span_echelon(spec, d, field_tag)
+        cells += _span_cells(span)
+        while cells > SPAN_CACHE_CELLS and len(entries) > 1:
+            cells -= _span_cells(entries.popitem(last=False)[1])
+        return span
+
+    def cache_info() -> SpanCacheInfo:
+        return SpanCacheInfo(hits, misses, len(entries), cells)
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, cells
+        entries.clear()
+        hits = misses = cells = 0
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
+
+
 # the spans of A itself, which queries read again across degrees, seeds
-# and subcommands; a cokernel span is read once and calls _span_echelon
-_reduce_spec = lru_cache(maxsize=64)(_span_echelon)
+# and subcommands. A span read once, of A/ell A or of a seeded spec of
+# random_powers_dimensions, calls _span_echelon and skips the cache, which
+# would otherwise evict the spans read again
+_reduce_spec = _cell_cache(_span_echelon)
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -541,15 +606,17 @@ def _inclusion_rank(n: int, t: int, k: int, p: int) -> int:
 
 def random_powers_dimensions(n: int, a: int, seeds, degrees,
                              field_tag: FieldTag = RATIONALS) -> list[int]:
-    """graded_dimension in each degree of the quotient by the a-th powers
-    of the n variables and of two seeded random linear forms.
+    """The dimension in each degree of the quotient by the a-th powers of
+    the n variables and of two seeded random linear forms.
 
-    Every seed must give the same dimension vector, which is returned; a
-    disagreement raises InternalFault. Before any form is built, the query
-    is refused if the terms of a power or the span of any degree would be
-    too large, checked in that order, which is the order building the
-    forms and then the spans would check them. Random linear forms have no
-    zero coefficient, so each has n terms.
+    Each seed's spec has two extra forms, so no closed form holds, and each
+    of its spans is read once: it calls _span_echelon and skips the span
+    cache. Every seed must give the same dimension vector, which is
+    returned; a disagreement raises InternalFault. Before any form is
+    built, the query is refused if the terms of a power or the span of any
+    degree would be too large, checked in that order, which is the order
+    building the forms and then the spans would check them. Random linear
+    forms have no zero coefficient, so each has n terms.
     """
     seeds, degrees = list(seeds), list(degrees)
     if not seeds:
@@ -562,7 +629,8 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
         forms = tuple(form_power(random_linear_form(n, s, index=i), a)
                       for i in (1, 2))
         spec = IdealSpec(n=n, a=a, extra_forms=forms)
-        vectors.add(tuple(graded_dimension(spec, d, field_tag) for d in degrees))
+        vectors.add(tuple(_dimension(_span_echelon(spec, d, field_tag))
+                          for d in degrees))
     if len(vectors) > 1:
         raise InternalFault(f"seeded dimensions disagree: {sorted(vectors)}")
     return list(vectors.pop())
@@ -959,10 +1027,11 @@ def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
     function h, which is symmetric about (p-1)n/2. No piece is smaller
     over a prime field, so every degree swept is nonzero there too; a small
     characteristic can leave pieces from top on nonzero, and those are not
-    swept.
+    swept. Below p = 2 the quotient vanishes from degree 1, so there is
+    nothing to sweep, and such a sweep is refused as invalid.
     """
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
+    if n < 2 or p < 2:
+        raise ValueError("need n >= 2 and a >= 2")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

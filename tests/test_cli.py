@@ -206,6 +206,15 @@ def test_missing_flag_is_invalid_input(capsys):
         assert main(["hilbert", "--n", str(n), "--a", str(a)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: invalid input:"), (n, a)
+    # below a = 2 the quotient vanishes from degree 1, so a sweep would
+    # print an empty table
+    for args in (("wlp", "--n", "3", "--a", "1"),
+                 ("sweep", "--a", "1", "--n-range", "2..3"),
+                 ("wlp", "--n", "1", "--a", "2")):
+        assert main([*args, "--seeds", "1"]) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "", args
+        assert err == "error: invalid input: need n >= 2 and a >= 2\n", args
 
 
 def test_missing_seeds_is_invalid_input():

@@ -168,8 +168,7 @@ def test_conjecture_check_seeds_must_agree(monkeypatch):
     # a dimension that changed with the seed would make the comparison
     # depend on which seed was read, so it is a fault, not an answer
     dims = iter([8, 9])
-    monkeypatch.setattr(quotient, "graded_dimension",
-                        lambda spec, d, field_tag: next(dims))
+    monkeypatch.setattr(quotient, "_dimension", lambda span: next(dims))
     with pytest.raises(InternalFault,
                        match=r"seeded dimensions disagree: \[\(8,\), \(9,\)\]"):
         conjecture_check(6, 3, (1, 2))

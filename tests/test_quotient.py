@@ -1,5 +1,6 @@
 """Exact quotient computations against closed-form counts and hand checks."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from lefschetz_kit import quotient
+from lefschetz_kit.cli import main
 from lefschetz_kit.errors import GuardRefusal, InternalFault
 from lefschetz_kit.hilbert import aci_hilbert, complement_count
 from lefschetz_kit.linalg import (
@@ -424,6 +426,88 @@ def test_prime_span_cache_holds_no_matrix(monkeypatch):
         quotient._reduce_spec.cache_clear()
     largest = max(r * c for r, c in shapes) * np.dtype(np.int64).itemsize
     assert held < largest
+
+
+def _count_builds(monkeypatch) -> list:
+    """Patch quotient._from_triplets to record the shape of each matrix
+    built, and return the list it records into."""
+    shapes = []
+    from_triplets = quotient._from_triplets
+
+    def record(triplets, nrows, ncols, field_tag):
+        shapes.append((nrows, ncols))
+        return from_triplets(triplets, nrows, ncols, field_tag)
+
+    monkeypatch.setattr(quotient, "_from_triplets", record)
+    return shapes
+
+
+def test_repeated_initial_query_builds_no_span(monkeypatch, capsys):
+    query = ["initial", "--n", "8", "--a", "2", "--d", "5"]
+    builds = _count_builds(monkeypatch)
+    quotient._reduce_spec.cache_clear()
+    assert main(query) == 0
+    first = json.loads(capsys.readouterr().out)["result"]
+    assert builds
+    del builds[:]
+    assert main(query) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == first
+    assert builds == []
+    assert quotient._reduce_spec.cache_info().hits == 1
+
+
+def test_seeded_spans_skip_the_span_cache(capsys):
+    # the spans of froberg and paths --seeds belong to one seed's forms and
+    # are read once, so they neither enter the cache nor evict from it
+    assert main(["initial", "--n", "8", "--a", "2", "--d", "5"]) == 0
+    info = quotient._reduce_spec.cache_info()
+    assert info.currsize
+    for query in (["froberg", "--n", "6", "--a", "2", "--seeds", "1"],
+                  ["froberg", "--n", "5", "--a", "3", "--seeds", "1,2",
+                   "--field", "prime:51999971"],
+                  ["paths", "--n", "9", "--d", "3", "--seeds", "1,2"]):
+        assert main(query) == 0, query
+        assert quotient._reduce_spec.cache_info() == info, query
+    capsys.readouterr()
+
+
+def test_span_cache_keeps_its_cells_under_the_budget(monkeypatch):
+    # the spans of A in degrees 2 to 6 keep 10, 32, 95, 176 and 110 cells
+    # over Q, 423 together; with a budget of 200 the least recently used
+    # are evicted until the rest fits
+    spec = IdealSpec(n=4, a=3)
+    cells = {d: quotient._span_cells(_span_echelon(spec, d, RATIONALS))
+             for d in range(2, 7)}
+    assert list(cells.values()) == [10, 32, 95, 176, 110]
+    monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 200)
+    quotient._reduce_spec.cache_clear()
+    for d in cells:
+        quotient._reduce_spec(spec, d, RATIONALS)
+        assert quotient._reduce_spec.cache_info().cells <= 200, d
+    assert quotient._reduce_spec.cache_info() == (0, 5, 1, 110)
+    # degree 5 went when degree 6 came in, and degree 6 stays
+    builds = _count_builds(monkeypatch)
+    quotient._reduce_spec(spec, 6, RATIONALS)
+    assert builds == []
+    quotient._reduce_spec(spec, 5, RATIONALS)
+    assert len(builds) == 1
+    assert quotient._reduce_spec.cache_info().cells == 176
+
+
+def test_span_above_the_budget_is_built_once_when_read_twice(monkeypatch):
+    # a span larger than the whole budget evicts every other span but
+    # stays itself until the next miss
+    monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 1)
+    quotient._reduce_spec.cache_clear()
+    quotient._reduce_spec(IdealSpec(n=4, a=3), 3, RATIONALS)
+    builds = _count_builds(monkeypatch)
+    spec = IdealSpec(n=6, a=2)
+    first = quotient._reduce_spec(spec, 4, RATIONALS)
+    assert quotient._reduce_spec(spec, 4, RATIONALS) is first
+    assert len(builds) == 1
+    info = quotient._reduce_spec.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+    assert info.cells == quotient._span_cells(first) > 1
 
 
 def test_degree_record_flag_validation():
