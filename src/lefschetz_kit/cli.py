@@ -97,6 +97,8 @@ def _run_hilbert(cfg: RunConfig):
     if n < 1 or a < 2:
         raise ValueError("need n >= 1 and a >= 2")
     if cfg.d is not None:
+        if cfg.d_range is not None:
+            raise ValueError("hilbert takes --d or --d-range, not both")
         degrees = [cfg.d]
     elif cfg.d_range is not None:
         degrees = list(range(cfg.d_range[0], cfg.d_range[1] + 1))
@@ -154,12 +156,9 @@ def _run_sweep(cfg: RunConfig):
     _need_seeds(cfg)
     if cfg.n_range is None:
         raise ValueError("sweep needs --n-range A..B")
-    ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
-    # refuse an oversized n before the sweep of any n runs
-    for n in ns:
-        quotient._check_sweep(n, a, cfg.seeds, cfg.field)
-    rows = [{"n": n, **_wlp_payload(quotient.wlp_sweep(n, a, cfg.seeds, cfg.field))}
-            for n in ns]
+    reports = quotient._wlp_reports(range(cfg.n_range[0], cfg.n_range[1] + 1),
+                                    a, cfg.seeds, cfg.field)
+    rows = [{"n": rep.n, **_wlp_payload(rep)} for rep in reports]
     return 0, {"a": a, "n_range": list(cfg.n_range)}, {"rows": rows}
 
 
@@ -355,7 +354,7 @@ def _parse_field(text: str) -> FieldTag:
         try:
             return prime_field(p)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+            raise argparse.ArgumentTypeError("prime:P needs a prime P") from exc
     raise argparse.ArgumentTypeError("field must be rational, prime or prime:P")
 
 

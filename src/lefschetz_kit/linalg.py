@@ -110,8 +110,6 @@ class FieldTag:
     characteristic: int
 
     def __post_init__(self) -> None:
-        if self.characteristic < 0:
-            raise ValueError("characteristic must be 0 or a prime")
         if self.characteristic and not _is_prime(self.characteristic):
             raise ValueError("characteristic must be 0 or a prime")
 
@@ -128,6 +126,8 @@ RATIONALS = FieldTag(0)
 
 def prime_field(p: int) -> FieldTag:
     """Field marker for arithmetic modulo the prime p."""
+    if p < 2:  # FieldTag(0) is Q, and FieldTag refuses the other non-primes
+        raise ValueError(f"need a prime, not {p}")
     return FieldTag(p)
 
 

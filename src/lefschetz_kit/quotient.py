@@ -58,13 +58,14 @@ of multiplication_kernel, from n, a, the form count, d and whether the
 closed form holds alone, and refuses one of more than CELL_GUARD cells
 with GuardRefusal before it builds any spec, form or span. The same
 bound caps the term count of a power of a linear form and the monomials
-of an initial piece. Queries that compute every degree or every n,
-random_powers_dimensions, injectivity_threshold_check and wlp_sweep,
-check all their shapes first; a sweep takes its degrees from the closed
-form of dim A_d over Q (_check_sweep). The guard bounds cells, not time
-or bytes: a residue array takes 8 bytes per cell modulo p < 2^31 and
-modulo 2^61 - 1, 400 MB at CELL_GUARD, and modulo the other primes from
-2^31 up a pointer per cell plus a Python int per nonzero entry.
+of an initial piece. Queries that compute every degree or every n check
+all their shapes first: random_powers_dimensions, and the rank table
+(_rank_table) behind injectivity_threshold_check and wlp_sweep, whose
+degrees come from the closed form of dim A_d over Q (_wlp_reports). The
+guard bounds cells, not time or bytes: a residue array takes 8 bytes per
+cell modulo p < 2^31 and modulo 2^61 - 1, 400 MB at CELL_GUARD, and
+modulo the other primes from 2^31 up a pointer per cell plus a Python
+int per nonzero entry.
 """
 
 from __future__ import annotations
@@ -909,29 +910,26 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
                                 field_tag: FieldTag | None = None) -> list[dict]:
     """Injectivity verdicts of multiplication by seeded random linear forms.
 
-    One row per n, its rank settled across the seeds by _consensus_rank,
-    so a full-rank seed certifies the row even in prime mode. The terms of
-    each (x_1 + ... + x_n)^a and every span are guarded first. The default
-    field is F_p with p = FAST_PRIME. Each row also reports whether n meets
-    the exact closed-form inequality that guarantees injectivity.
+    One row per n, read from _rank_table, which guards every n before the
+    first is computed and settles each rank across the seeds, so a
+    full-rank seed certifies the row even in prime mode. The default field
+    is F_p with p = FAST_PRIME. Each row also reports whether n meets the
+    exact closed-form inequality that guarantees injectivity.
     """
     if a < 2 or d < a:
         raise ValueError("need d >= a >= 2")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    ns = [int(n) for n in n_range]
+    if any(n < 1 for n in ns):
+        raise ValueError("need at least one variable")
     bound = -(-2 * d // (a - 1)) + Fraction(2 * d - 1, a - 1)
     tag = field_tag if field_tag is not None else prime_field(FAST_PRIME)
-    cells = []
-    for n in n_range:
-        n = int(n)
-        if n < 1:
-            raise ValueError("need at least one variable")
-        cells.append((n, _checked_forms(n, a, seeds, [d], tag)))
+    table = _rank_table(a, [(n, d) for n in ns], seeds, tag)
     rows = []
-    for n, forms in cells:
-        spec = IdealSpec(n=n, a=a)
-        rank, dim_below, dim_at = _consensus_rank(spec, d, forms, tag)
+    for n in ns:
+        rank, dim_below, dim_at = table[n, d]
         rows.append({"n": n, "dim_below": dim_below, "dim_at": dim_at,
                      "rank": rank, "injective": rank == dim_below,
                      "inequality_met": bool(Fraction(n) >= bound)})
@@ -962,6 +960,30 @@ def _consensus_rank(spec: IdealSpec, d: int, forms,
         raise InternalFault(f"rational ranks disagree across seeds at n={spec.n}, "
                             f"degree {d}: {sorted(ranks)}")
     return _consensus_rank(spec, d, forms, RATIONALS)
+
+
+def _rank_table(a: int, cells, seeds, field_tag: FieldTag) -> dict:
+    """(rank, dim_below, dim_at) of multiplication by a general linear form
+    into degree d of the default spec of n variables and exponent a, for
+    each (n, d) of the list cells, keyed by (n, d).
+
+    Each n's seeded linear forms are drawn once. The terms of each
+    (x_1 + ... + x_n)^a and the spans that each form's map into each cell
+    reads (_guard_map) are checked in the order of cells before any power,
+    spec or span is built; then each cell's rank is settled across the
+    forms by _consensus_rank, on one IdealSpec per n.
+    """
+    closed = _closed_form(a, field_tag.characteristic)
+    forms = {}
+    for n, d in cells:
+        if n not in forms:
+            forms[n] = [random_linear_form(n, s) for s in seeds]
+            _guard_power(n, a)
+        for ell in forms[n]:
+            _guard_map(n, a, 1, d, ell, field_tag, closed)
+    specs = {n: IdealSpec(n=n, a=a) for n in forms}
+    return {(n, d): _consensus_rank(specs[n], d, forms[n], field_tag)
+            for n, d in cells}
 
 
 @dataclass(frozen=True)
@@ -998,31 +1020,13 @@ class WlpReport:
     seeds_used: tuple
 
 
-def _checked_forms(n: int, a: int, seeds, degrees,
-                   field_tag: FieldTag) -> list[Form]:
-    """The seeds' linear forms in n variables, returned once the terms of
-    (x_1 + ... + x_n)^a and the spans that each form's map into each of
-    degrees reads (_guard_map) pass the guards; builds no power, spec or
-    span."""
-    forms = [random_linear_form(n, s) for s in seeds]
-    _guard_power(n, a)
-    closed = _closed_form(a, field_tag.characteristic)
-    for d in degrees:
-        for ell in forms:
-            _guard_map(n, a, 1, d, ell, field_tag, closed)
-    return forms
+def _wlp_reports(ns, p: int, seeds, field_tag: FieldTag) -> list[WlpReport]:
+    """The WlpReport of each n of ns, all read from one _rank_table.
 
-
-def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
-    """Validate a wlp_sweep and refuse it when the terms of (x_1 + ... +
-    x_n)^p or a span of a degree it reads would be too large; returns the
-    seeds' linear forms and the degrees of the sweep, and builds no power,
-    spec or span.
-
-    The sweep runs degrees 1 to top-1, where top = ceil(((p-1)n + p) / 2)
-    is the first degree in which the quotient by the p-th powers of the n
-    variables and of their sum vanishes over Q: the pure powers have the
-    strong Lefschetz property for the variable sum in characteristic 0
+    The sweep of n runs degrees 1 to top-1, where top = ceil(((p-1)n + p)
+    / 2) is the first degree in which the quotient by the p-th powers of
+    the n variables and of their sum vanishes over Q: the pure powers have
+    the strong Lefschetz property for the variable sum in characteristic 0
     (Stanley), so dim A_d = max(0, h(d) - h(d-p)) for their Hilbert
     function h, which is symmetric about (p-1)n/2. No piece is smaller
     over a prime field, so every degree swept is nonzero there too; a small
@@ -1030,38 +1034,34 @@ def _check_sweep(n: int, p: int, seeds, field_tag: FieldTag):
     swept. Below p = 2 the quotient vanishes from degree 1, so there is
     nothing to sweep, and such a sweep is refused as invalid.
     """
-    if n < 2 or p < 2:
-        raise ValueError("need n >= 2 and a >= 2")
     seeds = list(seeds)
+    if p < 2 or min(ns) < 2:
+        raise ValueError("need n >= 2 and a >= 2")
     if not seeds:
         raise ValueError("need at least one seed")
-    degrees = range(1, -(-((p - 1) * n + p) // 2))
-    return _checked_forms(n, p, seeds, degrees, field_tag), degrees
+    degrees = {n: range(1, -(-((p - 1) * n + p) // 2)) for n in ns}
+    table = _rank_table(p, [(n, d) for n in ns for d in degrees[n]], seeds,
+                        field_tag)
+    reports = []
+    for n in ns:
+        records = []
+        for d in degrees[n]:
+            rank, below, at = table[n, d]
+            records.append(DegreeRecord(d, below, at, rank, rank == below,
+                                        rank == at, rank == min(below, at)))
+        reports.append(WlpReport(
+            n=n, a=p, records=tuple(records), seeds_used=tuple(seeds),
+            overall_wlp=all(r.maximal_rank for r in records)))
+    return reports
 
 
 def wlp_sweep(n: int, p: int, seeds,
               field_tag: FieldTag = RATIONALS) -> WlpReport:
     """Maximal-rank check of multiplication by seeded random linear forms in
     every degree d with A_d nonzero over Q, d = 1 to ceil(((p-1)n + p) / 2)
-    - 1 (_check_sweep).
-
-    The ideal is the p-th powers of the variables plus the p-th power of the
-    variable sum. One linear form per seed is drawn once and reused across
-    all degrees. Any seed reaching the maximal possible rank certifies that
-    degree; otherwise all seeds must agree, with the same escalation rules
-    as the injectivity table. Every degree is checked against the guards
-    before the first is computed.
+    - 1, of the quotient by the p-th powers of the variables and of their
+    sum (_wlp_reports). One form per seed serves all degrees, and any seed
+    reaching the maximal rank certifies a degree; otherwise all seeds must
+    agree, with the escalation of _consensus_rank.
     """
-    seeds = list(seeds)
-    forms, degrees = _check_sweep(n, p, seeds, field_tag)
-    spec = IdealSpec(n=n, a=p)
-    records = []
-    for d in degrees:
-        rank, dim_below, dim_at = _consensus_rank(spec, d, forms, field_tag)
-        records.append(DegreeRecord(
-            d=d, dim_below=dim_below, dim_at=dim_at, map_rank=rank,
-            injective=rank == dim_below, surjective=rank == dim_at,
-            maximal_rank=rank == min(dim_below, dim_at)))
-    return WlpReport(n=n, a=p, records=tuple(records),
-                     overall_wlp=all(r.maximal_rank for r in records),
-                     seeds_used=tuple(seeds))
+    return _wlp_reports([n], p, seeds, field_tag)[0]

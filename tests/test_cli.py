@@ -215,6 +215,14 @@ def test_missing_flag_is_invalid_input(capsys):
         out, err = capsys.readouterr()
         assert out == "", args
         assert err == "error: invalid input: need n >= 2 and a >= 2\n", args
+    # hilbert reads one of --d and --d-range, so passing both is refused
+    # rather than leaving one unread
+    assert main(["hilbert", "--n", "4", "--a", "2", "--d", "3",
+                 "--d-range", "1..2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid input:")
+    assert "--d " in err and "--d-range" in err
 
 
 def test_missing_seeds_is_invalid_input():
@@ -226,6 +234,15 @@ def test_bad_field_is_rejected():
     proc = run_cli("inject", "--a", "2", "--d", "3", "--n-range", "5..6",
                    "--seeds", "1", "--field", "prime:4")
     assert proc.returncode == 2
+
+
+def test_field_prime_zero_is_rejected():
+    # FieldTag(0) is Q, so prime:0 must not fall through to a rational run
+    proc = run_cli("wlp", "--n", "4", "--a", "2", "--seeds", "1",
+                   "--field", "prime:0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "prime:P needs a prime P" in proc.stderr
 
 
 def test_backwards_range_is_rejected():
@@ -416,6 +433,37 @@ def test_sweep_subcommand():
     rows = list(reader)
     assert {r["n"] for r in rows} == {"3", "4"}
     assert all(r["maximal_rank"] == "True" for r in rows)
+
+
+def test_sweep_draws_each_forms_once(monkeypatch, capsys):
+    # the rank table draws each n's seeded forms once, for the guards and
+    # the ranks alike: 3 values of n times 2 seeds
+    drawn = []
+    real = quotient.random_linear_form
+
+    def counted(n, seed, index=None):
+        drawn.append((n, seed))
+        return real(n, seed, index)
+
+    monkeypatch.setattr(quotient, "random_linear_form", counted)
+    assert main(["sweep", "--a", "2", "--n-range", "3..5", "--seeds", "1,2"]) == 0
+    capsys.readouterr()
+    assert drawn == [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("a, ns, field", [
+    (2, (3, 6), "rational"),
+    (3, (4, 6), "prime:51999971"),
+])
+def test_sweep_blocks_are_the_wlp_payloads(a, ns, field, capsys):
+    common = ["--a", str(a), "--seeds", "1,2", "--field", field]
+    assert main(["sweep", *common, "--n-range", f"{ns[0]}..{ns[1]}"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert [b["n"] for b in blocks] == list(range(ns[0], ns[1] + 1))
+    for block in blocks:
+        assert main(["wlp", *common, "--n", str(block["n"])]) == 0
+        payload = json.loads(capsys.readouterr().out)["result"]
+        assert block == {"n": block["n"], **payload}
 
 
 _SEEDS = st.lists(st.integers(1, 10**6), min_size=1, max_size=2,

@@ -35,6 +35,11 @@ def test_field_tags():
         prime_field(4)
     with pytest.raises(ValueError):
         prime_field(-3)
+    # FieldTag(0) is Q and 1 is no characteristic, so neither is a prime field
+    with pytest.raises(ValueError):
+        prime_field(0)
+    with pytest.raises(ValueError):
+        prime_field(1)
 
 
 def test_matrix_construction():
