@@ -435,7 +435,7 @@ def test_sweep_subcommand():
     assert all(r["maximal_rank"] == "True" for r in rows)
 
 
-def test_sweep_draws_each_forms_once(monkeypatch, capsys):
+def test_sweep_draws_each_form_once(monkeypatch, capsys):
     # the rank table draws each n's seeded forms once, for the guards and
     # the ranks alike: 3 values of n times 2 seeds
     drawn = []
