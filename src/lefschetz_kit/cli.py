@@ -77,11 +77,12 @@ def _run_initial(cfg: RunConfig):
     code = 0
     if a in (2, 3):
         # both sides hold every monomial with an exponent of at least a, so
-        # only the pivots need to match the capped members of the ideal
-        gens = monomials.initial_generators(_case_for(a), n, max(a, d))
-        predicted = {e for e in monomials._iter_exponents(n, d, a - 1)
-                     if monomials._in_ideal(e, gens)}
-        result["combinatorial_match"] = pivots == predicted
+        # only the pivots, all capped, need to be the capped members of the
+        # ideal: they miss the standard monomials and number the rest
+        std = monomials._standard_exponents(_case_for(a), n, d)
+        result["combinatorial_match"] = (
+            pivots.isdisjoint(std)
+            and len(pivots) + len(std) == hilbert.power_ci_hilbert(n, a, d))
         if not result["combinatorial_match"]:
             code = 1
             result["findings"] = [
@@ -187,10 +188,12 @@ def _run_inject(cfg: RunConfig):
     _need_seeds(cfg)
     if cfg.n_range is None:
         raise ValueError("inject needs --n-range A..B")
+    if cfg.verify_rational and cfg.field.is_rational:
+        raise ValueError("inject --verify-rational needs a prime --field")
     ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
     rows = quotient.injectivity_threshold_check(a, d, ns, cfg.seeds, cfg.field)
     result: dict = {}
-    if cfg.verify_rational and not cfg.field.is_rational:
+    if cfg.verify_rational:
         rational = quotient.injectivity_threshold_check(a, d, ns, cfg.seeds,
                                                         RATIONALS)
         result["rational_confirmed"] = all(
@@ -366,17 +369,17 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 # argparse keyword arguments of each flag, keyed by its RunConfig field;
-# the flag itself is the field name with dashes, as in --n-range
+# the flag itself is the field name with dashes, as in --n-range. No flag
+# has a default here: RunConfig holds them all
 _FLAGS = {
     "n": {"type": int},
     "a": {"type": int},
     "d": {"type": int},
     "n_range": {"type": _parse_range, "metavar": "A..B"},
     "d_range": {"type": _parse_range, "metavar": "A..B"},
-    "field": {"type": _parse_field, "default": RATIONALS,
-              "metavar": "{rational|prime|prime:P}"},
-    "seeds": {"type": _parse_seeds, "default": (), "metavar": "S1,S2,..."},
-    "boundary": {"choices": ("strict", "touch"), "default": "strict"},
+    "field": {"type": _parse_field, "metavar": "{rational|prime|prime:P}"},
+    "seeds": {"type": _parse_seeds, "metavar": "S1,S2,..."},
+    "boundary": {"choices": ("strict", "touch")},
     "verify_rational": {"action": "store_true"},
 }
 
@@ -410,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around weak Lefschetz multiplication maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags, _) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
         for flag in flags:
             sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
-        sp.add_argument("--format", choices=("json", "csv", "table"),
-                        default="json")
+        sp.add_argument("--format", choices=("json", "csv", "table"))
         sp.add_argument("--out", dest="output_path", metavar="PATH")
     return ap
 
@@ -427,7 +430,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # a flag left off a subcommand keeps its RunConfig default
+    # the parser sets only the flags given (argument_default=SUPPRESS), so
+    # every other field takes its default from RunConfig, where each is
+    # written once
     config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         code, report = dispatch(config)

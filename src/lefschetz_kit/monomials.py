@@ -9,6 +9,13 @@ ideal.
 Bases are enumerated as lists of exponent tuples, built one variable at a
 time from the lists of every lower degree (_iter_exponents), in revlex
 descending order; Monomial wraps a tuple only where a caller needs one.
+
+The paper describes the initial ideal of the squares and cubes quotients
+by these generators: its standard monomials of degree d, those with every
+exponent below a outside the initial ideal, are exactly the capped
+monomials outside the combinatorial ideal. _standard_exponents lists them,
+and is the one statement of that complement that hilbert.complement_count,
+quotient._monomial_quotient_data and the initial subcommand's check read.
 """
 
 from __future__ import annotations
@@ -308,6 +315,16 @@ def _in_ideal(e: tuple[int, ...], gens: GeneratorSet) -> bool:
     if max(e) >= gens.pure_power_exponent:
         return True
     return any(all(map(le, g.exponents, e)) for g in gens.generators)
+
+
+def _standard_exponents(case: GeneratorCase, n: int,
+                        d: int) -> list[tuple[int, ...]]:
+    """The paper's standard monomials of degree d: the exponents with
+    every entry below the case's exponent a that lie outside the ideal of
+    initial_generators(case, n, max(a, d)), revlex descending."""
+    a = case.exponent
+    gens = initial_generators(case, n, max(a, d))
+    return [e for e in _iter_exponents(n, d, a - 1) if not _in_ideal(e, gens)]
 
 
 def _full_membership(case: GeneratorCase, n: int, m: Monomial) -> bool:

@@ -97,8 +97,9 @@ def _phase_after(phase: int, x: int, interior: bool, r: int, touch: bool):
     return 2
 
 
-def _walk(spec: PathSpec) -> dict[tuple[int, int], int]:
-    """The walks of spec, counted by (end position, _phase_after phase)."""
+def _walk(spec: PathSpec) -> dict[int, int]:
+    """The walks of spec that end at n+2-2d, counted by their _phase_after
+    phase there."""
     n, d = spec.n, spec.d
     r = n + 2 - 2 * d
     touch = spec.boundary_convention is BoundaryConvention.CROSS_MEANS_TOUCH
@@ -120,7 +121,7 @@ def _walk(spec: PathSpec) -> dict[tuple[int, int], int]:
                 key = (y, nph)
                 nxt[key] = nxt.get(key, 0) + cnt
         cur = nxt
-    return cur
+    return {phase: cnt for (x, phase), cnt in cur.items() if x == r}
 
 
 def count_admissible_paths(spec: PathSpec) -> int:
@@ -131,21 +132,22 @@ def count_admissible_paths(spec: PathSpec) -> int:
     interior positions must avoid the walls themselves; the final position
     is exempt since it must sit at the upper wall's height.
     """
-    return _walk(spec).get((spec.n + 2 - 2 * spec.d, 0), 0)
+    return _walk(spec).get(0, 0)
 
 
 def count_double_cross(spec: PathSpec) -> int:
     """Walks ending at n+2-2d whose first wall violation is the upper wall
     and which later violate the lower wall, same step rules as above: those
     that end there in phase 2 of _walk."""
-    return _walk(spec).get((spec.n + 2 - 2 * spec.d, 2), 0)
+    return _walk(spec).get(2, 0)
 
 
 def path_counts(spec: PathSpec) -> PathCounts:
-    """Bundle both walk counts with the closed form for one PathSpec."""
+    """Bundle both walk counts, read from one _walk, with the closed form
+    for one PathSpec."""
     cf = closed_form_a(spec.n, spec.d)
-    return PathCounts(a_count=count_admissible_paths(spec),
-                      t_count=count_double_cross(spec),
+    ends = _walk(spec)
+    return PathCounts(a_count=ends.get(0, 0), t_count=ends.get(2, 0),
                       closed_form_valid=cf is not None,
                       closed_form_value=cf)
 

@@ -11,8 +11,9 @@ initial ideal as the full multiplication matrix.
 Dimensions read the pivots of a forward echelon of the extra-form span.
 Modulo p a span keeps its basis and pivots and frees its residue array
 and column index when the forward pass returns; over Q it keeps its
-column index and integer echelon rows, which multiplication_kernel and
-the witness reduce against. The spans of A that queries read again sit
+column index and integer echelon rows, against which _remainders reduces
+products for multiplication_kernel and for route two of the witness's
+nonmembership check. The spans of A that queries read again sit
 in a least-recently-used cache (_reduce_spec) bounded not by a span
 count but by SPAN_CACHE_CELLS cells kept (_span_cells), since spans
 range from a few cells to millions; the span just stored is never
@@ -82,8 +83,8 @@ from .hilbert import aci_hilbert, power_ci_hilbert
 from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
                      _eliminate, _from_triplets, _integer_row, _pivots,
                      _reduce_against, _residue, kernel_basis, prime_field)
-from .monomials import (GeneratorCase, Monomial, _in_ideal, _iter_exponents,
-                        initial_generators, revlex_sort_key)
+from .monomials import (GeneratorCase, Monomial, _iter_exponents,
+                        _standard_exponents, revlex_sort_key)
 
 # the most cells any span or lift matrix may have, and the most terms of a
 # linear form's power or monomials of an initial piece; larger ones are
@@ -393,11 +394,10 @@ def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
     the _key of each basis exponent to its column. Over Q the echelon
     rows, one per pivot, are integer lists, each a multiple of the
-    Fraction row, which multiplication_kernel and the witness reduce
-    against, with index to place their own products. Modulo p nothing
-    reads either, so both are None and the residue array and the index
-    are freed when the forward pass returns: a cached span then holds its
-    basis and pivots only.
+    Fraction row, which _remainders reduces products against, with index
+    to place them. Modulo p nothing reads either, so both are None and
+    the residue array and the index are freed when the forward pass
+    returns: a cached span then holds its basis and pivots only.
     """
     _guard_span(spec.n, spec.a, len(spec.extra_forms), d)
     radix = _radix(spec)
@@ -840,13 +840,26 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     _guard_span(n, a, nforms, d - 1)
     _guard_span(n, a, nforms, d)
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
+    rems, scales = _remainders(spec, d, ell, std_b)
+    return _kernel_forms(zip(*rems), std_b, d - 1, scales)
+
+
+def _remainders(spec: IdealSpec, d: int, f: Form, mults):
+    """Remainders over Q of f times each exponent vector of mults, in
+    capped degree d, modulo the cached span echelon of spec there.
+
+    The products are projected onto the capped basis by _product_rows, so
+    a term that holds an a-th power is dropped, and each row is reduced
+    fraction-free by linalg._reduce_against, which returns the remainders
+    as integer rows with their scales. This is the one reader of a Q span
+    record's index, echelon rows and radix outside _span_echelon.
+    """
     basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
     radix = _radix(spec)
-    nrows, triplets = _product_rows((ell,), [_key(e, radix) for e in std_b],
+    nrows, triplets = _product_rows((f,), [_key(e, radix) for e in mults],
                                     index, radix, RATIONALS, drop_zero_rows=False)
-    lift = _from_triplets(triplets, nrows, len(basis), RATIONALS)
-    rems, scales = _reduce_against(lift, echelon, piv)
-    return _kernel_forms(zip(*rems), std_b, d - 1, scales)
+    return _reduce_against(_from_triplets(triplets, nrows, len(basis), RATIONALS),
+                           echelon, piv)
 
 
 def _kernel_forms(rows, basis, degree: int, scales=None) -> list[Form]:
@@ -877,10 +890,8 @@ def _monomial_quotient_data(case: GeneratorCase, n: int, d: int):
         raise ValueError("need a combinatorial case")
     if d < 1:
         raise ValueError("degree must be at least 1")
-    a = case.exponent
-    gens = initial_generators(case, n, max(a, d))
-    std_b = [e for e in _iter_exponents(n, d - 1, a - 1) if not _in_ideal(e, gens)]
-    std_d = [e for e in _iter_exponents(n, d, a - 1) if not _in_ideal(e, gens)]
+    std_b = _standard_exponents(case, n, d - 1)
+    std_d = _standard_exponents(case, n, d)
     row_index = {e: i for i, e in enumerate(std_d)}
     rows = [[0] * len(std_b) for _ in std_d]
     for c, mu in enumerate(std_b):

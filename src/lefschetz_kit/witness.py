@@ -17,7 +17,8 @@ FAST_PRIME over the 0/1 containment matrix of index sets, with Q's scaled
 coefficients as one more column, and falls back to a fraction-free pass
 over the same matrix only when the certificate does not fire. Route two
 reduces Q fraction-free against the cached forward echelon of the ideal
-span with linalg._reduce_against, so the two routes share no elimination.
+span through quotient._remainders, the one route by which products are
+reduced against a span over Q, so the two routes share no elimination.
 
 Route one's residue array is this module's one use of numpy, which it
 imports when it first runs, so importing this module does not load numpy.
@@ -33,11 +34,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import (FAST_PRIME, RATIONALS, _forward_int, _forward_numpy,
-                     _integer_row, _reduce_against)
+from .linalg import FAST_PRIME, _forward_int, _forward_numpy, _integer_row
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _guard_span, _key, _radix,
-                       _reduce_spec, form_from_coefficients)
+from .quotient import (Form, IdealSpec, _guard_span, _key, _remainders,
+                       form_from_coefficients)
 
 SUBSET_GUARD = 10**6
 
@@ -342,15 +342,12 @@ def _outside_containment_span(params: WitnessParams, q: Form) -> bool:
 
 
 def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
-    """Route two: whether Q leaves a nonzero remainder against the cached
-    forward echelon of the ideal span in the capped basis of degree d-1."""
-    spec = IdealSpec(n=params.n, a=2)
-    basis, index, echelon, piv = _reduce_spec(spec, params.d - 1, RATIONALS)
-    radix = _radix(spec)
-    vec = [0] * len(basis)
-    for m, c in q.terms:
-        vec[index[_key(m.exponents, radix)]] = c
-    rems, _ = _reduce_against([vec], echelon, piv)
+    """Route two: whether Q, projected onto the capped basis of degree
+    d-1, leaves a nonzero remainder against the cached forward echelon of
+    the ideal span there (quotient._remainders). A term of Q that holds a
+    square is a member of the ideal, and the projection drops it."""
+    rems, _ = _remainders(IdealSpec(n=params.n, a=2), params.d - 1, q,
+                          [(0,) * params.n])
     return any(rems[0])
 
 

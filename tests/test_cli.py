@@ -125,6 +125,23 @@ def test_verify_rational_reports_the_rows_of_q(capsys):
     assert [r["injective"] for r in result["rows"]] == [False, False, True]
 
 
+def test_verify_rational_needs_a_prime_field(monkeypatch, capsys):
+    # over Q there is nothing to verify, so the flag is refused before any
+    # form is drawn rather than silently ignored
+    def draw(*args, **kwargs):
+        raise AssertionError("a form was drawn before the refusal")
+
+    monkeypatch.setattr(quotient, "random_linear_form", draw)
+    query = ["inject", "--a", "2", "--d", "3", "--n-range", "5..5",
+             "--seeds", "1", "--verify-rational"]
+    for field in ([], ["--field", "rational"]):
+        assert main([*query, *field]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: invalid input: inject --verify-rational needs "
+                       "a prime --field\n")
+
+
 def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
     real = quotient._reduce_spec
 

@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from lefschetz_kit import quotient
+from lefschetz_kit import paths, quotient
+from lefschetz_kit.cli import main
 from lefschetz_kit.errors import GuardRefusal, InternalFault
 from lefschetz_kit.paths import (
     BoundaryConvention,
@@ -119,6 +120,26 @@ def test_path_counts_bundle():
     counts = path_counts(PathSpec(n=5, d=3))
     assert counts.a_count == 1 and counts.t_count == 1
     assert not counts.closed_form_valid
+
+
+def test_both_counts_come_from_one_walk(monkeypatch, capsys):
+    # path_counts reads both counts from one walk, and the comparison of
+    # paths --seeds walks once more for its admissible count
+    calls = []
+    real = paths._walk
+
+    def walk(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(paths, "_walk", walk)
+    assert path_counts(PathSpec(n=9, d=3)) == PathCounts(
+        a_count=66, t_count=0, closed_form_valid=True, closed_form_value=66)
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["paths", "--n", "9", "--d", "3", "--seeds", "1"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_alternating_binomial_identity_with_correction():

@@ -138,7 +138,9 @@ def _gauss_jordan(rows, ncols, p):
 @given(small_matrices())
 def test_elimination_matches_gauss_jordan(case):
     rows, ncols = case
-    for tag in FIELDS:
+    # 2147483659, a prime above 2^31 other than DEFAULT_PRIME, takes the
+    # Python-int residue arrays of _rref_mod_python
+    for tag in FIELDS + (prime_field(2147483659),):
         # integer rows are eliminated in place over Q, so each call gets a copy
         red, piv = _eliminate([list(r) for r in rows], ncols, tag, reduce=True)
         if isinstance(red, np.ndarray):

@@ -24,6 +24,7 @@ from lefschetz_kit.monomials import (
     CUBES,
     SQUARES,
     Monomial,
+    _standard_exponents,
     enumerate_degree_piece,
     in_combinatorial_ideal,
     initial_generators,
@@ -194,6 +195,19 @@ def test_standard_monomials_complement_the_initial_ideal():
     assert all(m not in piece for m in std)
     capped = [m for m in enumerate_degree_piece(6, 3, exponent_cap=1)]
     assert len([m for m in capped if m not in piece]) == 14
+
+
+def test_standard_exponents_are_the_standard_monomials():
+    # the paper's description of the initial ideal over Q: the standard
+    # monomials of the squares and cubes quotients are, in order, the
+    # capped monomials outside the combinatorial ideal
+    for case, ns, ds in ((SQUARES, range(1, 9), range(6)),
+                         (CUBES, range(1, 7), range(7))):
+        for n in ns:
+            for d in ds:
+                spec = IdealSpec(n, case.exponent)
+                assert _standard_exponents(case, n, d) == [
+                    m.exponents for m in standard_monomials(spec, d)], (case, n, d)
 
 
 def test_multiplication_rank_generic_versus_degenerate():

@@ -273,6 +273,37 @@ def test_congruence_matches_full_products(params, index, delta):
         assert not _reference_congruent(params, q, bad)
 
 
+def _plus_term(form, exponents, coeff):
+    """form with coeff times the monomial of these exponents added."""
+    coeffs = dict(form.terms)
+    m = Monomial(exponents)
+    coeffs[m] = coeffs.get(m, 0) + coeff
+    return form_from_coefficients(form.degree, coeffs)
+
+
+X1_SQUARED_X2 = (2, 1, 0, 0, 0, 0, 0, 0)
+X1_SQUARED = (2, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_congruence_skips_terms_that_hold_a_square():
+    # every product of such a term holds a square, so it changes neither
+    # side of the congruence
+    params = random_witness_params(8, 4, 1)
+    q, qp = build_Q(params), build_Qprime(params)
+    assert _congruent(params, _plus_term(q, X1_SQUARED_X2, Fraction(7, 3)), qp)
+    assert _congruent(params, q, _plus_term(qp, X1_SQUARED, Fraction(-5, 11)))
+
+
+def test_route_two_drops_terms_that_hold_a_square():
+    # such a term is a member of the ideal, and route two projects it away
+    # before it reduces, as it does every product of a span
+    params = random_witness_params(8, 4, 1)
+    q = build_Q(params)
+    assert _nonzero_in_quotient(params, _plus_term(q, X1_SQUARED_X2, Fraction(7, 3)))
+    alone = form_from_coefficients(3, {Monomial(X1_SQUARED_X2): Fraction(7, 3)})
+    assert not _nonzero_in_quotient(params, alone)
+
+
 def _ideal_member(n, d, multipliers):
     """Square-free part of 2 e_2 times sum c x^J, the (J, c) pairs given,
     where e_2 is the sum of all x_i x_j with i < j: the square-free part
