@@ -225,6 +225,10 @@ def _run_witness(cfg: RunConfig):
 
 def _run_paths(cfg: RunConfig):
     n, d = _need(cfg, "n", "d")
+    if cfg.seeds and cfg.boundary == "touch":
+        # the conjecture compares the exact dimension with the strict count
+        raise ValueError("paths --seeds compares the strict count and takes "
+                         "no --boundary touch")
     conv = (paths.BoundaryConvention.CROSS_MEANS_TOUCH if cfg.boundary == "touch"
             else paths.BoundaryConvention.CROSS_MEANS_STRICTLY_BEYOND)
     pspec = paths.PathSpec(n=n, d=d, boundary_convention=conv)

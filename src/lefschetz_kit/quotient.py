@@ -39,20 +39,27 @@ there bounds the one over Q from above, so a maximal rank left modulo p
 is the rank over Q, and the span is eliminated over Q only when the bound
 falls short.
 
-Spans are built from integers. A power of a linear form comes from the
-multinomial theorem on its coefficients scaled to integers
-(_linear_powers), with one Fraction made per term at the end. The default
-form (x_1 + ... + x_n)^a is built once per (n, a), and the substitution
-behind A/ell A runs on integer coefficients over one denominator per
-form. Over Q the rows of a span or a lift hold each form's coefficients
-times the lcm of their denominators, so no Fraction enters a matrix.
+Spans are built from integers. A span reads each extra form as one
+integer record (_form_record): the keys of its terms, their numerators
+and one positive denominator, in lowest terms and with every term kept.
+The forms of an IdealSpec are converted once, and each keeps its record.
+The cokernel specs of A/ell A (_substituted_spec) and the seeded specs
+of random_powers_dimensions are built as records from the start
+(_IntegerSpec): their powers of linear forms come from the multinomial
+theorem on integer coefficients (_linear_powers), with no Form, Monomial
+or Fraction between a coefficient and its matrix. The default form
+(x_1 + ... + x_n)^a is built once per (n, a).
 
 Matrices are built once, in the form the elimination kernels use. Each
 exponent vector is keyed as one integer with the exponents as digits in
 radix 2a, so the key of a product is the sum of the keys of its factors
-and one dict lookup finds its basis column. `_product_rows` emits the
-products as (row, column, value) triplets, and `linalg._from_triplets`
-turns them into integer lists over Q and a residue array modulo p.
+and one dict lookup finds its basis column. The capped basis of each
+(n, a, d), its key index and the keys of its multipliers are built once
+and cached (_shapes) under the same cell budget as the spans.
+`_product_rows` emits the products of records as (row, column, value)
+triplets, the numerators over Q and modulo p the numerators times one
+inverse of the denominator, and `linalg._from_triplets` turns them into
+integer lists over Q and a residue array modulo p.
 
 A query reads the shape of each matrix it will build, a span or the lift
 of multiplication_kernel, from n, a, the form count, d and whether the
@@ -76,7 +83,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
-from math import comb
+from math import comb, gcd
 
 from .errors import GuardRefusal, InternalFault
 from .hilbert import aci_hilbert, power_ci_hilbert
@@ -91,12 +98,14 @@ from .monomials import (GeneratorCase, Monomial, _iter_exponents,
 # refused from closed-form counts before any enumeration
 CELL_GUARD = 5 * 10**7
 
-# the most cells the cached spans of A keep together (_cell_cache). Over Q
-# a cell is a list slot and the int it holds, 12 to 24 bytes measured, so a
-# full cache holds about 50 to 100 MB; modulo p it is an exponent tuple of
-# the basis, about 140 bytes, and a span keeps one per column. The 75 spans
-# of a pass of the small-queries benchmark keep 14,571 cells together, and
-# the span of a degree-7 witness at n = 13 over Q 1.2 million
+# the most cells the cached spans of A keep together (_cell_cache), and
+# apart from them the cached span shapes (_shapes). Over Q a cell is a
+# list slot and the int it holds, 12 to 24 bytes measured, so a full cache
+# holds about 50 to 100 MB; modulo p it is an exponent tuple of the basis,
+# about 140 bytes, and a span keeps one per column. The 75 spans of a pass
+# of the small-queries benchmark keep 14,571 cells together and its 83
+# shapes 1,704, and the span of a degree-7 witness at n = 13 over Q 1.2
+# million
 SPAN_CACHE_CELLS = 2**22
 
 
@@ -162,11 +171,10 @@ def linear_form(coeffs) -> Form:
     """The degree-1 form with the given per-variable coefficients."""
     coeffs = list(coeffs)
     n = len(coeffs)
-    cmap = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            cmap[Monomial(tuple(1 if j == i else 0 for j in range(n)))] = Fraction(c)
-    return form_from_coefficients(1, cmap)
+    # x_1, x_2, ..., x_n is revlex descending in degree 1
+    return Form(1, tuple(
+        (Monomial((0,) * i + (1,) + (0,) * (n - 1 - i)), Fraction(c))
+        for i, c in enumerate(coeffs) if c))
 
 
 def variable_sum(n: int) -> Form:
@@ -187,24 +195,28 @@ def multiply_forms(f: Form, g: Form) -> Form:
         f.degree + g.degree, {Monomial(e): c for e, c in out.items()})
 
 
-def _linear_powers(coeffs, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+def _linear_powers(coeffs, k: int, radix: int) -> list[list[tuple[int, int]]]:
     """The powers L^0, ..., L^k of L = sum of coeffs[i] x_i, on ints.
 
-    coeffs are integers. Entry t lists the terms (exponents, coefficient)
-    of L^t in revlex descending order, with the multinomial coefficients
+    coeffs are integers and radix exceeds k. Entry t lists the terms (key,
+    coefficient) of L^t in revlex descending order, each key the _key in
+    radix of the term's exponents, with the multinomial coefficients
     t!/prod(e_i!) * prod(coeffs[i]^e_i). The terms are built one variable
-    at a time, as _iter_exponents builds exponents: appending exponent e
-    of a variable with coefficient c to a term of degree t-e multiplies
-    its coefficient by comb(t, e) * c^e. A zero coefficient takes
-    exponent 0 only, so only the support is expanded.
+    at a time, as _iter_exponents builds exponents: giving the variable
+    of place value radix^i and coefficient c the exponent e in a term of
+    degree t-e adds e radix^i to its key and multiplies its coefficient by
+    comb(t, e) * c^e. A zero coefficient takes exponent 0 only, so only
+    the support is expanded.
     """
-    layer = [[((), 1)]] + [[] for _ in range(k)]
+    layer = [[(0, 1)]] + [[] for _ in range(k)]
+    place = 1
     for c in coeffs:
         factors = [[comb(t, e) * c**e for e in range(t + 1)] if c else [1]
                    for t in range(k + 1)]
-        layer = [[(h + (e,), w * f) for e, f in enumerate(factors[t])
+        layer = [[(h + e * place, w * f) for e, f in enumerate(factors[t])
                   for h, w in layer[t - e]]
                  for t in range(k + 1)]
+        place *= radix
     return layer
 
 
@@ -224,8 +236,13 @@ def form_power(f: Form, k: int) -> Form:
         _guard_power(len(f.terms), k)
         coeffs, den = _integer_row(linear_coefficients(f))
         den **= k
-        return Form(k, tuple((Monomial(e), Fraction(c, den))
-                             for e, c in _linear_powers(coeffs, k)[k]))
+        # no exponent of a degree-k term exceeds k, so each is one digit of
+        # its key in radix k + 1
+        places = [(k + 1)**i for i in range(len(coeffs))]
+        return Form(k, tuple(
+            (Monomial(tuple(key // w % (k + 1) for w in places)),
+             Fraction(c, den))
+            for key, c in _linear_powers(coeffs, k, k + 1)[k]))
     out = f
     for _ in range(k - 1):
         out = multiply_forms(out, f)
@@ -245,14 +262,20 @@ def linear_coefficients(f: Form) -> tuple[Fraction, ...]:
 
 
 def random_linear_form(n: int, seed, index: int | None = None) -> Form:
-    """Deterministic pseudo-random linear form, coefficients in [1, 10^6].
+    """Deterministic pseudo-random linear form, coefficients in [1, 10^6]
+    (_draw_coefficients)."""
+    return linear_form(_draw_coefficients(n, seed, index))
+
+
+def _draw_coefficients(n: int, seed, index: int | None = None) -> list[int]:
+    """The n coefficients in [1, 10^6] of random_linear_form(n, seed, index).
 
     The stream is keyed by n and the seed; index distinguishes the members
     when one seed must yield several independent forms.
     """
     tag = f"linear-form:{n}:{seed}" if index is None else f"linear-form:{n}:{seed}:{index}"
     rng = random.Random(tag)
-    return linear_form([rng.randint(1, 10**6) for _ in range(n)])
+    return [rng.randint(1, 10**6) for _ in range(n)]
 
 
 # equal default specs then share one form object, which their cache keys
@@ -292,10 +315,16 @@ class IdealSpec:
                 raise ValueError("extra forms must use n variables")
 
 
-def _capped_basis(spec: IdealSpec, d: int) -> list[tuple[int, ...]]:
-    if d < 0:
-        return []
-    return list(_iter_exponents(spec.n, d, spec.a - 1))
+# a spec whose extra forms are held only as integer records (_form_record):
+# the cokernel specs of _substituted_spec and the seeded specs of
+# random_powers_dimensions, whose spans are each read once
+_IntegerSpec = namedtuple("_IntegerSpec", "n a records")
+
+
+def _capped_basis(n: int, a: int, d: int) -> list[tuple[int, ...]]:
+    """The degree-d exponent vectors in n variables with every exponent
+    below a, revlex descending."""
+    return _iter_exponents(n, d, a - 1)
 
 
 def _capped_count(n: int, a: int, d: int) -> int:
@@ -326,14 +355,14 @@ def _check_map(n: int, d: int, ell: Form) -> None:
         raise ValueError("the form must use n variables")
 
 
-def _radix(spec: IdealSpec) -> int:
-    """Radix of the exponent keys of spec.
+def _radix(a: int) -> int:
+    """Radix of the exponent keys of a spec of exponent a.
 
     Capped exponents stay below a and the exponents of a form multiplied
     onto them reach at most its degree, a or 1, so no exponent of a product
     reaches 2a, and the key of a product is the sum of the keys.
     """
-    return 2 * spec.a
+    return 2 * a
 
 
 def _key(exponents, radix: int) -> int:
@@ -344,38 +373,73 @@ def _key(exponents, radix: int) -> int:
     return key
 
 
-def _unkey(key: int, radix: int, n: int) -> tuple[int, ...]:
-    """The exponent vector of n entries whose _key is key."""
-    out = []
-    for _ in range(n):
-        key, x = divmod(key, radix)
-        out.append(x)
-    return tuple(out)
+def _form_record(f: Form, a: int) -> tuple:
+    """The integer record of f in the keys of a spec of exponent a.
+
+    A record (keys, nums, den) holds, term by term in f's order, the _key
+    in radix _radix(a) of each exponent vector and the coefficient times
+    den, with den the lcm of the coefficients' denominators, so no prime
+    divides den and every num. Built once per form and a, and kept on f.
+    """
+    records = f.__dict__.get("_records")
+    if records is None:
+        records = {}
+        object.__setattr__(f, "_records", records)
+    record = records.get(a)
+    if record is None:
+        radix = _radix(a)
+        nums, den = _integer_row([c for _, c in f.terms])
+        record = records[a] = (tuple(_key(m.exponents, radix) for m, _ in f.terms),
+                               tuple(nums), den)
+    return record
 
 
-def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
+def _record(terms: dict, den: int) -> tuple:
+    """The record of the form whose coefficient at each key of terms is
+    terms[key] / den: its nonzero terms in ascending key order, which is
+    revlex descending, over den, both divided by their gcd."""
+    keys = sorted(k for k, c in terms.items() if c)
+    g = gcd(den, *(terms[k] for k in keys))
+    return tuple(keys), tuple(terms[k] // g for k in keys), den // g
+
+
+def _records(spec) -> tuple:
+    """The records of the extra forms of spec: an _IntegerSpec holds them,
+    and those of an IdealSpec are read from its forms (_form_record)."""
+    if isinstance(spec, IdealSpec):
+        return tuple(_form_record(f, spec.a) for f in spec.extra_forms)
+    return spec.records
+
+
+def _product_rows(records, mult_keys, index, field_tag: FieldTag,
                   drop_zero_rows: bool):
     """Products of each form with each multiplier, projected onto a basis.
 
-    mult_keys are the keys of the multiplier exponents and index maps the
-    key of every basis exponent to its column; products outside the basis
-    are dropped. Returns the row count and (rows, cols, values) triplets
-    for linalg._from_triplets: one row per form and multiplier in that
-    order, where drop_zero_rows gives no row to a product left with no
-    term. Over Q the values are ints: each form's coefficients are scaled
-    to integers once (_integer_row), so each row is a nonzero multiple of
-    its Fraction row, with the same span and pivots. Prime-field values
-    are residues, and those that vanish are left out.
+    The forms are integer records (_form_record), mult_keys are the keys of
+    the multiplier exponents and index maps the key of every basis
+    exponent to its column; products outside the basis are dropped.
+    Returns the row count and (rows, cols, values) triplets for
+    linalg._from_triplets: one row per form and multiplier in that order,
+    where drop_zero_rows gives no row to a product left with no term. Over
+    Q the values are a record's numerators, so each row is den times its
+    Fraction row, with the same span and pivots. Modulo p they are the
+    numerators times the inverse of den, and those that vanish are left
+    out; a den that p divides raises ValueError, as linalg._residue does
+    for a Fraction whose denominator p divides.
     """
     p = field_tag.characteristic
     get = index.get
     rows, cols, vals = [], [], []
     r = 0
-    for f in forms:
-        coeffs = ([_residue(c, p) for _, c in f.terms] if p
-                  else _integer_row([c for _, c in f.terms])[0])
-        terms = [(_key(m.exponents, radix), c)
-                 for (m, _), c in zip(f.terms, coeffs) if c]
+    for keys, nums, den in records:
+        terms = zip(keys, nums)
+        if p:
+            if not den % p:
+                raise ValueError("denominator vanishes modulo p")
+            inv = pow(den, -1, p)
+            terms = [(k, c) for k, c in ((k, c * inv % p) for k, c in terms) if c]
+        else:
+            terms = list(terms)
         for mk in mult_keys:
             for tk, c in terms:
                 j = get(mk + tk)
@@ -388,25 +452,34 @@ def _product_rows(forms, mult_keys, index, radix: int, field_tag: FieldTag,
     return r, (rows, cols, vals)
 
 
-def _span_echelon(spec: IdealSpec, d: int, field_tag: FieldTag):
-    """Forward echelon of the extra-form span in capped degree d.
+def _span_shape(n: int, a: int, d: int):
+    """The matrix shape of the extra-form span in capped degree d: the
+    capped basis, the map from the _key of each of its exponent vectors
+    to its column, and the keys of the capped multipliers of degree d-a."""
+    radix = _radix(a)
+    basis = _capped_basis(n, a, d)
+    index = {_key(e, radix): i for i, e in enumerate(basis)}
+    return basis, index, [_key(e, radix) for e in _capped_basis(n, a, d - a)]
+
+
+def _span_echelon(spec, d: int, field_tag: FieldTag):
+    """Forward echelon of the extra-form span in capped degree d, of an
+    IdealSpec or an _IntegerSpec, built from its records (_records).
 
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
     the _key of each basis exponent to its column. Over Q the echelon
     rows, one per pivot, are integer lists, each a multiple of the
     Fraction row, which _remainders reduces products against, with index
     to place them. Modulo p nothing reads either, so both are None and
-    the residue array and the index are freed when the forward pass
-    returns: a cached span then holds its basis and pivots only.
+    the residue array is freed when the forward pass returns: a cached
+    span then holds its basis and pivots only. The basis, index and
+    multipliers come from the shape cache (_shapes).
     """
-    _guard_span(spec.n, spec.a, len(spec.extra_forms), d)
-    radix = _radix(spec)
-    basis = _capped_basis(spec, d)
-    index = {_key(e, radix): i for i, e in enumerate(basis)}
-    mults = [_key(e, radix)
-             for e in _iter_exponents(spec.n, d - spec.a, spec.a - 1)]
-    nrows, triplets = _product_rows(spec.extra_forms, mults, index, radix,
-                                    field_tag, drop_zero_rows=True)
+    records = _records(spec)
+    _guard_span(spec.n, spec.a, len(records), d)
+    basis, index, mults = _shapes(spec.n, spec.a, d)
+    nrows, triplets = _product_rows(records, mults, index, field_tag,
+                                    drop_zero_rows=True)
     rows = _from_triplets(triplets, nrows, len(basis), field_tag)
     del triplets  # freed before the elimination, which peaks in memory
     echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
@@ -422,54 +495,66 @@ def _span_cells(span) -> int:
     return len(basis) * (1 + len(echelon or ()))
 
 
+def _shape_cells(shape) -> int:
+    """The cells a span shape keeps: its basis, or its index, and its
+    multipliers."""
+    basis, _, mults = shape
+    return len(basis) + len(mults)
+
+
 SpanCacheInfo = namedtuple("SpanCacheInfo", "hits misses currsize cells")
 
 
-def _cell_cache(span_echelon):
-    """span_echelon behind a least-recently-used cache whose entries keep
-    at most SPAN_CACHE_CELLS cells together (_span_cells).
+def _cell_cache(build, cells):
+    """build behind a least-recently-used cache, keyed by its positional
+    arguments, whose entries keep at most SPAN_CACHE_CELLS cells together,
+    as cells counts them.
 
-    A miss stores its span and then evicts the least recently used others
-    until the rest fits, so the span just stored is kept, alone if it is
+    A miss stores its entry and then evicts the least recently used others
+    until the rest fits, so the entry just stored is kept, alone if it is
     larger than the budget, until the next miss. The wrapper keeps its own
-    reference to span_echelon and has cache_info() and cache_clear().
+    reference to build and has cache_info() and cache_clear().
     """
     entries: OrderedDict = OrderedDict()
-    hits = misses = cells = 0
+    hits = misses = kept = 0
 
-    @wraps(span_echelon)
-    def cached(spec: IdealSpec, d: int, field_tag: FieldTag):
-        nonlocal hits, misses, cells
-        key = (spec, d, field_tag)
-        span = entries.get(key)
-        if span is not None:
+    @wraps(build)
+    def cached(*key):
+        nonlocal hits, misses, kept
+        value = entries.get(key)
+        if value is not None:
             hits += 1
             entries.move_to_end(key)
-            return span
+            return value
         misses += 1
-        span = entries[key] = span_echelon(spec, d, field_tag)
-        cells += _span_cells(span)
-        while cells > SPAN_CACHE_CELLS and len(entries) > 1:
-            cells -= _span_cells(entries.popitem(last=False)[1])
-        return span
+        value = entries[key] = build(*key)
+        kept += cells(value)
+        while kept > SPAN_CACHE_CELLS and len(entries) > 1:
+            kept -= cells(entries.popitem(last=False)[1])
+        return value
 
     def cache_info() -> SpanCacheInfo:
-        return SpanCacheInfo(hits, misses, len(entries), cells)
+        return SpanCacheInfo(hits, misses, len(entries), kept)
 
     def cache_clear() -> None:
-        nonlocal hits, misses, cells
+        nonlocal hits, misses, kept
         entries.clear()
-        hits = misses = cells = 0
+        hits = misses = kept = 0
 
     cached.cache_info, cached.cache_clear = cache_info, cache_clear
     return cached
 
 
+# the shape of each (n, a, d), which every span of that shape reads, cached
+# or not. Bounded by cells, not entries: the shape of degree 7 at n = 19,
+# a = 2 keeps 19 MB (tracemalloc), and that of a small query a few kB
+_shapes = _cell_cache(_span_shape, _shape_cells)
+
 # the spans of A itself, which queries read again across degrees, seeds
 # and subcommands. A span read once, of A/ell A or of a seeded spec of
 # random_powers_dimensions, calls _span_echelon and skips the cache, which
 # would otherwise evict the spans read again
-_reduce_spec = _cell_cache(_span_echelon)
+_reduce_spec = _cell_cache(_span_echelon, _span_cells)
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -612,7 +697,10 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
 
     Each seed's spec has two extra forms, so no closed form holds, and each
     of its spans is read once: it calls _span_echelon and skips the span
-    cache. Every seed must give the same dimension vector, which is
+    cache. The forms are the a-th powers of random_linear_form(n, seed,
+    index=i) for i = 1, 2, built as integer records from the drawn
+    coefficients (_draw_coefficients, _linear_powers), with no Form in
+    between. Every seed must give the same dimension vector, which is
     returned; a disagreement raises InternalFault. Before any form is
     built, the query is refused if the terms of a power or the span of any
     degree would be too large, checked in that order, which is the order
@@ -625,11 +713,13 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
     _guard_power(n, a)
     for d in degrees:
         _guard_span(n, a, 2, d)
+    radix = _radix(a)
     vectors = set()
     for s in seeds:
-        forms = tuple(form_power(random_linear_form(n, s, index=i), a)
-                      for i in (1, 2))
-        spec = IdealSpec(n=n, a=a, extra_forms=forms)
+        powers = [_linear_powers(_draw_coefficients(n, s, i), a, radix)[a]
+                  for i in (1, 2)]
+        spec = _IntegerSpec(n, a, tuple(_record(dict(terms), 1)
+                                        for terms in powers))
         vectors.add(tuple(_dimension(_span_echelon(spec, d, field_tag))
                           for d in degrees))
     if len(vectors) > 1:
@@ -675,9 +765,9 @@ def support_bound_check(n: int, a: int, d: int) -> bool:
     return True
 
 
-def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec:
-    """The quotient A/ell A as a spec, where A is the quotient by spec, or
-    spec itself when ell vanishes in the field.
+def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag):
+    """The quotient A/ell A as an _IntegerSpec, where A is the quotient by
+    spec, or spec itself when ell vanishes in the field.
 
     With c_j the first coefficient of ell nonzero in the field, A/ell A is
     the quotient by the substituted forms of _substituted_spec(spec, ell,
@@ -692,49 +782,47 @@ def _cokernel_spec(spec: IdealSpec, ell: Form, field_tag: FieldTag) -> IdealSpec
 # for the same spec modulo FAST_PRIME and over Q; a larger cache mostly
 # keeps the forms of finished queries alive
 @lru_cache(maxsize=16)
-def _substituted_spec(spec: IdealSpec, ell: Form, j: int) -> IdealSpec:
-    """A/ell A as a spec, where A is the quotient by spec and c_j, the
-    coefficient of x_j in ell, is nonzero in the field.
+def _substituted_spec(spec: IdealSpec, ell: Form, j: int) -> _IntegerSpec:
+    """A/ell A as an _IntegerSpec, where A is the quotient by spec and
+    c_j, the coefficient of x_j in ell, is nonzero in the field.
 
     With L the sum of c_i x_i over i != j, A/ell A is the quotient of the
     polynomials in the other variables by their a-th powers, L^a, and each
     extra form f as c_j^a f(x_j = -L/c_j): a term x_j^e m becomes (-L)^e
-    c_j^(a-e) m, and is dropped for e = a as a multiple of L^a. Cached, so
-    that the substituted forms are built once for all degrees of a query.
+    c_j^(a-e) m, and is dropped for e = a as a multiple of L^a. The terms
+    are keyed in the radix of the span from the start, and no Form is
+    built. Cached, so that the substituted forms are built once for all
+    degrees of a query.
     """
     if spec.n == 1:  # ell is a unit times x_1, so A/ell A is k[x_1]/(x_1)
-        return IdealSpec(n=1, a=1, extra_forms=())
+        return _IntegerSpec(1, 1, ())
     # with den the lcm of the denominators of ell, c_j = cj / den and
     # L^e = (sum of P x^m over powers[e]) / den^e, so the image of f,
-    # whose coefficients are its integers over fden, has the integer
+    # whose record holds its integers over fden, has the integer
     # coefficients below over the one denominator fden * den^a
     a = spec.a
+    radix = _radix(a)
     ints, den = _integer_row(linear_coefficients(ell))
     cj = ints[j]
-    powers = _linear_powers(ints[:j] + ints[j + 1:], a)
-    radix = a + 1  # no exponent of a degree-a monomial exceeds a
+    powers = _linear_powers(ints[:j] + ints[j + 1:], a, radix)
     # eliminating the multiples of L^a first keeps the integers small over
     # Q: degree 7 of wlp --n 7 --a 3 takes 0.9 s, and 15 s with L^a last
-    forms = [Form(a, tuple((Monomial(e), Fraction(c, den**a))
-                           for e, c in powers[a]))]
-    keyed = [[(_key(e, radix), c) for e, c in terms] for terms in powers[:a]]
-    for f in spec.extra_forms:
-        nums, fden = _integer_row([c for _, c in f.terms])
+    records = [_record(dict(powers[a]), den**a)]
+    # the digit of x_j in a key of n variables has the place value below;
+    # dropping it shifts the digits above down by one place
+    place = radix**j
+    for keys, nums, fden in _records(spec):
         out: dict = {}
-        for (m, _), c in zip(f.terms, nums):
-            e = m.exponents[j]
+        for key, c in zip(keys, nums):
+            high, low = divmod(key, place)
+            high, e = divmod(high, radix)
             if e < a:
-                rest = _key(m.exponents[:j] + m.exponents[j + 1:], radix)
+                rest = high * place + low
                 c *= (-1) ** e * cj ** (a - e)
-                for key, cc in keyed[e]:
-                    out[rest + key] = out.get(rest + key, 0) + c * cc
-        # ascending keys, whose top digit is the last exponent, are revlex
-        # descending
-        fden *= den**a
-        forms.append(Form(a, tuple(
-            (Monomial(_unkey(key, radix, spec.n - 1)), Fraction(out[key], fden))
-            for key in sorted(out) if out[key])))
-    return IdealSpec(spec.n - 1, a, tuple(forms))
+                for k, cc in powers[e]:
+                    out[rest + k] = out.get(rest + k, 0) + c * cc
+        records.append(_record(out, fden * den**a))
+    return _IntegerSpec(spec.n - 1, a, tuple(records))
 
 
 def _pivot_variable(ell: Form, p: int) -> int | None:
@@ -813,8 +901,8 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     full = min(dim_below, dim_at)
     rank = 0
     if full and mode.is_rational and all(
-            c.denominator % FAST_PRIME
-            for f in (ell, *spec.extra_forms) for _, c in f.terms):
+            den % FAST_PRIME for _, _, den in
+            (_form_record(ell, spec.a), *_records(spec))):
         cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
         if cok is not None and dim_at - cok == full:
             rank = full
@@ -851,13 +939,15 @@ def _remainders(spec: IdealSpec, d: int, f: Form, mults):
     The products are projected onto the capped basis by _product_rows, so
     a term that holds an a-th power is dropped, and each row is reduced
     fraction-free by linalg._reduce_against, which returns the remainders
-    as integer rows with their scales. This is the one reader of a Q span
-    record's index, echelon rows and radix outside _span_echelon.
+    as integer rows with their scales. f is read as its integer record
+    (_form_record). This is the one reader of a Q span record's index,
+    echelon rows and radix outside _span_echelon.
     """
     basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
-    radix = _radix(spec)
-    nrows, triplets = _product_rows((f,), [_key(e, radix) for e in mults],
-                                    index, radix, RATIONALS, drop_zero_rows=False)
+    radix = _radix(spec.a)
+    nrows, triplets = _product_rows((_form_record(f, spec.a),),
+                                    [_key(e, radix) for e in mults],
+                                    index, RATIONALS, drop_zero_rows=False)
     return _reduce_against(_from_triplets(triplets, nrows, len(basis), RATIONALS),
                            echelon, piv)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz_kit import quotient
+from lefschetz_kit import paths, quotient
 from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
 
 
@@ -140,6 +140,23 @@ def test_verify_rational_needs_a_prime_field(monkeypatch, capsys):
         assert out == ""
         assert err == ("error: invalid input: inject --verify-rational needs "
                        "a prime --field\n")
+
+
+def test_paths_touch_with_seeds_is_invalid_input(monkeypatch, capsys):
+    # the conjecture is stated for the strict count, which agrees would
+    # compare whatever --boundary says, so the pair is refused before any
+    # walk runs or any form is drawn
+    def draw(*args, **kwargs):
+        raise AssertionError("a walk ran or a form was drawn before the refusal")
+
+    monkeypatch.setattr(quotient, "_draw_coefficients", draw)
+    monkeypatch.setattr(paths, "path_counts", draw)
+    assert main(["paths", "--n", "6", "--d", "3", "--seeds", "1",
+                 "--boundary", "touch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: invalid input: paths --seeds compares the strict "
+                   "count and takes no --boundary touch\n")
 
 
 def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
@@ -309,6 +326,8 @@ def test_oversized_inject_and_froberg_build_no_span(monkeypatch, capsys):
     monkeypatch.setattr(quotient, "_span_echelon", span)
     monkeypatch.setattr(quotient, "_reduce_spec", span)
     monkeypatch.setattr(quotient, "form_power", build)
+    # froberg raises its seeded coefficients to the a-th power here
+    monkeypatch.setattr(quotient, "_linear_powers", build)
     monkeypatch.setattr(quotient, "_cokernel_spec", build)
     for args in (
         # the degree-6 span at n = 18 has 5.7e7 cells
@@ -353,10 +372,11 @@ def test_map_rank_of_dimension_zero_builds_no_span(monkeypatch, capsys):
 
 def test_refused_froberg_builds_no_form(monkeypatch, capsys):
     # the powers' terms are checked first, then the span of every degree
-    def build(f, k):
+    def build(*args):
         raise AssertionError("a form was built before the refusal")
 
     monkeypatch.setattr(quotient, "form_power", build)
+    monkeypatch.setattr(quotient, "_linear_powers", build)
     for args, line in (
         (("froberg", "--n", "24", "--a", "5", "--seeds", "1"),
          "the cells of the 600 x 2028600 span in degree 7 would number "
@@ -515,9 +535,10 @@ def _draw_query(sub, draw):
                 "--seeds", draw(_SEEDS), "--field", draw(_FIELDS)]
     if sub == "witness":
         return ["--n", num(4, 6), "--d", "3", "--seeds", draw(_SEEDS)]
+    # --seeds compares the strict count, so it goes with --boundary strict
     seeds = draw(st.sampled_from(([], ["--seeds", draw(_SEEDS)])))
-    return ["--n", num(3, 8), "--d", num(2, 3),
-            "--boundary", draw(st.sampled_from(("strict", "touch")))] + seeds
+    boundary = "strict" if seeds else draw(st.sampled_from(("strict", "touch")))
+    return ["--n", num(3, 8), "--d", num(2, 3), "--boundary", boundary] + seeds
 
 
 def _json_rows(report):

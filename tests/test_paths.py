@@ -176,7 +176,7 @@ def test_conjecture_check_known_values():
 
 def test_conjecture_check_guard(monkeypatch):
     # the span is refused from its shape before either form is built
-    def build(coeffs, k):
+    def build(*args):
         raise AssertionError("a form was built before the refusal")
 
     monkeypatch.setattr(quotient, "_linear_powers", build)

@@ -53,6 +53,7 @@ from lefschetz_kit.quotient import (
     IdealSpec,
     _capped_basis,
     _cokernel_spec,
+    _form_record,
     _initial_exponents,
     _key,
     _product_rows,
@@ -312,16 +313,17 @@ def product_cases(draw):
 @given(product_cases())
 def test_product_rows_match_tuple_lookup(case):
     spec, d, ell = case
-    radix = _radix(spec)
-    basis = _capped_basis(spec, d)
+    radix = _radix(spec.a)
+    basis = _capped_basis(spec.n, spec.a, d)
     index = {_key(e, radix): i for i, e in enumerate(basis)}
     # the span rows of _reduce_spec and the lift rows of a kernel
     for forms, below, drop in ((spec.extra_forms, d - spec.a, True),
                                ((ell,), d - 1, False)):
-        mults = _capped_basis(spec, below)
+        mults = _capped_basis(spec.n, spec.a, below)
         keys = [_key(e, radix) for e in mults]
         for tag in FIELDS + (prime_field(3),):
-            nrows, triplets = _product_rows(forms, keys, index, radix, tag, drop)
+            records = [_form_record(f, spec.a) for f in forms]
+            nrows, triplets = _product_rows(records, keys, index, tag, drop)
             assert all(triplets[2]), tag
             # over Q as well as modulo p, the values are ints
             assert all(type(v) is int for v in triplets[2]), tag
@@ -340,8 +342,8 @@ def test_span_keeps_echelon_rows_over_q_only(case):
     # forward echelon of its integer rows, which the kernel and the witness
     # reduce against
     spec, d, _ = case
-    basis = _capped_basis(spec, d)
-    mults = _capped_basis(spec, d - spec.a)
+    basis = _capped_basis(spec.n, spec.a, d)
+    mults = _capped_basis(spec.n, spec.a, d - spec.a)
     for tag in FIELDS + (prime_field(3),):
         p = tag.characteristic
         rows = _reference_product_rows(spec.extra_forms, mults, basis, p, True)
@@ -351,7 +353,7 @@ def test_span_keeps_echelon_rows_over_q_only(case):
         if p:
             assert index is None and echelon is None, tag
         else:
-            radix = _radix(spec)
+            radix = _radix(spec.a)
             assert index == {_key(e, radix): i for i, e in enumerate(basis)}
             ints = [[int(x) for x in r] for r in rows]
             forward, want = _eliminate(ints, len(basis), RATIONALS, reduce=False)
@@ -558,7 +560,7 @@ def _reference_kernel(spec, d, ell):
     degree d-1 against the span in degree d."""
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
     basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
-    radix = _radix(spec)
+    radix = _radix(spec.a)
     lift = []
     for e in std_b:
         row = [Fraction(0)] * len(basis)
@@ -664,14 +666,39 @@ def cokernel_cases(draw):
     return spec, ell
 
 
+def _record_terms(record, n, radix):
+    """The terms of an integer record as (exponents, Fraction) pairs, in
+    the record's order."""
+    keys, nums, den = record
+    out = []
+    for key, num in zip(keys, nums):
+        exponents = []
+        for _ in range(n):
+            key, x = divmod(key, radix)
+            exponents.append(x)
+        assert not key, record
+        out.append((tuple(exponents), Fraction(num, den)))
+    return out
+
+
 def _assert_cokernel_matches(spec, ell):
+    # the cokernel spec holds its forms as integer records only: term by
+    # term, each key must give the reference's exponents and each
+    # numerator over the record's one denominator its coefficient, with
+    # the record in lowest terms
     for tag in MAP_FIELDS:
         want = _reference_cokernel_spec(spec, ell, tag)
         got = _cokernel_spec(spec, ell, tag)
         if want is spec:
             assert got is spec, tag
-        else:
-            assert got == want, tag
+            continue
+        assert (got.n, got.a) == (want.n, want.a), tag
+        assert len(got.records) == len(want.extra_forms), tag
+        for record, f in zip(got.records, want.extra_forms):
+            _, nums, den = record
+            assert den > 0 and gcd(den, *nums) == 1, tag
+            assert (_record_terms(record, want.n, _radix(want.a))
+                    == [(m.exponents, c) for m, c in f.terms]), tag
 
 
 @PROPERTY

@@ -88,11 +88,86 @@ def test_form_multiplication():
     assert form_power(f, 3).degree == 3
 
 
+def test_seeded_spans_read_the_records_of_the_forms_powers(monkeypatch):
+    # the integer records random_powers_dimensions builds are those of the
+    # Form powers of the seeded linear forms, term by term
+    specs = []
+    span = quotient._span_echelon
+
+    def record(spec, d, field_tag):
+        specs.append(spec)
+        return span(spec, d, field_tag)
+
+    monkeypatch.setattr(quotient, "_span_echelon", record)
+    for n, a in ((5, 2), (4, 3), (1, 2)):
+        del specs[:]
+        quotient.random_powers_dimensions(n, a, [1, 2], [a, a + 1], RATIONALS)
+        assert len(specs) == 4
+        for spec, seed in zip(specs[::2], (1, 2)):
+            assert (spec.n, spec.a) == (n, a)
+            assert spec.records == tuple(
+                quotient._form_record(
+                    form_power(random_linear_form(n, seed, index=i), a), a)
+                for i in (1, 2))
+
+
+def test_integer_paths_build_no_form_or_monomial(monkeypatch):
+    # the cokernel spec and the seeded specs hold integer records only, so
+    # neither builds a Form or a Monomial, and the seeded specs no Fraction
+    spec, ell = IdealSpec(n=6, a=3), random_linear_form(6, 1)
+    extra = IdealSpec(n=4, a=2, extra_forms=(
+        form_power(linear_form([1, Fraction(2, 3), 0, -5]), 2),))
+    ell_extra = linear_form([0, Fraction(-7, 2), 1, 3])
+    want = quotient.random_powers_dimensions(5, 2, [1, 2], range(6))
+
+    def build(*args, **kwargs):
+        raise AssertionError("a Form, Monomial or Fraction was built")
+
+    quotient._substituted_spec.cache_clear()
+    for name in ("Form", "Monomial"):
+        monkeypatch.setattr(quotient, name, build)
+    cok = quotient._substituted_spec(spec, ell, 0)
+    assert (cok.n, cok.a, len(cok.records)) == (5, 3, 2)
+    assert len(quotient._substituted_spec(extra, ell_extra, 1).records) == 2
+    monkeypatch.setattr(quotient, "Fraction", build)
+    assert quotient.random_powers_dimensions(5, 2, [1, 2], range(6)) == want
+    quotient._substituted_spec.cache_clear()
+
+
+def test_denominator_p_divides_is_refused_modulo_p():
+    # a coefficient of denominator 3 has no residue modulo 3, in the spans
+    # of A as in the cokernel spans, as linalg._residue refuses it
+    form = form_from_coefficients(2, {Monomial((2, 0, 0)): Fraction(1, 3),
+                                      Monomial((1, 1, 0)): 1,
+                                      Monomial((0, 0, 2)): Fraction(5, 2)})
+    spec = IdealSpec(n=3, a=2, extra_forms=(form,))
+    assert graded_dimension(spec, 2, prime_field(5)) == 2
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="denominator vanishes modulo p"):
+            graded_dimension(spec, d, prime_field(3))
+    # x_2 is substituted, so the term x_1^2 keeps its denominator 3
+    ell = linear_form([0, 1, 1])
+    cok = quotient._cokernel_spec(spec, ell, prime_field(3))
+    with pytest.raises(ValueError, match="denominator vanishes modulo p"):
+        _span_echelon(cok, 2, prime_field(3))
+    assert (_dimension(_span_echelon(cok, 2, prime_field(7)))
+            == _dimension(_span_echelon(cok, 2, RATIONALS)))
+
+
 def test_random_linear_form_determinism():
     assert random_linear_form(6, 1) == random_linear_form(6, 1)
     assert random_linear_form(6, 1) != random_linear_form(6, 2)
     assert random_linear_form(6, 1, index=1) != random_linear_form(6, 1, index=2)
     assert all(c > 0 for c in linear_coefficients(random_linear_form(5, 9)))
+    # random_powers_dimensions draws its integer coefficients through the
+    # helper random_linear_form wraps, so both read one stream per (n,
+    # seed, index)
+    for n, seed, index in ((1, 1, None), (6, 1, None), (6, 1, 1), (6, 1, 2),
+                           (9, 897735, 2)):
+        coeffs = quotient._draw_coefficients(n, seed, index)
+        assert coeffs == list(linear_coefficients(
+            random_linear_form(n, seed, index=index)))
+        assert all(type(c) is int for c in coeffs)
 
 
 def test_ideal_spec_defaults():
@@ -522,6 +597,35 @@ def test_span_above_the_budget_is_built_once_when_read_twice(monkeypatch):
     info = quotient._reduce_spec.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
     assert info.cells == quotient._span_cells(first) > 1
+
+
+def test_shape_cache_keeps_its_cells_under_the_budget(monkeypatch):
+    # a shape keeps its basis and its multipliers: at n = 4, a = 3 the
+    # degrees 2 to 6 keep 10 + 0, 16 + 1, 19 + 4, 16 + 10 and 10 + 16
+    # cells; with a budget of 30 the least recently used go until the rest
+    # fits, and a shape above the budget stays alone until the next miss
+    cells = {d: quotient._shape_cells(quotient._span_shape(4, 3, d))
+             for d in range(2, 7)}
+    assert list(cells.values()) == [10, 17, 23, 26, 26]
+    monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 30)
+    quotient._shapes.cache_clear()
+    try:
+        for d in cells:
+            quotient._shapes(4, 3, d)
+            assert quotient._shapes.cache_info().cells <= 30, d
+        assert quotient._shapes.cache_info() == (0, 5, 1, 26)
+        first = quotient._shapes(4, 3, 6)
+        assert quotient._shapes(4, 3, 6) is first
+        assert quotient._shapes.cache_info().hits == 2
+        monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 1)
+        lone = quotient._shapes(6, 2, 4)
+        info = quotient._shapes.cache_info()
+        assert (info.currsize, info.cells) == (1, quotient._shape_cells(lone))
+        assert info.cells > 1
+        # the span of a cached shape reads the cached basis
+        assert _span_echelon(IdealSpec(n=6, a=2), 4, RATIONALS)[0] is lone[0]
+    finally:
+        quotient._shapes.cache_clear()
 
 
 def test_degree_record_flag_validation():
