@@ -36,8 +36,12 @@ Every map rank, of any spec in any field, takes one route
 0, and otherwise the span of A/ell A. Over Q, when the forms reduce
 modulo FAST_PRIME, that span is eliminated there first: its dimension
 there bounds the one over Q from above, so a maximal rank left modulo p
-is the rank over Q, and the span is eliminated over Q only when the bound
-falls short.
+is the rank over Q. For squares with 2d-2 <= n < 3d-2, a bound of
+dim A_{d-1} - 1 is the rank over Q too when the paper's kernel element
+for ell checks (_witnessed_kernel): its congruence shows ell Q in the
+ideal and route one of witness shows Q outside it, so the rank is at
+most that bound. The span is eliminated over Q only when the bound falls
+short of both.
 
 Spans are built from integers. A span reads each extra form as one
 integer record (_form_record): the keys of its terms, their numerators
@@ -889,7 +893,9 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
        its dimension over Q, and B = dim A_d less it is a lower bound on
        the rank over Q. When B is the maximal rank min(dim A_{d-1},
        dim A_d), it is the rank;
-    4. otherwise the span of A/ell A is eliminated in the query's field.
+    4. over Q, when B is dim A_{d-1} - 1 and the paper's kernel element
+       for ell certifies a kernel (_witnessed_kernel), B is the rank too;
+    5. otherwise the span of A/ell A is eliminated in the query's field.
 
     Only the dimension of a span of A/ell A is kept, so its matrix is
     freed before the next span is built.
@@ -899,17 +905,51 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     dim_at = graded_dimension(spec, d, mode)
     dim_below = graded_dimension(spec, d - 1, mode)
     full = min(dim_below, dim_at)
-    rank = 0
+    rank, settled = 0, not full
     if full and mode.is_rational and all(
             den % FAST_PRIME for _, _, den in
             (_form_record(ell, spec.a), *_records(spec))):
         cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
-        if cok is not None and dim_at - cok == full:
-            rank = full
-    if rank < full:
+        if cok is not None:
+            rank = dim_at - cok
+            settled = rank == full or (rank == dim_below - 1
+                                       and _witnessed_kernel(spec, d, ell))
+    if not settled:
         cok = _cokernel_dimension(spec, d, ell, mode)
         rank = 0 if cok is None else dim_at - cok
     return {"rank": rank, "dim_below": dim_below, "dim_at": dim_at}
+
+
+def _witnessed_kernel(spec: IdealSpec, d: int, ell: Form) -> bool:
+    """Whether the paper's kernel element certifies that multiplication by
+    ell from degree d-1 of A, over Q, is not injective.
+
+    It applies to the default spec with a = 2, the quotient by the squares
+    of the n variables and the square of their sum (_has_closed_form), for
+    d >= 3 and 2d-2 <= n < 3d-2, and to an ell with no zero coefficient.
+    The pair (Q, Q') of witness.WitnessParams(n, d, the coefficients of
+    ell) is built as integer records, and two checks must hold
+    (witness._kernel_certified): the exact congruence, which shows
+    ell Q = Q' (x_1 + ... + x_n)^2 modulo the squares, so ell Q lies in
+    the ideal I; and route one's full rank modulo FAST_PRIME, which shows
+    that Q does not lie in I. Then Q is a nonzero element of A_{d-1} that
+    ell maps to 0, and the rank over Q is at most dim A_{d-1} - 1. As B
+    never exceeds the rank over Q, a B of dim A_{d-1} - 1 is the rank.
+
+    Neither check runs fraction-free, and nothing is built when the
+    subsets or route one's array would pass a guard: the answer is then
+    False, as it is whenever a check fails, and the rank takes the span.
+    witness imports this module, so it is imported here, on first use.
+    """
+    n = spec.n
+    if not (spec.a == 2 and d >= 3 and 2 * d - 2 <= n < 3 * d - 2
+            and _has_closed_form(spec, 0)):
+        return False
+    coeffs = linear_coefficients(ell)
+    if not all(coeffs):
+        return False
+    from . import witness
+    return witness._kernel_certified(witness.WitnessParams(n, d, coeffs))
 
 
 def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
@@ -928,24 +968,27 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     _guard_span(n, a, nforms, d - 1)
     _guard_span(n, a, nforms, d)
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
-    rems, scales = _remainders(spec, d, ell, std_b)
+    rems, scales = _remainders(spec, d, _form_record(ell, a), std_b)
     return _kernel_forms(zip(*rems), std_b, d - 1, scales)
 
 
-def _remainders(spec: IdealSpec, d: int, f: Form, mults):
-    """Remainders over Q of f times each exponent vector of mults, in
-    capped degree d, modulo the cached span echelon of spec there.
+def _remainders(spec: IdealSpec, d: int, record, mults):
+    """Remainders over Q of the form of an integer record times each
+    exponent vector of mults, in capped degree d, modulo the cached span
+    echelon of spec there.
 
-    The products are projected onto the capped basis by _product_rows, so
-    a term that holds an a-th power is dropped, and each row is reduced
+    The record (keys, nums, den) is keyed in the radix of spec, as
+    _form_record keys it: multiplication_kernel passes that of ell, and
+    route two of the witness its own record of Q, built in that radix. The
+    products are projected onto the capped basis by _product_rows, so a
+    term that holds an a-th power is dropped, and each row is reduced
     fraction-free by linalg._reduce_against, which returns the remainders
-    as integer rows with their scales. f is read as its integer record
-    (_form_record). This is the one reader of a Q span record's index,
-    echelon rows and radix outside _span_echelon.
+    as integer rows with their scales. This is the one reader of a Q span
+    record's index, echelon rows and radix outside _span_echelon.
     """
     basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
     radix = _radix(spec.a)
-    nrows, triplets = _product_rows((_form_record(f, spec.a),),
+    nrows, triplets = _product_rows((record,),
                                     [_key(e, radix) for e in mults],
                                     index, RATIONALS, drop_zero_rows=False)
     return _reduce_against(_from_triplets(triplets, nrows, len(basis), RATIONALS),

@@ -7,18 +7,40 @@ weighted form agrees with Q' times the squared variable sum outside the
 squares, so the product lands in the ideal, while Q itself stays out of it.
 Both facts are verified exactly, the second by two independent routes.
 
-Both checks run in the square-free basis, where a monomial is keyed by its
-support bitmask. Q and Q' are summed on Python ints, from the weights and
-the epsilon and psi tables scaled to integers, and each coefficient
-becomes one Fraction at the end. The congruence forms only the products
-that stay square-free, from Q, Q' and the weights scaled to integers.
-Nonmembership is decided twice. Route one is a rank certificate modulo
-FAST_PRIME over the 0/1 containment matrix of index sets, with Q's scaled
-coefficients as one more column, and falls back to a fraction-free pass
-over the same matrix only when the certificate does not fire. Route two
-reduces Q fraction-free against the cached forward echelon of the ideal
-span through quotient._remainders, the one route by which products are
-reduced against a span over Q, so the two routes share no elimination.
+Q and Q' are built and checked as integer records (keys, nums, den), never
+as Forms: the support of each term as a bitmask with variable i at bit 2i,
+which is the _key of its exponent vector in radix 4, as in the spans of
+quotient with exponent 2; the terms in colex order of their supports,
+which is ascending key order and, for square-free monomials of one
+degree, revlex descending; their integer numerators; and one positive
+denominator, in lowest terms, with no zero term. Each record comes from
+one walk of the colex tree of supports (_subset_sums): adding a variable
+to a support multiplies the elementary sums of its weights by (1 + a_j x)
+and divides the sums of the weights outside it by the same factor, so
+each coefficient is a short dot product on ints. build_Q and build_Qprime
+are Form wrappers of the records; the checks and witness_record read the
+records alone, and the report turns their integers into exponent lists
+and coefficient strings.
+
+Which check reads what:
+
+- the congruence (_congruent) forms only the products that stay
+  square-free, from the records' keys and integers and the weights
+  scaled to integers;
+- route one (_outside_containment_span) reads Q's numerators as one more
+  column b of the 0/1 containment matrix of index sets, built from keys,
+  and certifies nonmembership by a full rank modulo FAST_PRIME; only when
+  that certificate does not fire does it eliminate the same matrix
+  fraction-free;
+- route two (_nonzero_in_quotient) passes Q's record, keyed in radix 4
+  already, to quotient._remainders, the one route by which products are
+  reduced against a span over Q, and so reduces Q fraction-free against
+  the cached forward echelon of the ideal span. The two routes share no
+  elimination.
+
+The congruence and route one's certificate, without either fraction-free
+pass, are what quotient.multiplication_map_rank reads when this pair
+settles a rank over Q (_kernel_certified).
 
 Route one's residue array is this module's one use of numpy, which it
 imports when it first runs, so importing this module does not load numpy.
@@ -28,27 +50,32 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import GuardRefusal, InternalFault
 from .linalg import FAST_PRIME, _forward_int, _forward_numpy, _integer_row
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _guard_span, _key, _remainders,
-                       form_from_coefficients)
+from .quotient import (Form, IdealSpec, _guard_cells, _guard_span, _record,
+                       _remainders)
 
 SUBSET_GUARD = 10**6
 
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Inputs for one witness pair: sizes n and d plus the nonzero weights."""
+    """Inputs for one witness pair: sizes n and d plus the nonzero weights.
+
+    scaled, set on construction, holds the weights times the lcm of their
+    denominators, as ints, and that lcm (_integer_row).
+    """
 
     n: int
     d: int
     a_values: tuple[Fraction, ...]
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_values",
@@ -63,6 +90,7 @@ class WitnessParams:
             raise ValueError("need one weight per variable")
         if any(v == 0 for v in self.a_values):
             raise ValueError("weights must be nonzero")
+        object.__setattr__(self, "scaled", _integer_row(self.a_values))
 
 
 @dataclass(frozen=True)
@@ -175,177 +203,218 @@ def _elementary(values, k: int) -> list:
     return e
 
 
-def _colex_combinations(n: int, k: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.combinations(range(n), k),
-                  key=lambda c: tuple(reversed(c)))
+def _colex_keys(n: int, k: int) -> list[int]:
+    """The keys of the size-k subsets of the n variables in colex order,
+    which is ascending key order: variable i is bit 2i, as in a _key in
+    radix 4. Those of subsets of the first t variables come first, so the
+    subsets of each size are those of the size below, each extended by one
+    variable above its largest."""
+    keys = [0]
+    for size in range(1, k + 1):
+        keys = [low | 1 << 2 * top for top in range(size - 1, n)
+                for low in itertools.islice(keys, comb(top, size - 1))]
+    return keys
 
 
-def _split_sums(a, index_sets, k: int, weights):
-    """For each index set S, the sum over all size-k index sets J of the
-    weight product over J times weights[|S meet J|], on integers.
+def _subset_sums(a, s: int, k: int, weights) -> list:
+    """For each size-s index set S in colex order: its key (_colex_keys),
+    the product of the weights a over S, and the sum over all size-k
+    index sets J of the product over J times weights[|S meet J|], on ints.
 
-    a and weights are ints, as _integer_row scales them. Splitting J into
-    its parts inside and outside S turns the sum into
-    sum_t weights[t] e_t(a_S) e_(k-t)(a outside S), so no J is enumerated.
-    The sums outside S come from those of all weights, divided by
-    (1 + a_i x) for each i in S as power series in x. Yields
-    (S, e(a_S), sum), all ints.
+    Splitting J into its parts inside and outside S turns the sum into
+    sum_t weights[t] e_t(a_S) e_(k-t)(a outside S), so no J is
+    enumerated. The sets are reached by one walk of the colex tree, in
+    which the sets of each size extend those of the size below as
+    _colex_keys extends them: adding the weight c to S multiplies the
+    generating polynomial of e(a_S) by (1 + c x), and divides that of the
+    sums outside S, truncated at degree k, by the same factor as a power
+    series. Each set costs O(s + k) products, not O(s k).
     """
-    e_all = _elementary(a, k)
-    for S in index_sets:
-        e_in = _elementary((a[i] for i in S), len(S))
-        e_out = list(e_all)
-        for i in S:
-            for t in range(1, k + 1):
-                e_out[t] -= a[i] * e_out[t - 1]
-        yield S, e_in, sum(weights[t] * e_in[t] * e_out[k - t]
-                           for t in range(min(k, len(S)) + 1))
+    level = [(0, [1], _elementary(a, k))]
+    for size in range(1, s + 1):
+        grown = []
+        for top in range(size - 1, len(a)):
+            bit, c = 1 << 2 * top, a[top]
+            for key, e_in, e_out in itertools.islice(level, comb(top, size - 1)):
+                e_in = [x + c * y for x, y in zip(e_in + [0], [0] + e_in)]
+                out = [1]
+                for t in range(1, k + 1):
+                    out.append(e_out[t] - c * out[-1])
+                grown.append((key | bit, e_in, out))
+        level = grown
+    m = min(k, s)
+    return [(key, e_in[s], sum(weights[t] * e_in[t] * e_out[k - t]
+                               for t in range(m + 1)))
+            for key, e_in, e_out in level]
 
 
-def build_Q(params: WitnessParams) -> Form:
-    """Square-free degree d-1 form whose coefficients are weighted sums.
-
-    The coefficient of the monomial on a size d-1 index set I is the weight
-    product over I times the epsilon-weighted sum of weight products over
-    all index sets of size n-2d+2.
+def _q_record(params: WitnessParams) -> tuple:
+    """The record (keys, nums, den) of Q, the square-free degree d-1 form
+    whose coefficient on a size d-1 index set I is the weight product over
+    I times the epsilon-weighted sum of weight products over all index
+    sets of size n-2d+2.
 
     With D_a and D_e the lcms of the denominators of the weights and of
     the epsilon table, both scaled to ints by _integer_row, a coefficient
-    is summed on ints as D_e D_a^(n-d+1) times its value and becomes one
-    Fraction at the end.
+    is summed on ints as D_e D_a^(n-d+1) times its value (_subset_sums),
+    and quotient._record drops the zero terms and divides out the content,
+    so the record is that of the form, as quotient._form_record gives it.
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
     k = n - 2 * d + 2
-    a, den_a = _integer_row(params.a_values)
+    a, den_a = params.scaled
     eps, den = _integer_row(epsilon_table(d).values)
-    den *= den_a ** (k + d - 1)
-    cmap = {}
-    for I, e_in, s in _split_sums(a, _colex_combinations(n, d - 1), k, eps):
-        coeff = e_in[d - 1] * s
-        if coeff:
-            cmap[Monomial.square_free(n, I)] = Fraction(coeff, den)
-    return form_from_coefficients(d - 1, cmap)
+    return _record({key: prod * s for key, prod, s in _subset_sums(a, d - 1, k, eps)},
+                   den * den_a ** (k + d - 1))
 
 
-def build_Qprime(params: WitnessParams) -> Form:
-    """Square-free degree d-2 companion form.
+def _qprime_record(params: WitnessParams) -> tuple:
+    """The record of Q', the square-free degree d-2 companion form.
 
     The coefficient on a size d-2 index set K is the psi-weighted sum, over
     all size d-2 index sets L, of the weight product outside L, indexed by
     |K meet L|. The raw sums are scaled by 1/(d-1); with that normalization
-    the products in verify_congruence agree exactly.
-
-    The 1/(d-1) is folded into the psi table before it is scaled to ints,
-    so, as in build_Q, each coefficient is summed on ints and becomes one
-    Fraction at the end.
+    the products of the congruence agree exactly. The 1/(d-1) is folded
+    into the psi table before it is scaled to ints, so, as for Q, each
+    coefficient is summed on ints.
     """
     _guard(params.n, params.d)
     n, d = params.n, params.d
     k = n - d + 2
-    a, den_a = _integer_row(params.a_values)
+    a, den_a = params.scaled
     # the complement M of L has size n-d+2, and |K meet L| = d-2 - |K meet M|
     psi, den = _integer_row([Fraction(x, d - 1) for x in psi_table(d).values[::-1]])
-    den *= den_a ** k
-    cmap = {}
-    for K, _, s in _split_sums(a, _colex_combinations(n, d - 2), k, psi):
-        if s:
-            cmap[Monomial.square_free(n, K)] = Fraction(s, den)
-    return form_from_coefficients(d - 2, cmap)
+    return _record({key: s for key, _, s in _subset_sums(a, d - 2, k, psi)},
+                   den * den_a ** k)
+
+
+def _exponents(key: int, n: int) -> list[int]:
+    """The exponent vector of a square-free key in radix 4."""
+    return [key >> 2 * i & 1 for i in range(n)]
+
+
+def _form(record: tuple, n: int, degree: int) -> Form:
+    """The Form of a square-free record of n variables and this degree."""
+    keys, nums, den = record
+    return Form(degree, tuple((Monomial(tuple(_exponents(key, n))), Fraction(c, den))
+                              for key, c in zip(keys, nums)))
+
+
+def build_Q(params: WitnessParams) -> Form:
+    """Q, the square-free degree d-1 form of _q_record, as a Form."""
+    return _form(_q_record(params), params.n, params.d - 1)
+
+
+def build_Qprime(params: WitnessParams) -> Form:
+    """Q', the square-free degree d-2 form of _qprime_record, as a Form."""
+    return _form(_qprime_record(params), params.n, params.d - 2)
 
 
 def verify_congruence(params: WitnessParams) -> bool:
     """Exact check that the weighted form times Q and Q' times the squared
     variable sum agree after deleting every term divisible by a square."""
-    return _congruent(params, build_Q(params), build_Qprime(params))
+    return _congruent(params, _q_record(params), _qprime_record(params))
 
 
-def _congruent(params: WitnessParams, q: Form, qp: Form) -> bool:
-    """The congruence check on integers, keyed by support bitmasks.
+def _congruent(params: WitnessParams, q: tuple, qp: tuple) -> bool:
+    """The congruence check on the integers of the records of Q and Q'.
 
-    A square-free term of the weighted form times Q comes from a term c of
-    Q and a variable x_i outside its support, with coefficient a_i c; one
-    of Q' times the squared variable sum comes from a term c of Q' and two
-    variables outside its support, with coefficient 2c. Every other
-    product holds a square, and a term of Q or Q' that holds one gives
-    only such products, so none of them is formed. With D the lcm of the
-    denominators of Q, Q' and the weights, both sides are compared times
-    D^2, as integers. The _key in radix 2 of a square-free exponent vector
-    is its support bitmask.
+    The squared variable sum is e_1 e_1, with e_1 the variable sum, and a
+    product that holds a square keeps one whatever it is multiplied by, so
+    the square-free part of Q' e_1^2 is that of R e_1, where R is the
+    square-free part of Q' e_1. The check is then that the weighted form
+    times Q and e_1 times R agree outside the squares, and both are formed
+    in one pass over the supports of Q and R: a support S and a variable
+    x_i outside it add a_i Q_S - R_S to the term of S and i. Only products
+    that stay square-free are formed: R_S sums the terms of Q' on S less
+    one variable, and a term of Q or Q' that holds a square, an odd bit of
+    its key in radix 4, gives only products that hold one, so it is left
+    out. With D_a, D and D' the denominators of the weights, Q and Q',
+    both sides are compared times D_a D D', as integers.
     """
-    nq, nqp = len(q.terms), len(qp.terms)
-    ints, den = _integer_row([c for _, c in q.terms + qp.terms]
-                             + list(params.a_values))
-    bits = [1 << i for i in range(params.n)]
-    weights = list(zip(bits, ints[nq + nqp:]))
-    lhs: dict[int, int] = {}
-    for (m, _), c in zip(q.terms, ints):
-        if max(m.exponents) > 1:
-            continue
-        key = _key(m.exponents, 2)
+    a, den_a = params.scaled
+    (qkeys, qnums, qden), (pkeys, pnums, pden) = q, qp
+    bits = [1 << 2 * i for i in range(params.n)]
+    squares = sum(b << 1 for b in bits)
+    scale = den_a * qden
+    r: dict[int, int] = {}
+    for key, c in zip(pkeys, pnums):
+        if not key & squares:
+            c *= scale
+            for b in bits:
+                if not key & b:
+                    r[key | b] = r.get(key | b, 0) + c
+    lhs = {key: c * pden for key, c in zip(qkeys, qnums) if not key & squares}
+    weights = list(zip(bits, a))
+    diff: dict[int, int] = {}
+    for key in lhs.keys() | r.keys():
+        cq, cr = lhs.get(key, 0), r.get(key, 0)
         for b, w in weights:
             if not key & b:
-                lhs[key | b] = lhs.get(key | b, 0) + w * c
-    rhs: dict[int, int] = {}
-    for (m, _), c in zip(qp.terms, ints[nq:]):
-        if max(m.exponents) > 1:
-            continue
-        key, c = _key(m.exponents, 2), 2 * den * c
-        outside = [b for b in bits if not key & b]
-        for b1, b2 in itertools.combinations(outside, 2):
-            k = key | b1 | b2
-            rhs[k] = rhs.get(k, 0) + c
-    return ({k: v for k, v in lhs.items() if v}
-            == {k: v for k, v in rhs.items() if v})
+                diff[key | b] = diff.get(key | b, 0) + w * cq - cr
+    return not any(diff.values())
 
 
-def _outside_containment_span(params: WitnessParams, q: Form) -> bool:
-    """Route one: whether Q is outside the column span of the containment
-    matrix W, rows the size d-1 index sets I, columns the size d-3 sets J,
-    and entry 1 where J lies inside I.
+def _containment(params: WitnessParams, q: tuple):
+    """Route one's matrix: the keys of the size d-3 index sets J, the
+    columns, and of the size d-1 sets I, the rows, and Q's numerator on
+    each row, 0 where Q has no term, read from its record."""
+    n, d = params.n, params.d
+    coeff = dict(zip(q[0], q[1]))
+    keys = _colex_keys(n, d - 1)
+    return _colex_keys(n, d - 3), keys, [coeff.get(k, 0) for k in keys]
 
-    Column J is the square-free part of x^J times the squared variable sum,
-    halved, so the span is the degree d-1 piece of the ideal in the
-    square-free basis. Q's coefficients, times their common denominator,
-    form one more column b, and Q lies outside exactly when [W | b] has
-    full column rank over Q. Index sets and Q's monomials are keyed by
-    their support bitmasks.
 
-    The certificate is a rank modulo FAST_PRIME: the transpose of [W | b]
-    is built as an int64 array of residues, straight from the bitmasks,
-    and eliminated by linalg._forward_numpy. A rank modulo p never exceeds
-    the rank over Q, so a pivot in every one of its rows certifies that Q
-    is outside. Only when the certificate does not fire, because Q is a
-    member or b is degenerate modulo p, are the integer rows of [W | b]
-    built and eliminated fraction-free by linalg._forward_int, and Q is
-    outside when b holds a pivot; that pass alone may answer inside.
-    """
+def _certified_outside(cols, keys, b) -> bool:
+    """Route one's certificate: whether the transpose of [W | b], an int64
+    array of residues built straight from the keys, has a pivot in every
+    row modulo FAST_PRIME (linalg._forward_numpy). A rank modulo p never
+    exceeds the rank over Q, so then [W | b] has full column rank over Q
+    and Q is outside. Keys of up to 24 variables, which the subset guard
+    allows, fit 48 bits."""
     import numpy as np
 
-    n, d = params.n, params.d
-    qcoeff = {_key(m.exponents, 2): c for m, c in q.terms}
-    cols = [sum(1 << j for j in J) for J in _colex_combinations(n, d - 3)]
-    keys = [sum(1 << i for i in I) for I in _colex_combinations(n, d - 1)]
-    b, _ = _integer_row([qcoeff.get(k, 0) for k in keys])
     ncols = len(cols)
     M = np.empty((ncols + 1, len(keys)), dtype=np.int64)
     masks = np.array(cols, dtype=np.int64)[:, None]
     np.bitwise_and(masks, np.array(keys, dtype=np.int64), out=M[:ncols])
     M[:ncols] = M[:ncols] == masks
     M[ncols] = [x % FAST_PRIME for x in b]
-    if len(_forward_numpy(M, FAST_PRIME)) == ncols + 1:
+    return len(_forward_numpy(M, FAST_PRIME)) == ncols + 1
+
+
+def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
+    """Route one: whether Q, given by its record, is outside the column
+    span of the containment matrix W, rows the size d-1 index sets I,
+    columns the size d-3 sets J, and entry 1 where J lies inside I.
+
+    Column J is the square-free part of x^J times the squared variable sum,
+    halved, so the span is the degree d-1 piece of the ideal in the
+    square-free basis. Q's numerators form one more column b, and Q lies
+    outside exactly when [W | b] has full column rank over Q.
+
+    The certificate is a rank modulo FAST_PRIME (_certified_outside). Only
+    when it does not fire, because Q is a member or b is degenerate modulo
+    p, are the integer rows of [W | b] built and eliminated fraction-free
+    by linalg._forward_int, and Q is outside when b holds a pivot; that
+    pass alone may answer inside.
+    """
+    cols, keys, b = _containment(params, q)
+    if _certified_outside(cols, keys, b):
         return True
-    del M
     rows = [[1 if mj & k == mj else 0 for mj in cols] + [x]
             for k, x in zip(keys, b)]
-    return ncols in _forward_int(rows, ncols + 1)
+    return len(cols) in _forward_int(rows, len(cols) + 1)
 
 
-def _nonzero_in_quotient(params: WitnessParams, q: Form) -> bool:
-    """Route two: whether Q, projected onto the capped basis of degree
-    d-1, leaves a nonzero remainder against the cached forward echelon of
-    the ideal span there (quotient._remainders). A term of Q that holds a
-    square is a member of the ideal, and the projection drops it."""
+def _nonzero_in_quotient(params: WitnessParams, q: tuple) -> bool:
+    """Route two: whether Q, a record keyed in radix 4 as those of
+    quotient._form_record(f, 2), leaves a nonzero remainder against the
+    cached forward echelon of the ideal span in degree d-1
+    (quotient._remainders). Its products are projected onto the capped
+    basis, so a term that holds a square, a member of the ideal, is
+    dropped."""
     rems, _ = _remainders(IdealSpec(n=params.n, a=2), params.d - 1, q,
                           [(0,) * params.n])
     return any(rems[0])
@@ -363,10 +432,10 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     agree; a mismatch raises InternalFault.
     """
     _guard_nonmembership(params.n, params.d)
-    return _not_in_ideal(params, build_Q(params))
+    return _not_in_ideal(params, _q_record(params))
 
 
-def _not_in_ideal(params: WitnessParams, q: Form) -> bool:
+def _not_in_ideal(params: WitnessParams, q: tuple) -> bool:
     via_matrix = _outside_containment_span(params, q)
     via_quotient = _nonzero_in_quotient(params, q)
     if via_matrix != via_quotient:
@@ -374,6 +443,27 @@ def _not_in_ideal(params: WitnessParams, q: Form) -> bool:
             "containment-matrix and quotient-echelon nonmembership verdicts "
             f"disagree at n={params.n}, d={params.d}")
     return via_matrix
+
+
+def _kernel_certified(params: WitnessParams) -> bool:
+    """Whether Q is certified a nonzero kernel element of multiplication by
+    the weighted form into degree d of the quotient by the squares and the
+    squared variable sum, from the exact congruence and route one's
+    certificate modulo FAST_PRIME alone, with neither fraction-free pass.
+
+    False, with nothing built, when the subsets or route one's array would
+    pass a guard; False too when either check fails, which leaves the
+    question open rather than answering it.
+    """
+    n, d = params.n, params.d
+    try:
+        _guard(n, d)
+        _guard_cells("containment array", comb(n, d - 3) + 1, comb(n, d - 1))
+    except GuardRefusal:
+        return False
+    q = _q_record(params)
+    return (_congruent(params, q, _qprime_record(params))
+            and _certified_outside(*_containment(params, q)))
 
 
 def random_witness_params(n: int, d: int, seed) -> WitnessParams:
@@ -384,17 +474,28 @@ def random_witness_params(n: int, d: int, seed) -> WitnessParams:
                                         for _ in range(n)))
 
 
+def _report_terms(record: tuple, n: int) -> list:
+    """The terms of a record as [exponents, coefficient string], the
+    string that of the Fraction num/den."""
+    keys, nums, den = record
+    out = []
+    for key, c in zip(keys, nums):
+        g = gcd(c, den)
+        out.append([_exponents(key, n),
+                     f"{c // g}/{den // g}" if den != g else str(c // g)])
+    return out
+
+
 def witness_record(params: WitnessParams) -> dict:
     """JSON-ready record: exact coefficient strings plus both verdicts."""
     _guard_nonmembership(params.n, params.d)
-    q = build_Q(params)
-    qp = build_Qprime(params)
+    q, qp = _q_record(params), _qprime_record(params)
     return {
         "n": params.n,
         "d": params.d,
         "a_values": [str(v) for v in params.a_values],
-        "Q_terms": [[list(m.exponents), str(c)] for m, c in q.terms],
-        "Qprime_terms": [[list(m.exponents), str(c)] for m, c in qp.terms],
+        "Q_terms": _report_terms(q, params.n),
+        "Qprime_terms": _report_terms(qp, params.n),
         "congruence_ok": _congruent(params, q, qp),
         "nonmembership_ok": _not_in_ideal(params, q),
     }

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lefschetz_kit import linalg, quotient
+from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.linalg import (
     DEFAULT_PRIME,
     FAST_PRIME,
@@ -489,8 +489,10 @@ def test_default_spec_map_rank_matches_full_basis_oracle(n, a, d, seeds):
 def test_rational_rank_reads_the_q_span_only_when_the_bound_falls_short(
         monkeypatch, n, a, d, full, unlucky):
     # the cokernel span modulo FAST_PRIME certifies a maximal rank over Q
-    # alone; one that reports a dimension too many, as an unlucky prime
-    # would, leaves the bound short, and the span over Q gives the rank
+    # alone, and at squares (6, 3), one short of injective, the paper's
+    # kernel element certifies the rank one below it; one that reports a
+    # dimension too many, as an unlucky prime would, leaves the bound
+    # short of both, and the span over Q gives the rank
     spans = []
     cokernel_dimension = quotient._cokernel_dimension
     fast = prime_field(FAST_PRIME)
@@ -505,7 +507,120 @@ def test_rational_rank_reads_the_q_span_only_when_the_bound_falls_short(
     got = multiplication_map_rank(spec, d, ell)
     assert got["rank"] == _oracle_rank(spec, d, ell, RATIONALS)
     assert (got["rank"] == min(got["dim_below"], got["dim_at"])) == full
-    assert spans == ([fast] if full and not unlucky else [fast, RATIONALS])
+    witnessed = (n, a, d) == (6, 2, 3)
+    assert spans == ([fast] if (full or witnessed) and not unlucky
+                     else [fast, RATIONALS])
+
+
+def _map_rank_reads(monkeypatch, spec, d, ell):
+    """multiplication_map_rank over Q, the fields of the cokernel spans it
+    read, and the weights and verdict of each pair of the paper's kernel
+    element it asked for."""
+    spans, verdicts = [], []
+    cokernel_dimension = quotient._cokernel_dimension
+    certified = witness._kernel_certified
+
+    def read(spec, d, ell, field_tag):
+        spans.append(field_tag)
+        return cokernel_dimension(spec, d, ell, field_tag)
+
+    def check(params):
+        verdicts.append((params.a_values, certified(params)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(quotient, "_cokernel_dimension", read)
+    monkeypatch.setattr(witness, "_kernel_certified", check)
+    return multiplication_map_rank(spec, d, ell), spans, verdicts
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (9, 4)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_witness_settles_the_rank_one_short_of_injective(
+        monkeypatch, n, d, seed):
+    # squares cells n = 3d - 3: the bound modulo FAST_PRIME is one short of
+    # injective, and the paper's kernel element for ell shows that it is
+    # the rank, with no span over Q
+    spec, ell = IdealSpec(n=n, a=2), random_linear_form(n, seed)
+    got, spans, verdicts = _map_rank_reads(monkeypatch, spec, d, ell)
+    assert got["rank"] == _oracle_rank(spec, d, ell, RATIONALS)
+    assert got["rank"] == got["dim_below"] - 1
+    # the pair is built for ell's own coefficients, in their order
+    assert verdicts == [(linear_coefficients(ell), True)]
+    assert spans == [prime_field(FAST_PRIME)]
+
+
+def test_kernel_witness_settles_squares_degree_five_at_twelve(monkeypatch):
+    # the span over Q took 28.75 s here; neither fraction-free pass of the
+    # witness runs either
+    def refuse(*args):
+        raise AssertionError("a fraction-free pass ran")
+
+    monkeypatch.setattr(witness, "_forward_int", refuse)
+    monkeypatch.setattr(witness, "_remainders", refuse)
+    ell = random_linear_form(12, 1)
+    got, spans, verdicts = _map_rank_reads(monkeypatch, IdealSpec(n=12, a=2), 5, ell)
+    assert got == {"rank": 428, "dim_below": 429, "dim_at": 572}
+    assert verdicts == [(linear_coefficients(ell), True)]
+    assert spans == [prime_field(FAST_PRIME)]
+
+
+@pytest.mark.parametrize("mutation", ["other weights", "congruence fails",
+                                      "route one fails"])
+def test_kernel_witness_that_does_not_check_leaves_the_rank_to_the_q_span(
+        monkeypatch, mutation):
+    # a pair built from weights other than ell's is a genuine witness for
+    # another form, and fails the congruence for ell; a pair whose
+    # congruence or route one's certificate fails proves nothing, and in
+    # every case the rank is read from the span over Q, never from B
+    spec, ell = IdealSpec(n=6, a=2), random_linear_form(6, 1)
+    if mutation == "other weights":
+        other = witness.WitnessParams(6, 3, [c + 1 for c in linear_coefficients(ell)])
+        for name in ("_q_record", "_qprime_record"):
+            monkeypatch.setattr(witness, name,
+                                lambda params, build=getattr(witness, name): build(other))
+    elif mutation == "congruence fails":
+        monkeypatch.setattr(witness, "_congruent", lambda *args: False)
+    else:
+        monkeypatch.setattr(witness, "_certified_outside", lambda *args: False)
+    got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
+    assert verdicts == [(linear_coefficients(ell), False)]
+    assert spans == [prime_field(FAST_PRIME), RATIONALS]
+    assert got["rank"] == _oracle_rank(spec, 3, ell, RATIONALS) == 13
+
+
+def test_form_with_a_zero_coefficient_asks_no_kernel_witness(monkeypatch):
+    # the pair needs nonzero weights; at squares (6, 3) such a form still
+    # leaves the bound one short of injective, and its rank is read from
+    # the span over Q, with no pair built and nothing raised
+    drawn = linear_coefficients(random_linear_form(6, 1))
+    ell = linear_form([0, *drawn[1:]])
+    spec = IdealSpec(n=6, a=2)
+    got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
+    assert verdicts == []
+    assert spans == [prime_field(FAST_PRIME), RATIONALS]
+    assert got["rank"] == _oracle_rank(spec, 3, ell, RATIONALS) == 13
+
+
+def test_kernel_witness_over_a_guard_builds_nothing(monkeypatch):
+    # at squares (6, 3) the subsets number C(6, 2) = 15 and route one's
+    # array has 2 x 15 cells; over either guard nothing is built and the
+    # rank falls through without raising. Route one's array is smaller
+    # than the cokernel span at every squares cell, so the cell guard is
+    # lowered on the step alone
+    def refuse(params):
+        raise AssertionError("a record was built over a guard")
+
+    spec, ell = IdealSpec(n=6, a=2), random_linear_form(6, 1)
+    monkeypatch.setattr(witness, "_q_record", refuse)
+    monkeypatch.setattr(witness, "_qprime_record", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(quotient, "CELL_GUARD", 29)
+        assert quotient._witnessed_kernel(spec, 3, ell) is False
+    monkeypatch.setattr(witness, "SUBSET_GUARD", 14)
+    got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
+    assert verdicts == [(linear_coefficients(ell), False)]
+    assert spans == [prime_field(FAST_PRIME), RATIONALS]
+    assert got["rank"] == 13
 
 
 @PROPERTY

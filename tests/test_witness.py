@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from lefschetz_kit.linalg import FAST_PRIME, _forward_int, _integer_row
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
+    _form_record,
     form_from_coefficients,
     form_power,
     linear_form,
@@ -25,9 +27,12 @@ from lefschetz_kit.quotient import (
 from lefschetz_kit.witness import (
     SumKind,
     WitnessParams,
+    _colex_keys,
     _congruent,
     _nonzero_in_quotient,
     _outside_containment_span,
+    _q_record,
+    _qprime_record,
     build_Q,
     build_Qprime,
     epsilon_table,
@@ -169,11 +174,15 @@ def test_guard_refusal_on_huge_subsets():
     # C(18,6) subsets pass, but the 3060 x 18564 ideal span that
     # nonmembership reduces against is refused before Q is built
     params = random_witness_params(18, 7, 1)
-    with mock.patch.object(witness, "build_Q") as build:
+    builders = ("build_Q", "build_Qprime", "_q_record", "_qprime_record",
+                "_subset_sums")
+    with contextlib.ExitStack() as stack:
+        built = [stack.enter_context(mock.patch.object(witness, name))
+                 for name in builders]
         for check in (verify_nonmembership, witness_record):
             with pytest.raises(GuardRefusal, match="3060 x 18564"):
                 check(params)
-    assert not build.called
+    assert not any(build.called for build in built)
 
 
 def _brute_force_forms(params):
@@ -209,7 +218,20 @@ def test_builders_match_subset_sums(n, d, weights):
         "equal": [Fraction(-5, 3)] * n,
     }[weights]
     params = WitnessParams(n=n, d=d, a_values=tuple(values))
-    assert (build_Q(params), build_Qprime(params)) == _brute_force_forms(params)
+    q, qp = _brute_force_forms(params)
+    assert (build_Q(params), build_Qprime(params)) == (q, qp)
+    # the records are those of the forms, keyed in radix 4 and in lowest
+    # terms, so route two reads them as it reads any form's record
+    assert (_q_record(params), _qprime_record(params)) \
+        == (_form_record(q, 2), _form_record(qp, 2))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_colex_keys_are_the_subsets_in_colex_order(n):
+    for k in range(n + 1):
+        subsets = sorted(itertools.combinations(range(n), k),
+                         key=lambda c: tuple(reversed(c)))
+        assert _colex_keys(n, k) == [sum(4**i for i in c) for c in subsets]
 
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -255,21 +277,29 @@ def _corrupt(form, index, delta):
     return form_from_coefficients(form.degree, coeffs)
 
 
+def _record(form):
+    """The record of a form keyed in radix 4, as route two reads records
+    and the builders key theirs; a term that holds a square keeps its key,
+    with a digit 2."""
+    return _form_record(form, 2)
+
+
 @PROPERTY
 @given(witness_params(), st.integers(0, 10**4), WEIGHTS)
 def test_congruence_matches_full_products(params, index, delta):
     q, qp = build_Q(params), build_Qprime(params)
-    assert _congruent(params, q, qp)
+    rq, rqp = _q_record(params), _qprime_record(params)
+    assert _congruent(params, rq, rqp)
     assert _reference_congruent(params, q, qp)
     # a_i times the change shows at every x_i outside the corrupted term of
     # Q, and twice the change at every pair outside that of Q'
     if q.terms:
         bad = _corrupt(q, index, delta)
-        assert not _congruent(params, bad, qp)
+        assert not _congruent(params, _record(bad), rqp)
         assert not _reference_congruent(params, bad, qp)
     if qp.terms:
         bad = _corrupt(qp, index, delta)
-        assert not _congruent(params, q, bad)
+        assert not _congruent(params, rq, _record(bad))
         assert not _reference_congruent(params, q, bad)
 
 
@@ -290,8 +320,13 @@ def test_congruence_skips_terms_that_hold_a_square():
     # side of the congruence
     params = random_witness_params(8, 4, 1)
     q, qp = build_Q(params), build_Qprime(params)
-    assert _congruent(params, _plus_term(q, X1_SQUARED_X2, Fraction(7, 3)), qp)
-    assert _congruent(params, q, _plus_term(qp, X1_SQUARED, Fraction(-5, 11)))
+    rq, rqp = _record(q), _record(qp)
+    with_square = _record(_plus_term(q, X1_SQUARED_X2, Fraction(7, 3)))
+    assert _congruent(params, with_square, rqp)
+    assert len(with_square[0]) == len(rq[0]) + 1
+    with_square = _record(_plus_term(qp, X1_SQUARED, Fraction(-5, 11)))
+    assert _congruent(params, rq, with_square)
+    assert len(with_square[0]) == len(rqp[0]) + 1
 
 
 def test_route_two_drops_terms_that_hold_a_square():
@@ -299,9 +334,10 @@ def test_route_two_drops_terms_that_hold_a_square():
     # before it reduces, as it does every product of a span
     params = random_witness_params(8, 4, 1)
     q = build_Q(params)
-    assert _nonzero_in_quotient(params, _plus_term(q, X1_SQUARED_X2, Fraction(7, 3)))
+    assert _nonzero_in_quotient(
+        params, _record(_plus_term(q, X1_SQUARED_X2, Fraction(7, 3))))
     alone = form_from_coefficients(3, {Monomial(X1_SQUARED_X2): Fraction(7, 3)})
-    assert not _nonzero_in_quotient(params, alone)
+    assert not _nonzero_in_quotient(params, _record(alone))
 
 
 def _ideal_member(n, d, multipliers):
@@ -348,12 +384,13 @@ def _reference_outside(params, q):
 
 
 def _route_one_checked(params, q):
-    """Route one's verdict on q, once the fraction-free reference and route
-    two have agreed with it, and whether it ran its fraction-free pass."""
+    """Route one's verdict on the record of the form q, once the
+    fraction-free reference on q and route two have agreed with it, and
+    whether it ran its fraction-free pass."""
     with mock.patch.object(witness, "_forward_int", wraps=_forward_int) as spy:
-        verdict = _outside_containment_span(params, q)
+        verdict = _outside_containment_span(params, _record(q))
     assert _reference_outside(params, q) is verdict
-    assert _nonzero_in_quotient(params, q) is verdict
+    assert _nonzero_in_quotient(params, _record(q)) is verdict
     return verdict, spy.called
 
 
@@ -392,4 +429,23 @@ def test_genuine_witness_needs_no_fraction_free_pass():
         raise AssertionError("the fraction-free fallback ran")
 
     with mock.patch.object(witness, "_forward_int", refuse):
-        assert _outside_containment_span(params, build_Q(params)) is True
+        assert _outside_containment_span(params, _q_record(params)) is True
+
+
+def test_records_build_no_form_or_monomial():
+    # the checks and the report read the records alone; only build_Q and
+    # build_Qprime wrap them as Forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Form or Monomial was built")
+
+    params = random_witness_params(9, 4, 2)
+    want = witness_record(params)
+    with mock.patch.object(witness, "Form", refuse), \
+            mock.patch.object(witness, "Monomial", refuse):
+        assert witness_record(params) == want
+        assert verify_congruence(params) and verify_nonmembership(params)
+    # the report is the one the Forms give
+    assert want["Q_terms"] == [[list(m.exponents), str(c)]
+                               for m, c in build_Q(params).terms]
+    assert want["Qprime_terms"] == [[list(m.exponents), str(c)]
+                                    for m, c in build_Qprime(params).terms]
