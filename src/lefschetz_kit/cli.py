@@ -329,10 +329,10 @@ def _json_text(value, indent: str = "") -> str:
     Strings, ints, booleans, None and nonempty lists and dicts with string
     keys, which are all of a report, are written here: a list of strings
     or of ints, such as the monomials of `initial` or an exponent vector
-    of a witness term, takes one join, where json's indenting encoder, which is pure
-    Python, visits every element. Every other value goes to json.dumps,
-    with its lines shifted to indent; no string json writes holds a raw
-    newline, so the shift touches only the layout.
+    of a witness term, takes one join, where json's indenting encoder,
+    which is pure Python, visits every element. Every other value goes to
+    json.dumps, with its lines shifted to indent; no string json writes
+    holds a raw newline, so the shift touches only the layout.
     """
     kind = type(value)
     scalar = _JSON_SCALARS.get(kind)

@@ -9,7 +9,9 @@ cokernel specs of map ranks, built on integers, are checked against
 repeated Fraction products, and the span shapes the map guard reads from
 n, a and the form count against the matrices a map rank builds. Span
 echelons keep their rows over Q only, and their textbook pivots in every
-field."""
+field. Over Q the paper's kernel element settles a squares rank one
+short of injective only when its checks hold for ell's own
+coefficients."""
 
 import random
 from fractions import Fraction
