@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 from . import hilbert, monomials, paths, quotient, witness
 from .errors import GuardRefusal, InternalFault
@@ -317,47 +316,9 @@ def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
     raise ValueError(f"no tabular layout for query: {query}")
 
 
-# how json writes each scalar of a report but floats, in C for a str
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-                 bool: {True: "true", False: "false"}.__getitem__,
-                 type(None): lambda _: "null"}
-
-
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), nested at indent.
-
-    Strings, ints, booleans, None and nonempty lists and dicts with string
-    keys, which are all of a report, are written here: a list of strings
-    or of ints, such as the monomials of `initial` or an exponent vector
-    of a witness term, takes one join, where json's indenting encoder,
-    which is pure Python, visits every element. Every other value goes to
-    json.dumps, with its lines shifted to indent; no string json writes
-    holds a raw newline, so the shift touches only the layout.
-    """
-    kind = type(value)
-    scalar = _JSON_SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is list and value:
-        first = type(value[0])
-        scalar = _JSON_SCALARS.get(first)
-        if scalar is not None and all(type(x) is first for x in value):
-            body = sep.join(map(scalar, value))
-        else:
-            body = sep.join([_json_text(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if kind is dict and value and all(type(k) is str for k in value):
-        body = sep.join([encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                         for k, v in value.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report) + "\n"
+        return json.dumps(report, indent=2) + "\n"
     header, rows = _csv_rows(report)
     if fmt == "csv":
         buf = io.StringIO()

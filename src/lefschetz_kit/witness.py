@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import GuardRefusal, InternalFault
 from .linalg import FAST_PRIME, _forward_int, _forward_numpy, _integer_row
@@ -66,16 +66,11 @@ SUBSET_GUARD = 10**6
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Inputs for one witness pair: sizes n and d plus the nonzero weights.
-
-    scaled, set on construction, holds the weights times the lcm of their
-    denominators, as ints, and that lcm (_integer_row).
-    """
+    """Inputs for one witness pair: sizes n and d plus the nonzero weights."""
 
     n: int
     d: int
     a_values: tuple[Fraction, ...]
-    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_values",
@@ -90,7 +85,6 @@ class WitnessParams:
             raise ValueError("need one weight per variable")
         if any(v == 0 for v in self.a_values):
             raise ValueError("weights must be nonzero")
-        object.__setattr__(self, "scaled", _integer_row(self.a_values))
 
 
 @dataclass(frozen=True)
@@ -263,7 +257,7 @@ def _q_record(params: WitnessParams) -> tuple:
     _guard(params.n, params.d)
     n, d = params.n, params.d
     k = n - 2 * d + 2
-    a, den_a = params.scaled
+    a, den_a = _integer_row(params.a_values)
     eps, den = _integer_row(epsilon_table(d).values)
     return _record({key: prod * s for key, prod, s in _subset_sums(a, d - 1, k, eps)},
                    den * den_a ** (k + d - 1))
@@ -282,7 +276,7 @@ def _qprime_record(params: WitnessParams) -> tuple:
     _guard(params.n, params.d)
     n, d = params.n, params.d
     k = n - d + 2
-    a, den_a = params.scaled
+    a, den_a = _integer_row(params.a_values)
     # the complement M of L has size n-d+2, and |K meet L| = d-2 - |K meet M|
     psi, den = _integer_row([Fraction(x, d - 1) for x in psi_table(d).values[::-1]])
     return _record({key: s for key, _, s in _subset_sums(a, d - 2, k, psi)},
@@ -333,7 +327,7 @@ def _congruent(params: WitnessParams, q: tuple, qp: tuple) -> bool:
     out. With D_a, D and D' the denominators of the weights, Q and Q',
     both sides are compared times D_a D D', as integers.
     """
-    a, den_a = params.scaled
+    a, den_a = _integer_row(params.a_values)
     (qkeys, qnums, qden), (pkeys, pnums, pden) = q, qp
     bits = [1 << 2 * i for i in range(params.n)]
     squares = sum(b << 1 for b in bits)
@@ -475,15 +469,9 @@ def random_witness_params(n: int, d: int, seed) -> WitnessParams:
 
 
 def _report_terms(record: tuple, n: int) -> list:
-    """The terms of a record as [exponents, coefficient string], the
-    string that of the Fraction num/den."""
+    """The terms of a record as [exponents, coefficient string]."""
     keys, nums, den = record
-    out = []
-    for key, c in zip(keys, nums):
-        g = gcd(c, den)
-        out.append([_exponents(key, n),
-                     f"{c // g}/{den // g}" if den != g else str(c // g)])
-    return out
+    return [[_exponents(key, n), str(Fraction(c, den))] for key, c in zip(keys, nums)]
 
 
 def witness_record(params: WitnessParams) -> dict:

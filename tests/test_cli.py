@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz_kit import paths, quotient
-from lefschetz_kit.cli import (RunConfig, _inject_findings, _json_text, dispatch,
-                               main)
+from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
 
 
 def run_cli(*args):
@@ -23,29 +22,6 @@ def run_cli(*args):
 
 def normalize(text):
     return re.sub(r'"timing_ms": \d+', '"timing_ms": 0', text)
-
-
-JSON_SCALARS = st.one_of(
-    st.text(), st.integers(), st.integers(-2**80, 2**80), st.booleans(),
-    st.none(), st.floats())
-JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
-    st.lists(inner, max_size=4),
-    st.lists(st.integers(0, 3), max_size=6),
-    st.lists(st.text(max_size=3), max_size=6),
-    st.tuples(inner, inner),
-    st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3),
-                              st.booleans(), st.none()), inner, max_size=3),
-), max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(JSON_VALUES)
-def test_json_text_is_json_dumps_indented(value):
-    # the JSON report is written by _json_text, which must give json's
-    # bytes for every value: nested lists of one scalar type, mixed ones,
-    # empty ones, tuples, floats, non-string keys and any string
-    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_hilbert_single_degree():
