@@ -12,8 +12,10 @@ Dimensions read the pivots of a forward echelon of the extra-form span.
 Modulo p a span keeps its basis and pivots and frees its residue array
 and column index when the forward pass returns; over Q it keeps its
 column index and integer echelon rows, against which _remainders reduces
-products for multiplication_kernel and for route two of the witness's
-nonmembership check. The spans of A that queries read again sit
+products for multiplication_kernel, and for route two of the witness's
+nonmembership check where its certificate modulo CHECK_PRIME
+(_outside_span), which builds its own span and keeps nothing, does not
+fire. The spans of A that queries read again sit
 in a least-recently-used cache (_reduce_spec) bounded not by a span
 count but by SPAN_CACHE_CELLS cells kept (_span_cells), since spans
 range from a few cells to millions; the span just stored is never
@@ -91,9 +93,10 @@ from math import comb, gcd
 
 from .errors import GuardRefusal, InternalFault
 from .hilbert import aci_hilbert, power_ci_hilbert
-from .linalg import (FAST_PRIME, RATIONALS, FieldTag, RationalMatrix,
-                     _eliminate, _from_triplets, _integer_row, _pivots,
-                     _reduce_against, _residue, kernel_basis, prime_field)
+from .linalg import (CHECK_FIELD, CHECK_PRIME, FAST_FIELD, FAST_PRIME,
+                     RATIONALS, FieldTag, RationalMatrix, _eliminate,
+                     _from_triplets, _integer_row, _pivots, _reduce_against,
+                     _residue, kernel_basis)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         _standard_exponents, revlex_sort_key)
 
@@ -909,7 +912,7 @@ def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
     if full and mode.is_rational and all(
             den % FAST_PRIME for _, _, den in
             (_form_record(ell, spec.a), *_records(spec))):
-        cok = _cokernel_dimension(spec, d, ell, prime_field(FAST_PRIME))
+        cok = _cokernel_dimension(spec, d, ell, FAST_FIELD)
         if cok is not None:
             rank = dim_at - cok
             settled = rank == full or (rank == dim_below - 1
@@ -979,7 +982,8 @@ def _remainders(spec: IdealSpec, d: int, record, mults):
 
     The record (keys, nums, den) is keyed in the radix of spec, as
     _form_record keys it: multiplication_kernel passes that of ell, and
-    route two of the witness its own record of Q, built in that radix. The
+    route two of the witness its own record of Q, built in that radix,
+    when its certificate (_outside_span) does not fire. The
     products are projected onto the capped basis by _product_rows, so a
     term that holds an a-th power is dropped, and each row is reduced
     fraction-free by linalg._reduce_against, which returns the remainders
@@ -993,6 +997,38 @@ def _remainders(spec: IdealSpec, d: int, record, mults):
                                     index, RATIONALS, drop_zero_rows=False)
     return _reduce_against(_from_triplets(triplets, nrows, len(basis), RATIONALS),
                            echelon, piv)
+
+
+def _outside_span(spec: IdealSpec, d: int, record) -> bool:
+    """Whether the form of an integer record is certified to lie outside
+    the extra-form span of spec in capped degree d, by a rank modulo
+    CHECK_PRIME.
+
+    The span's rows are the products of the records of spec with the
+    capped multipliers of degree d-a (_shapes), projected onto the capped
+    basis by _product_rows, one row per record and multiplier, none left
+    out. The record, keyed in the radix of spec as _remainders takes it, is
+    one more row, projected the same way, so a term that holds an a-th
+    power is dropped. Rational rows whose denominators p does not divide
+    never have a higher rank modulo p than over Q, so a pivot in every row
+    of that array modulo p (_pivots, by linalg._forward_numpy) shows that
+    the rows are independent over Q, and the last one is outside the span
+    of the others. False, with no matrix built, when CHECK_PRIME divides a
+    denominator; False too for a member of the span, and for a prime at
+    which a row is lost. The span is built here and not kept.
+    """
+    records = _records(spec)
+    if any(not den % CHECK_PRIME for _, _, den in (*records, record)):
+        return False
+    basis, index, mults = _shapes(spec.n, spec.a, d)
+    nrows, (rows, cols, vals) = _product_rows(records, mults, index, CHECK_FIELD,
+                                              drop_zero_rows=False)
+    _, (_, qcols, qvals) = _product_rows((record,), (0,), index, CHECK_FIELD,
+                                         drop_zero_rows=False)
+    rows += [nrows] * len(qcols)
+    M = _from_triplets((rows, cols + qcols, vals + qvals), nrows + 1,
+                       len(basis), CHECK_FIELD)
+    return len(_pivots(M, len(basis), CHECK_FIELD)) == nrows + 1
 
 
 def _kernel_forms(rows, basis, degree: int, scales=None) -> list[Form]:
@@ -1069,7 +1105,7 @@ def injectivity_threshold_check(a: int, d: int, n_range, seeds,
     if any(n < 1 for n in ns):
         raise ValueError("need at least one variable")
     bound = -(-2 * d // (a - 1)) + Fraction(2 * d - 1, a - 1)
-    tag = field_tag if field_tag is not None else prime_field(FAST_PRIME)
+    tag = field_tag if field_tag is not None else FAST_FIELD
     table = _rank_table(a, [(n, d) for n in ns], seeds, tag)
     rows = []
     for n in ns:

@@ -33,10 +33,21 @@ Which check reads what:
   that certificate does not fire does it eliminate the same matrix
   fraction-free;
 - route two (_nonzero_in_quotient) passes Q's record, keyed in radix 4
-  already, to quotient._remainders, the one route by which products are
-  reduced against a span over Q, and so reduces Q fraction-free against
-  the cached forward echelon of the ideal span. The two routes share no
-  elimination.
+  already, to quotient._outside_span, which projects the products of the
+  ideal's extra form with the multipliers of degree d-3 onto the capped
+  basis, appends Q's row and certifies nonmembership by a full row rank
+  modulo CHECK_PRIME; only when that certificate does not fire does it
+  reduce Q fraction-free against the cached forward echelon of the ideal
+  span (quotient._remainders).
+
+Route two's array equals route one's up to a nonzero factor on each row,
+in the same row and column order: the extra form's products are twice
+the containment rows, and Q's row is its numerators over its
+denominator. Modulo FAST_PRIME it would repeat route one's arithmetic, so
+it runs modulo a second prime. The two routes share the elimination
+kernel, linalg._forward_numpy, but neither the matrix construction, from
+keys here and from quotient's span shapes and records there, nor the
+residues.
 
 The congruence and route one's certificate, without either fraction-free
 pass, are what quotient.multiplication_map_rank reads when this pair
@@ -58,8 +69,8 @@ from math import comb
 from .errors import GuardRefusal, InternalFault
 from .linalg import FAST_PRIME, _forward_int, _forward_numpy, _integer_row
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _guard_cells, _guard_span, _record,
-                       _remainders)
+from .quotient import (Form, IdealSpec, _guard_cells, _guard_span,
+                       _outside_span, _record, _remainders)
 
 SUBSET_GUARD = 10**6
 
@@ -181,9 +192,10 @@ def _guard(n: int, d: int) -> None:
 
 def _guard_nonmembership(n: int, d: int) -> None:
     """_guard, then the guard on the C(n,d-3) x C(n,d-1) ideal span in
-    degree d-1 that route two echelonizes. Route one's array is the
-    transpose of its containment matrix with one row more, so a query that
-    route two would refuse is refused before Q or either matrix is built."""
+    degree d-1 that route two builds. The arrays of both routes' rank
+    certificates are that span, route one's up to a factor on each row,
+    with Q's row added, so a query whose span the guard would refuse is
+    refused before Q or either matrix is built."""
     _guard(n, d)
     _guard_span(n, 2, 1, d - 1)
 
@@ -404,13 +416,24 @@ def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
 
 def _nonzero_in_quotient(params: WitnessParams, q: tuple) -> bool:
     """Route two: whether Q, a record keyed in radix 4 as those of
-    quotient._form_record(f, 2), leaves a nonzero remainder against the
-    cached forward echelon of the ideal span in degree d-1
-    (quotient._remainders). Its products are projected onto the capped
-    basis, so a term that holds a square, a member of the ideal, is
-    dropped."""
-    rems, _ = _remainders(IdealSpec(n=params.n, a=2), params.d - 1, q,
-                          [(0,) * params.n])
+    quotient._form_record(f, 2), is outside the ideal in degree d-1.
+
+    Q's row and the rows of the ideal's span S, the square-free parts of
+    the squared variable sum times each square-free monomial of degree
+    d-3, are projected onto the square-free basis, so a term that holds a
+    square, a member of the ideal, is dropped. The ideal in degree d-1 is
+    the span of S plus the monomials that hold a square, so Q is outside
+    it exactly when its projection is outside span(S). The certificate
+    (quotient._outside_span) answers outside when [S; Q] has a pivot in
+    every row modulo CHECK_PRIME: a rank modulo p never exceeds the rank
+    over Q. Only when it does not fire, for a member, for an unlucky prime
+    or for a denominator that CHECK_PRIME divides, is Q reduced
+    fraction-free against the cached forward echelon of span(S)
+    (quotient._remainders), and a nonzero remainder answers outside."""
+    spec = IdealSpec(n=params.n, a=2)
+    if _outside_span(spec, params.d - 1, q):
+        return True
+    rems, _ = _remainders(spec, params.d - 1, q, [(0,) * params.n])
     return any(rems[0])
 
 
@@ -420,9 +443,12 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     Route one expresses membership as a containment-matrix column-space
     question over the square-free index sets, and answers outside from a
     full rank modulo FAST_PRIME; only when that certificate does not fire
-    does it eliminate fraction-free on integers. Route two reduces Q
-    fraction-free against the echelonized ideal span in the quotient and
-    looks for a nonzero residual. The routes are independent and must
+    does it eliminate fraction-free on integers. Route two builds the
+    ideal span from the quotient's span shape, appends Q and answers
+    outside from a full row rank modulo CHECK_PRIME; only when that
+    certificate does not fire does it reduce Q fraction-free against the
+    echelonized span and look for a nonzero residual. The routes build
+    their matrices apart and work modulo different primes, and must
     agree; a mismatch raises InternalFault.
     """
     _guard_nonmembership(params.n, params.d)

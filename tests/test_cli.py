@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lefschetz_kit import paths, quotient
 from lefschetz_kit.cli import RunConfig, _inject_findings, dispatch, main
+from lefschetz_kit.hilbert import aci_hilbert
 
 
 def run_cli(*args):
@@ -75,18 +76,35 @@ def test_initial_piece_matches_combinatorics():
 
 def test_initial_mismatch_in_characteristic_three():
     # (x1 + ... + x5)^3 is x1^3 + ... + x5^3 modulo 3, so the span leaves
-    # no capped pivot and the piece misses the six of the prediction
+    # no capped pivot and the piece misses the six of the prediction. The
+    # prediction is the paper's, over Q, where the dimension is 29, so
+    # over F_3, where it is 30, it is not checked
     proc = run_cli("initial", "--n", "5", "--a", "3", "--d", "3",
                    "--field", "prime:3")
-    assert proc.returncode == 1
+    assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {
         "monomials": ["x1^3", "x2^3", "x3^3", "x4^3", "x5^3"],
         "count": 5,
         "quotient_dim": 30,
-        "combinatorial_match": False,
-        "findings": [
-            "echelon initial piece differs from the combinatorial prediction"],
+        "combinatorial_match": None,
     }
+    proc = run_cli("initial", "--n", "5", "--a", "3", "--d", "3")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert (result["quotient_dim"], result["combinatorial_match"]) == (29, True)
+
+
+def test_small_prime_inject_cites_no_theorem_about_q():
+    # modulo 3 dim_at is 49 and 76 where Q has 48 and 75, and both maps
+    # lose rank; the squares threshold is a theorem over Q, so neither
+    # row is a finding
+    proc = run_cli("inject", "--a", "2", "--d", "3", "--n-range", "8..9",
+                   "--seeds", "1", "--field", "prime:3")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    assert [(r["n"], r["dim_at"], r["injective"]) for r in result["rows"]] \
+        == [(8, 49, False), (9, 76, False)]
+    assert "findings" not in result
 
 
 def test_small_prime_sweep_reports_the_degrees_of_q(capsys):
@@ -432,8 +450,10 @@ def test_unread_flags_are_rejected():
 
 
 def test_inject_findings_logic():
-    def row(n, injective, met):
-        return {"n": n, "dim_below": 1, "dim_at": 1, "rank": 0,
+    def row(n, injective, met, a=2, d=3):
+        # the dimensions of Q, where the thresholds are proven
+        return {"n": n, "dim_below": aci_hilbert(n, a, d - 1),
+                "dim_at": aci_hilbert(n, a, d), "rank": 0,
                 "injective": injective, "inequality_met": met}
 
     assert _inject_findings([row(6, False, False)], 2, 3) == []
@@ -447,9 +467,14 @@ def test_inject_findings_logic():
     # a met inequality without injectivity flags twice for squares
     out = _inject_findings([row(11, False, True)], 2, 3)
     assert len(out) == 2
-    out = _inject_findings([row(3, False, False)], 3, 3)
+    out = _inject_findings([row(3, False, False, a=3)], 3, 3)
     assert len(out) == 1 and "cubes" in out[0]
-    assert _inject_findings([row(3, True, False)], 3, 3) == []
+    assert _inject_findings([row(3, True, False, a=3)], 3, 3) == []
+    # a row whose dimensions are not those of Q, as over a small prime,
+    # draws no finding from a theorem over Q
+    for key in ("dim_below", "dim_at"):
+        other = {**row(11, False, True), key: row(11, False, True)[key] + 1}
+        assert _inject_findings([other], 2, 3) == []
 
 
 def test_dispatch_in_process():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.linalg import (
+    CHECK_FIELD,
     DEFAULT_PRIME,
     FAST_PRIME,
     RATIONALS,
@@ -142,8 +143,9 @@ def _gauss_jordan(rows, ncols, p):
 def test_elimination_matches_gauss_jordan(case):
     rows, ncols = case
     # 2147483659, a prime above 2^31 other than DEFAULT_PRIME, takes the
-    # Python-int residue arrays of _rref_mod_python
-    for tag in FIELDS + (prime_field(2147483659),):
+    # Python-int residue arrays of _rref_mod_python, and CHECK_PRIME is
+    # the second prime of the witness's route two
+    for tag in FIELDS + (prime_field(2147483659), CHECK_FIELD):
         # integer rows are eliminated in place over Q, so each call gets a copy
         red, piv = _eliminate([list(r) for r in rows], ncols, tag, reduce=True)
         if isinstance(red, np.ndarray):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz_kit import witness
+from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.errors import GuardRefusal
-from lefschetz_kit.linalg import FAST_PRIME, _forward_int, _integer_row
+from lefschetz_kit.linalg import (CHECK_PRIME, FAST_PRIME, _forward_int,
+                                  _integer_row)
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
@@ -386,12 +387,15 @@ def _reference_outside(params, q):
 def _route_one_checked(params, q):
     """Route one's verdict on the record of the form q, once the
     fraction-free reference on q and route two have agreed with it, and
-    whether it ran its fraction-free pass."""
+    whether route one ran its fraction-free pass and route two its
+    fraction-free reduction (quotient._remainders)."""
     with mock.patch.object(witness, "_forward_int", wraps=_forward_int) as spy:
         verdict = _outside_containment_span(params, _record(q))
     assert _reference_outside(params, q) is verdict
-    assert _nonzero_in_quotient(params, _record(q)) is verdict
-    return verdict, spy.called
+    with mock.patch.object(witness, "_remainders",
+                           wraps=quotient._remainders) as fallback:
+        assert _nonzero_in_quotient(params, _record(q)) is verdict
+    return verdict, spy.called, fallback.called
 
 
 @PROPERTY
@@ -403,21 +407,24 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
     multipliers = data.draw(st.lists(
         st.tuples(st.sampled_from(subsets), WEIGHTS), min_size=1, max_size=4))
     member = _ideal_member(n, d, multipliers)
-    # a member is inside, and only the fraction-free pass may say so
-    assert _route_one_checked(params, member) == (False, True)
+    # a member is inside, and only the fraction-free passes of both routes
+    # may say so
+    assert _route_one_checked(params, member) == (False, True, True)
     # the ideal is symmetric and misses part of degree d-1, so it holds no
     # monomial of that degree, and a member plus a multiple of one is
-    # outside it; plus p times one it is a member modulo p, so the rank
-    # certificate cannot fire and the fraction-free pass answers
+    # outside it; plus FAST_PRIME times one it is a member modulo
+    # FAST_PRIME, so route one's certificate cannot fire and its
+    # fraction-free pass answers, while route two's, modulo CHECK_PRIME,
+    # still fires
     extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
     m = Monomial.square_free(n, extra)
     for shift in (1, FAST_PRIME):
         coeffs = dict(member.terms)
         coeffs[m] = coeffs.get(m, 0) + shift
-        verdict, fallback = _route_one_checked(
+        verdict, route_one_fell_back, route_two_fell_back = _route_one_checked(
             params, form_from_coefficients(d - 1, coeffs))
         assert verdict is True
-    assert fallback
+    assert (route_one_fell_back, route_two_fell_back) == (True, False)
     drawn = data.draw(witness_params())
     _route_one_checked(drawn, build_Q(drawn))
 
@@ -430,6 +437,54 @@ def test_genuine_witness_needs_no_fraction_free_pass():
 
     with mock.patch.object(witness, "_forward_int", refuse):
         assert _outside_containment_span(params, _q_record(params)) is True
+
+
+@pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_genuine_witness_needs_no_fraction_free_route_two(n, d, seed):
+    # route two reaches quotient._remainders through the name it imports
+    def refuse(*args):
+        raise AssertionError("route two's fraction-free fallback ran")
+
+    params = random_witness_params(n, d, seed)
+    with mock.patch.object(witness, "_remainders", refuse), \
+            mock.patch.object(quotient, "_remainders", refuse):
+        assert _nonzero_in_quotient(params, _q_record(params)) is True
+
+
+def test_route_two_eliminates_modulo_the_check_prime():
+    # modulo FAST_PRIME route two's array would repeat route one's
+    # arithmetic, so it runs modulo the second prime alone
+    primes = []
+    kernel = linalg._forward_numpy
+
+    def forward(M, p):
+        primes.append(p)
+        return kernel(M, p)
+
+    for n, d in ((6, 3), (9, 4), (12, 5)):
+        params = random_witness_params(n, d, 1)
+        with mock.patch.object(linalg, "_forward_numpy", forward):
+            assert _nonzero_in_quotient(params, _q_record(params)) is True
+    assert primes == [CHECK_PRIME] * 3
+    assert CHECK_PRIME != FAST_PRIME and linalg._is_prime(CHECK_PRIME)
+
+
+def test_check_prime_in_a_denominator_falls_back():
+    # a weight of 1/CHECK_PRIME leaves CHECK_PRIME in Q's denominator, so
+    # route two's certificate cannot reduce Q's row and must fall back, not
+    # raise; route one reads Q's numerators modulo FAST_PRIME
+    params = WitnessParams(n=6, d=3, a_values=(Fraction(1, CHECK_PRIME),)
+                           + PRIMES_6[1:])
+    q = _q_record(params)
+    assert q[2] % CHECK_PRIME == 0
+    assert quotient._outside_span(IdealSpec(n=6, a=2), 2, q) is False
+    with mock.patch.object(witness, "_remainders",
+                           wraps=quotient._remainders) as fallback:
+        assert _nonzero_in_quotient(params, q) is True
+    assert fallback.called
+    assert _outside_containment_span(params, q) is True
+    assert verify_nonmembership(params)
 
 
 def test_records_build_no_form_or_monomial():
