@@ -7,12 +7,9 @@ by the row's pivot each. Prime-field arithmetic is an accelerator: for
 integer matrices the rank modulo p never exceeds the rational rank, so a
 full-rank verdict modulo p is already exact. Callers who see a
 prime-field rank deficit and need certainty must recompute rationally.
-Two fixed primes below 2^26 serve as such accelerators. FAST_PRIME
-certifies map ranks and route one of a witness. CHECK_PRIME, the largest
-prime below it, certifies route two of a witness, whose matrix equals
-route one's up to a nonzero factor on each row; modulo a second prime the
-two routes share the kernel but no residues. FAST_FIELD and CHECK_FIELD
-are their field tags, bound once.
+One fixed prime below 2^26, FAST_PRIME, serves as such an accelerator:
+it certifies map ranks over Q and route two of a witness. FAST_FIELD is
+its field tag, bound once.
 
 The field alone picks the representation (_dtype): integer lists over Q,
 and an ndarray of residues modulo p, of int64 below 2^31, of uint64
@@ -41,8 +38,7 @@ subtracts at most one product of residues, below p^2, to any other
 entry. After k steps an entry is at most p + k p^2 in absolute value,
 which stays below 2^63 for k up to (2^63 - 1 - p) // p^2; the kernels
 reduce the entries still in play once every that many steps. The bound
-depends on p alone: 3411 steps modulo FAST_PRIME and CHECK_PRIME, 2
-modulo 2^31 - 1.
+depends on p alone: 3411 steps modulo FAST_PRIME, 2 modulo 2^31 - 1.
 Python ints cannot overflow, so object arrays are never reduced in
 between, and their entries stay below p + k p^2. A product of residues
 modulo 2^61 - 1 does not fit in 64 bits, so a uint64 step forms it from
@@ -67,10 +63,6 @@ from typing import Iterable, Sequence
 
 DEFAULT_PRIME = 2**61 - 1
 FAST_PRIME = 51999971  # largest prime whose squares stay far inside int64
-# the largest prime below FAST_PRIME, for a second rank check whose
-# residues are not those of the first; its int64 arrays keep the kernel
-# and the reduction budget of FAST_PRIME
-CHECK_PRIME = 51999919
 
 # numpy and the uint64 constants of _mul_mersenne, bound by _numpy when a
 # residue array is first built or eliminated
@@ -142,10 +134,9 @@ def prime_field(p: int) -> FieldTag:
     return FieldTag(p)
 
 
-# the field tags of the two fixed primes, bound once, since each FieldTag
-# runs the primality test of _is_prime
+# the field tag of the fixed prime, bound once, since each FieldTag runs
+# the primality test of _is_prime
 FAST_FIELD = prime_field(FAST_PRIME)
-CHECK_FIELD = prime_field(CHECK_PRIME)
 
 
 def _residue(x, p: int) -> int:

@@ -13,7 +13,7 @@ Modulo p a span keeps its basis and pivots and frees its residue array
 and column index when the forward pass returns; over Q it keeps its
 column index and integer echelon rows, against which _remainders reduces
 products for multiplication_kernel, and for route two of the witness's
-nonmembership check where its certificate modulo CHECK_PRIME
+nonmembership check where its certificate modulo FAST_PRIME
 (_outside_span), which builds its own span and keeps nothing, does not
 fire. The spans of A that queries read again sit
 in a least-recently-used cache (_reduce_spec) bounded not by a span
@@ -41,9 +41,9 @@ there bounds the one over Q from above, so a maximal rank left modulo p
 is the rank over Q. For squares with 2d-2 <= n < 3d-2, a bound of
 dim A_{d-1} - 1 is the rank over Q too when the paper's kernel element
 for ell checks (_witnessed_kernel): its congruence shows ell Q in the
-ideal and route one of witness shows Q outside it, so the rank is at
-most that bound. The span is eliminated over Q only when the bound falls
-short of both.
+ideal and the null-design sum of witness route one shows Q outside it,
+so the rank is at most that bound. The span is eliminated over Q only
+when the bound falls short of both.
 
 Spans are built from integers. A span reads each extra form as one
 integer record (_form_record): the keys of its terms, their numerators
@@ -93,10 +93,9 @@ from math import comb, gcd
 
 from .errors import GuardRefusal, InternalFault
 from .hilbert import aci_hilbert, power_ci_hilbert
-from .linalg import (CHECK_FIELD, CHECK_PRIME, FAST_FIELD, FAST_PRIME,
-                     RATIONALS, FieldTag, RationalMatrix, _eliminate,
-                     _from_triplets, _integer_row, _pivots, _reduce_against,
-                     _residue, kernel_basis)
+from .linalg import (FAST_FIELD, FAST_PRIME, RATIONALS, FieldTag,
+                     RationalMatrix, _eliminate, _from_triplets, _integer_row,
+                     _pivots, _reduce_against, _residue, kernel_basis)
 from .monomials import (GeneratorCase, Monomial, _iter_exponents,
                         _standard_exponents, revlex_sort_key)
 
@@ -934,14 +933,17 @@ def _witnessed_kernel(spec: IdealSpec, d: int, ell: Form) -> bool:
     ell) is built as integer records, and two checks must hold
     (witness._kernel_certified): the exact congruence, which shows
     ell Q = Q' (x_1 + ... + x_n)^2 modulo the squares, so ell Q lies in
-    the ideal I; and route one's full rank modulo FAST_PRIME, which shows
-    that Q does not lie in I. Then Q is a nonzero element of A_{d-1} that
-    ell maps to 0, and the rank over Q is at most dim A_{d-1} - 1. As B
-    never exceeds the rank over Q, a B of dim A_{d-1} - 1 is the rank.
+    the ideal I; and route one's nonzero null-design sum, a signed sum of
+    2^(d-2) of Q's numerators that vanishes on every member of I, which
+    shows that Q does not lie in I. Then Q is a nonzero element of
+    A_{d-1} that ell maps to 0, and the rank over Q is at most
+    dim A_{d-1} - 1. As B never exceeds the rank over Q, a B of
+    dim A_{d-1} - 1 is the rank.
 
-    Neither check runs fraction-free, and nothing is built when the
-    subsets or route one's array would pass a guard: the answer is then
-    False, as it is whenever a check fails, and the rank takes the span.
+    Neither check runs fraction-free or modulo a prime, and nothing is
+    built when the subsets would pass the subset guard: the answer is
+    then False, as it is whenever a check fails, and the rank takes the
+    span.
     witness imports this module, so it is imported here, on first use.
     """
     n = spec.n
@@ -1002,7 +1004,7 @@ def _remainders(spec: IdealSpec, d: int, record, mults):
 def _outside_span(spec: IdealSpec, d: int, record) -> bool:
     """Whether the form of an integer record is certified to lie outside
     the extra-form span of spec in capped degree d, by a rank modulo
-    CHECK_PRIME.
+    FAST_PRIME.
 
     The span's rows are the products of the records of spec with the
     capped multipliers of degree d-a (_shapes), projected onto the capped
@@ -1013,22 +1015,22 @@ def _outside_span(spec: IdealSpec, d: int, record) -> bool:
     never have a higher rank modulo p than over Q, so a pivot in every row
     of that array modulo p (_pivots, by linalg._forward_numpy) shows that
     the rows are independent over Q, and the last one is outside the span
-    of the others. False, with no matrix built, when CHECK_PRIME divides a
+    of the others. False, with no matrix built, when FAST_PRIME divides a
     denominator; False too for a member of the span, and for a prime at
     which a row is lost. The span is built here and not kept.
     """
     records = _records(spec)
-    if any(not den % CHECK_PRIME for _, _, den in (*records, record)):
+    if any(not den % FAST_PRIME for _, _, den in (*records, record)):
         return False
     basis, index, mults = _shapes(spec.n, spec.a, d)
-    nrows, (rows, cols, vals) = _product_rows(records, mults, index, CHECK_FIELD,
+    nrows, (rows, cols, vals) = _product_rows(records, mults, index, FAST_FIELD,
                                               drop_zero_rows=False)
-    _, (_, qcols, qvals) = _product_rows((record,), (0,), index, CHECK_FIELD,
+    _, (_, qcols, qvals) = _product_rows((record,), (0,), index, FAST_FIELD,
                                          drop_zero_rows=False)
     rows += [nrows] * len(qcols)
     M = _from_triplets((rows, cols + qcols, vals + qvals), nrows + 1,
-                       len(basis), CHECK_FIELD)
-    return len(_pivots(M, len(basis), CHECK_FIELD)) == nrows + 1
+                       len(basis), FAST_FIELD)
+    return len(_pivots(M, len(basis), FAST_FIELD)) == nrows + 1
 
 
 def _kernel_forms(rows, basis, degree: int, scales=None) -> list[Form]:

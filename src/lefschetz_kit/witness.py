@@ -27,34 +27,30 @@ Which check reads what:
 - the congruence (_congruent) forms only the products that stay
   square-free, from the records' keys and integers and the weights
   scaled to integers;
-- route one (_outside_containment_span) reads Q's numerators as one more
-  column b of the 0/1 containment matrix of index sets, built from keys,
-  and certifies nonmembership by a full rank modulo FAST_PRIME; only when
-  that certificate does not fire does it eliminate the same matrix
+- route one (_outside_containment_span) reads Q's numerators on the
+  2^(d-2) supports of a null design of the 0/1 containment matrix W of
+  index sets (_null_design) and certifies nonmembership by a nonzero
+  signed sum, on ints; only when the sum is 0 does it build W, from
+  keys, with Q's numerators as one more column b, and eliminate it
   fraction-free;
 - route two (_nonzero_in_quotient) passes Q's record, keyed in radix 4
   already, to quotient._outside_span, which projects the products of the
   ideal's extra form with the multipliers of degree d-3 onto the capped
   basis, appends Q's row and certifies nonmembership by a full row rank
-  modulo CHECK_PRIME; only when that certificate does not fire does it
+  modulo FAST_PRIME; only when that certificate does not fire does it
   reduce Q fraction-free against the cached forward echelon of the ideal
   span (quotient._remainders).
 
-Route two's array equals route one's up to a nonzero factor on each row,
-in the same row and column order: the extra form's products are twice
-the containment rows, and Q's row is its numerators over its
-denominator. Modulo FAST_PRIME it would repeat route one's arithmetic, so
-it runs modulo a second prime. The two routes share the elimination
-kernel, linalg._forward_numpy, but neither the matrix construction, from
-keys here and from quotient's span shapes and records there, nor the
-residues.
+The routes share no arithmetic: route one's certificate is a sum of
+integers with no prime, and route two's a rank of residues built from
+quotient's span shapes and records. The fraction-free passes, on W here
+and against quotient's cached echelon there, share only linalg's
+cross-multiplied update.
 
 The congruence and route one's certificate, without either fraction-free
 pass, are what quotient.multiplication_map_rank reads when this pair
-settles a rank over Q (_kernel_certified).
-
-Route one's residue array is this module's one use of numpy, which it
-imports when it first runs, so importing this module does not load numpy.
+settles a rank over Q (_kernel_certified). This module builds no residue
+array and does not use numpy; route two's certificate does, in quotient.
 """
 
 from __future__ import annotations
@@ -67,10 +63,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import FAST_PRIME, _forward_int, _forward_numpy, _integer_row
+from .linalg import _forward_int, _integer_row
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _guard_cells, _guard_span,
-                       _outside_span, _record, _remainders)
+from .quotient import (Form, IdealSpec, _guard_span, _outside_span, _record,
+                       _remainders)
 
 SUBSET_GUARD = 10**6
 
@@ -192,10 +188,11 @@ def _guard(n: int, d: int) -> None:
 
 def _guard_nonmembership(n: int, d: int) -> None:
     """_guard, then the guard on the C(n,d-3) x C(n,d-1) ideal span in
-    degree d-1 that route two builds. The arrays of both routes' rank
-    certificates are that span, route one's up to a factor on each row,
-    with Q's row added, so a query whose span the guard would refuse is
-    refused before Q or either matrix is built."""
+    degree d-1 that route two builds. Route two's certificate array is
+    that span with Q's row added, and route one's fraction-free matrix is
+    its transpose up to a factor on each column, with Q's column added, so
+    a query whose span the guard would refuse is refused before Q or
+    either matrix is built."""
     _guard(n, d)
     _guard_span(n, 2, 1, d - 1)
 
@@ -362,6 +359,45 @@ def _congruent(params: WitnessParams, q: tuple, qp: tuple) -> bool:
     return not any(diff.values())
 
 
+def _null_design(d: int) -> list[tuple[int, int]]:
+    """The keys and signs of the null design of route one's certificate.
+
+    With the pairs {x_(2i-1), x_(2i)} for i = 1..d-2 and the extra
+    variable x_(2d-3), the support B_S for S a subset of {1..d-2} holds
+    x_(2d-3), x_(2i) for i in S and x_(2i-1) for i outside S, and has the
+    sign (-1)^|S|. Each of the 2^(d-2) supports has size d-1 and is keyed
+    as in the records, variable i at bit 2i.
+
+    A (d-3)-set J inside some B_S misses at least one pair, and toggling
+    the first pair it misses matches the supports that contain J in pairs
+    of opposite sign. So the signs sum to 0 over the supports that contain
+    any J: the signed indicator of the design is a left null vector of the
+    containment matrix W (Graver and Jurkat, J. Combin. Theory A 15,
+    1973, on null designs of inclusion matrices). n >= 2d-2 leaves room
+    for every variable it names.
+    """
+    design = [(1 << 4 * d - 8, 1)]  # x_(2d-3), the variable of index 2d-4
+    for i in range(d - 2):
+        low, high = 1 << 4 * i, 1 << 4 * i + 2
+        design = ([(key | low, s) for key, s in design]
+                  + [(key | high, -s) for key, s in design])
+    return design
+
+
+def _null_design_sum(d: int, q: tuple) -> int:
+    """The sum over the null design (_null_design) of each sign times Q's
+    numerator on its support, from Q's record.
+
+    The design's signs sum to 0 against every column of the containment
+    matrix W, the square-free part of each member of the ideal in degree
+    d-1 up to a factor, and so against each member. A nonzero sum proves
+    that Q is outside the ideal, on ints, with no prime and no matrix. A
+    term that holds a square, a member itself, has no key in the design.
+    """
+    coeff = dict(zip(q[0], q[1]))
+    return sum(s * coeff.get(key, 0) for key, s in _null_design(d))
+
+
 def _containment(params: WitnessParams, q: tuple):
     """Route one's matrix: the keys of the size d-3 index sets J, the
     columns, and of the size d-1 sets I, the rows, and Q's numerator on
@@ -370,24 +406,6 @@ def _containment(params: WitnessParams, q: tuple):
     coeff = dict(zip(q[0], q[1]))
     keys = _colex_keys(n, d - 1)
     return _colex_keys(n, d - 3), keys, [coeff.get(k, 0) for k in keys]
-
-
-def _certified_outside(cols, keys, b) -> bool:
-    """Route one's certificate: whether the transpose of [W | b], an int64
-    array of residues built straight from the keys, has a pivot in every
-    row modulo FAST_PRIME (linalg._forward_numpy). A rank modulo p never
-    exceeds the rank over Q, so then [W | b] has full column rank over Q
-    and Q is outside. Keys of up to 24 variables, which the subset guard
-    allows, fit 48 bits."""
-    import numpy as np
-
-    ncols = len(cols)
-    M = np.empty((ncols + 1, len(keys)), dtype=np.int64)
-    masks = np.array(cols, dtype=np.int64)[:, None]
-    np.bitwise_and(masks, np.array(keys, dtype=np.int64), out=M[:ncols])
-    M[:ncols] = M[:ncols] == masks
-    M[ncols] = [x % FAST_PRIME for x in b]
-    return len(_forward_numpy(M, FAST_PRIME)) == ncols + 1
 
 
 def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
@@ -400,15 +418,16 @@ def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
     square-free basis. Q's numerators form one more column b, and Q lies
     outside exactly when [W | b] has full column rank over Q.
 
-    The certificate is a rank modulo FAST_PRIME (_certified_outside). Only
-    when it does not fire, because Q is a member or b is degenerate modulo
-    p, are the integer rows of [W | b] built and eliminated fraction-free
-    by linalg._forward_int, and Q is outside when b holds a pivot; that
-    pass alone may answer inside.
+    The certificate is a nonzero null-design sum (_null_design_sum): a
+    left null vector of W that does not vanish on b. Only when the sum is
+    0, because Q is a member or its weights are degenerate, are the
+    integer rows of [W | b] built and eliminated fraction-free by
+    linalg._forward_int, and Q is outside when b holds a pivot; that pass
+    alone may answer inside.
     """
-    cols, keys, b = _containment(params, q)
-    if _certified_outside(cols, keys, b):
+    if _null_design_sum(params.d, q):
         return True
+    cols, keys, b = _containment(params, q)
     rows = [[1 if mj & k == mj else 0 for mj in cols] + [x]
             for k, x in zip(keys, b)]
     return len(cols) in _forward_int(rows, len(cols) + 1)
@@ -425,9 +444,9 @@ def _nonzero_in_quotient(params: WitnessParams, q: tuple) -> bool:
     the span of S plus the monomials that hold a square, so Q is outside
     it exactly when its projection is outside span(S). The certificate
     (quotient._outside_span) answers outside when [S; Q] has a pivot in
-    every row modulo CHECK_PRIME: a rank modulo p never exceeds the rank
+    every row modulo FAST_PRIME: a rank modulo p never exceeds the rank
     over Q. Only when it does not fire, for a member, for an unlucky prime
-    or for a denominator that CHECK_PRIME divides, is Q reduced
+    or for a denominator that FAST_PRIME divides, is Q reduced
     fraction-free against the cached forward echelon of span(S)
     (quotient._remainders), and a nonzero remainder answers outside."""
     spec = IdealSpec(n=params.n, a=2)
@@ -442,14 +461,13 @@ def verify_nonmembership(params: WitnessParams) -> bool:
 
     Route one expresses membership as a containment-matrix column-space
     question over the square-free index sets, and answers outside from a
-    full rank modulo FAST_PRIME; only when that certificate does not fire
+    nonzero null-design sum of Q's numerators; only when the sum is 0
     does it eliminate fraction-free on integers. Route two builds the
     ideal span from the quotient's span shape, appends Q and answers
-    outside from a full row rank modulo CHECK_PRIME; only when that
+    outside from a full row rank modulo FAST_PRIME; only when that
     certificate does not fire does it reduce Q fraction-free against the
-    echelonized span and look for a nonzero residual. The routes build
-    their matrices apart and work modulo different primes, and must
-    agree; a mismatch raises InternalFault.
+    echelonized span and look for a nonzero residual. The routes share
+    no arithmetic and must agree; a mismatch raises InternalFault.
     """
     _guard_nonmembership(params.n, params.d)
     return _not_in_ideal(params, _q_record(params))
@@ -469,21 +487,19 @@ def _kernel_certified(params: WitnessParams) -> bool:
     """Whether Q is certified a nonzero kernel element of multiplication by
     the weighted form into degree d of the quotient by the squares and the
     squared variable sum, from the exact congruence and route one's
-    certificate modulo FAST_PRIME alone, with neither fraction-free pass.
+    null-design sum alone, with neither fraction-free pass.
 
-    False, with nothing built, when the subsets or route one's array would
-    pass a guard; False too when either check fails, which leaves the
-    question open rather than answering it.
+    False, with nothing built, when the subsets would pass the subset
+    guard; False too when the congruence fails or the sum is 0, which
+    leaves the question open rather than answering it.
     """
-    n, d = params.n, params.d
     try:
-        _guard(n, d)
-        _guard_cells("containment array", comb(n, d - 3) + 1, comb(n, d - 1))
+        _guard(params.n, params.d)
     except GuardRefusal:
         return False
     q = _q_record(params)
     return (_congruent(params, q, _qprime_record(params))
-            and _certified_outside(*_containment(params, q)))
+            and _null_design_sum(params.d, q) != 0)
 
 
 def random_witness_params(n: int, d: int, seed) -> WitnessParams:

@@ -51,7 +51,7 @@ def normalize(text):
 ])
 def test_numpy_loads_only_where_a_residue_array_is_built(argv, loads, capsys):
     # over Q, initial, froberg and paths eliminate integer lists; inject
-    # modulo p and witness route one build residue arrays
+    # modulo p and witness route two build residue arrays
     before, after, code, out = json.loads(
         fresh("-c", QUERY_SCRIPT, *argv).stdout)
     assert before is False

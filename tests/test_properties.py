@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.linalg import (
-    CHECK_FIELD,
     DEFAULT_PRIME,
     FAST_PRIME,
     RATIONALS,
@@ -143,9 +142,8 @@ def _gauss_jordan(rows, ncols, p):
 def test_elimination_matches_gauss_jordan(case):
     rows, ncols = case
     # 2147483659, a prime above 2^31 other than DEFAULT_PRIME, takes the
-    # Python-int residue arrays of _rref_mod_python, and CHECK_PRIME is
-    # the second prime of the witness's route two
-    for tag in FIELDS + (prime_field(2147483659), CHECK_FIELD):
+    # Python-int residue arrays of _rref_mod_python
+    for tag in FIELDS + (prime_field(2147483659),):
         # integer rows are eliminated in place over Q, so each call gets a copy
         red, piv = _eliminate([list(r) for r in rows], ncols, tag, reduce=True)
         if isinstance(red, np.ndarray):
@@ -574,8 +572,8 @@ def test_kernel_witness_that_does_not_check_leaves_the_rank_to_the_q_span(
         monkeypatch, mutation):
     # a pair built from weights other than ell's is a genuine witness for
     # another form, and fails the congruence for ell; a pair whose
-    # congruence or route one's certificate fails proves nothing, and in
-    # every case the rank is read from the span over Q, never from B
+    # congruence fails or whose null-design sum is 0 proves nothing, and
+    # in every case the rank is read from the span over Q, never from B
     spec, ell = IdealSpec(n=6, a=2), random_linear_form(6, 1)
     if mutation == "other weights":
         other = witness.WitnessParams(6, 3, [c + 1 for c in linear_coefficients(ell)])
@@ -585,7 +583,7 @@ def test_kernel_witness_that_does_not_check_leaves_the_rank_to_the_q_span(
     elif mutation == "congruence fails":
         monkeypatch.setattr(witness, "_congruent", lambda *args: False)
     else:
-        monkeypatch.setattr(witness, "_certified_outside", lambda *args: False)
+        monkeypatch.setattr(witness, "_null_design_sum", lambda *args: 0)
     got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
     assert verdicts == [(linear_coefficients(ell), False)]
     assert spans == [prime_field(FAST_PRIME), RATIONALS]
@@ -606,20 +604,14 @@ def test_form_with_a_zero_coefficient_asks_no_kernel_witness(monkeypatch):
 
 
 def test_kernel_witness_over_a_guard_builds_nothing(monkeypatch):
-    # at squares (6, 3) the subsets number C(6, 2) = 15 and route one's
-    # array has 2 x 15 cells; over either guard nothing is built and the
-    # rank falls through without raising. Route one's array is smaller
-    # than the cokernel span at every squares cell, so the cell guard is
-    # lowered on the step alone
+    # at squares (6, 3) the subsets number C(6, 2) = 15; over the subset
+    # guard nothing is built and the rank falls through without raising
     def refuse(params):
         raise AssertionError("a record was built over a guard")
 
     spec, ell = IdealSpec(n=6, a=2), random_linear_form(6, 1)
     monkeypatch.setattr(witness, "_q_record", refuse)
     monkeypatch.setattr(witness, "_qprime_record", refuse)
-    with monkeypatch.context() as m:
-        m.setattr(quotient, "CELL_GUARD", 29)
-        assert quotient._witnessed_kernel(spec, 3, ell) is False
     monkeypatch.setattr(witness, "SUBSET_GUARD", 14)
     got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
     assert verdicts == [(linear_coefficients(ell), False)]

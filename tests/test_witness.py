@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.errors import GuardRefusal
-from lefschetz_kit.linalg import (CHECK_PRIME, FAST_PRIME, _forward_int,
-                                  _integer_row)
+from lefschetz_kit.linalg import FAST_PRIME, _forward_int, _integer_row
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
@@ -30,7 +29,10 @@ from lefschetz_kit.witness import (
     WitnessParams,
     _colex_keys,
     _congruent,
+    _kernel_certified,
     _nonzero_in_quotient,
+    _null_design,
+    _null_design_sum,
     _outside_containment_span,
     _q_record,
     _qprime_record,
@@ -407,36 +409,66 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
     multipliers = data.draw(st.lists(
         st.tuples(st.sampled_from(subsets), WEIGHTS), min_size=1, max_size=4))
     member = _ideal_member(n, d, multipliers)
-    # a member is inside, and only the fraction-free passes of both routes
-    # may say so
+    # the null design vanishes on every member, exactly, so a member is
+    # inside, and only the fraction-free passes of both routes may say so
+    assert _null_design_sum(d, _record(member)) == 0
     assert _route_one_checked(params, member) == (False, True, True)
     # the ideal is symmetric and misses part of degree d-1, so it holds no
     # monomial of that degree, and a member plus a multiple of one is
-    # outside it; plus FAST_PRIME times one it is a member modulo
-    # FAST_PRIME, so route one's certificate cannot fire and its
-    # fraction-free pass answers, while route two's, modulo CHECK_PRIME,
-    # still fires
+    # outside it. The null-design sum then reads the multiple on the
+    # monomial's support alone, so route one's certificate fires exactly
+    # when that support is in the design. Plus FAST_PRIME times one it is
+    # a member modulo FAST_PRIME, so route two's certificate cannot fire
+    # and its fraction-free reduction answers
     extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
     m = Monomial.square_free(n, extra)
+    in_design = sum(1 << 2 * i for i in extra) in dict(_null_design(d))
     for shift in (1, FAST_PRIME):
         coeffs = dict(member.terms)
         coeffs[m] = coeffs.get(m, 0) + shift
         verdict, route_one_fell_back, route_two_fell_back = _route_one_checked(
             params, form_from_coefficients(d - 1, coeffs))
         assert verdict is True
-    assert (route_one_fell_back, route_two_fell_back) == (True, False)
+        assert route_one_fell_back is not in_design
+        assert route_two_fell_back is (shift == FAST_PRIME)
     drawn = data.draw(witness_params())
     _route_one_checked(drawn, build_Q(drawn))
 
 
-def test_genuine_witness_needs_no_fraction_free_pass():
-    params = random_witness_params(12, 5, 1)
-
+@pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5), (16, 7)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_genuine_witness_needs_no_fraction_free_pass(n, d, seed):
+    # route one's null-design sum certifies a genuine witness with no
+    # elimination of any kind, and so does the check behind map ranks
     def refuse(*args):
-        raise AssertionError("the fraction-free fallback ran")
+        raise AssertionError("an elimination ran")
 
-    with mock.patch.object(witness, "_forward_int", refuse):
+    params = random_witness_params(n, d, seed)
+    with mock.patch.object(witness, "_forward_int", refuse), \
+            mock.patch.object(linalg, "_forward_numpy", refuse):
         assert _outside_containment_span(params, _q_record(params)) is True
+        assert _kernel_certified(params) is True
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for d in range(3, 6)
+                                 for n in range(2 * d - 2, min(3 * d - 2, 10))])
+def test_null_design_vanishes_on_every_containment_column(n, d):
+    # the signed supports of the design are distinct square-free index
+    # sets of size d-1 in the n variables, 2^(d-2) of them, and their
+    # signs sum to 0 over those that contain any (d-3)-set J, which is
+    # the column of J in the containment matrix W
+    design = _null_design(d)
+    supports = []
+    for key, sign in design:
+        assert sign in (1, -1)
+        support = {i for i in range(n) if key >> 2 * i & 3}
+        assert key == sum(1 << 2 * i for i in support)
+        assert len(support) == d - 1
+        supports.append((support, sign))
+    assert len({key for key, _ in design}) == len(design) == 2 ** (d - 2)
+    for J in itertools.combinations(range(n), d - 3):
+        assert sum(sign for support, sign in supports
+                   if support.issuperset(J)) == 0, J
 
 
 @pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5)])
@@ -452,9 +484,9 @@ def test_genuine_witness_needs_no_fraction_free_route_two(n, d, seed):
         assert _nonzero_in_quotient(params, _q_record(params)) is True
 
 
-def test_route_two_eliminates_modulo_the_check_prime():
-    # modulo FAST_PRIME route two's array would repeat route one's
-    # arithmetic, so it runs modulo the second prime alone
+def test_route_two_eliminates_modulo_the_fast_prime():
+    # route two's certificate is the one elimination modulo a prime of a
+    # genuine witness's nonmembership check; route one's eliminates nothing
     primes = []
     kernel = linalg._forward_numpy
 
@@ -465,25 +497,29 @@ def test_route_two_eliminates_modulo_the_check_prime():
     for n, d in ((6, 3), (9, 4), (12, 5)):
         params = random_witness_params(n, d, 1)
         with mock.patch.object(linalg, "_forward_numpy", forward):
-            assert _nonzero_in_quotient(params, _q_record(params)) is True
-    assert primes == [CHECK_PRIME] * 3
-    assert CHECK_PRIME != FAST_PRIME and linalg._is_prime(CHECK_PRIME)
+            assert verify_nonmembership(params) is True
+    assert primes == [FAST_PRIME] * 3
 
 
-def test_check_prime_in_a_denominator_falls_back():
-    # a weight of 1/CHECK_PRIME leaves CHECK_PRIME in Q's denominator, so
+def test_fast_prime_in_a_denominator_falls_back():
+    # a weight of 1/FAST_PRIME leaves FAST_PRIME in Q's denominator, so
     # route two's certificate cannot reduce Q's row and must fall back, not
-    # raise; route one reads Q's numerators modulo FAST_PRIME
-    params = WitnessParams(n=6, d=3, a_values=(Fraction(1, CHECK_PRIME),)
+    # raise; route one's null-design sum reads Q's numerators on ints and
+    # certifies with no fallback
+    params = WitnessParams(n=6, d=3, a_values=(Fraction(1, FAST_PRIME),)
                            + PRIMES_6[1:])
     q = _q_record(params)
-    assert q[2] % CHECK_PRIME == 0
+    assert q[2] % FAST_PRIME == 0
     assert quotient._outside_span(IdealSpec(n=6, a=2), 2, q) is False
     with mock.patch.object(witness, "_remainders",
                            wraps=quotient._remainders) as fallback:
         assert _nonzero_in_quotient(params, q) is True
     assert fallback.called
-    assert _outside_containment_span(params, q) is True
+    assert _null_design_sum(3, q) != 0
+    with mock.patch.object(witness, "_forward_int") as fallback:
+        assert _outside_containment_span(params, q) is True
+        assert _kernel_certified(params) is True
+    assert not fallback.called
     assert verify_nonmembership(params)
 
 
