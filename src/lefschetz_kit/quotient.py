@@ -8,23 +8,22 @@ pure powers alone; multiples of pure powers are projected away instead of
 being carried as matrix rows, which gives the same ranks and the same
 initial ideal as the full multiplication matrix.
 
-Dimensions read the pivots of a forward echelon of the extra-form span.
-Modulo p a span keeps its basis and pivots and frees its residue array
-and column index when the forward pass returns; over Q it keeps its
-column index and integer echelon rows, against which _remainders reduces
-products for multiplication_kernel, and for route two of the witness's
-nonmembership check where its certificate modulo FAST_PRIME
-(_outside_span), which builds its own span and keeps nothing, does not
-fire. The spans of A that queries read again sit
-in a least-recently-used cache (_reduce_spec) bounded not by a span
-count but by SPAN_CACHE_CELLS cells kept (_span_cells), since spans
-range from a few cells to millions; the span just stored is never
-evicted. A span that is read only once skips the cache. A/ell A is
-again such a quotient, in one variable fewer, so the rank of
-multiplication by ell into degree d, dim A_d - dim (A/ell A)_d, needs no
-matrix of its own. Each span of A/ell A, and each span of a seeded spec
-of random_powers_dimensions, is read once and freed before the next span
-is built, so modulo p at most one span matrix is alive at a time.
+Dimensions read the pivots of a forward echelon of the extra-form span
+(_span_echelon). In every field a span keeps one record, its basis and
+pivots (_span_pivots), and frees its echelon rows and column index when
+the forward pass returns; only multiplication_kernel reads the rows of a
+span over Q, once, and route two of the witness's nonmembership check
+(_outside_span) builds its own span and keeps nothing. The spans of A
+that queries read again sit in a least-recently-used cache (_reduce_spec)
+bounded not by a span count but by SPAN_CACHE_CELLS cells kept
+(_span_cells), one per basis monomial, since bases range from one
+monomial to millions; the span just stored is never evicted. A span that
+is read only once skips the cache. A/ell A is again such a quotient, in
+one variable fewer, so the rank of multiplication by ell into degree d,
+dim A_d - dim (A/ell A)_d, needs no matrix of its own. Each span of
+A/ell A, and each span of a seeded spec of random_powers_dimensions, is
+read once and freed before the next span is built, so modulo p at most
+one span matrix is alive at a time.
 
 The default spec, the pure powers plus (x_1 + ... + x_n)^a, needs no span
 of A where a theorem fixes its dimensions (_closed_dimension): over Q for
@@ -105,13 +104,11 @@ from .monomials import (GeneratorCase, Monomial, _iter_exponents,
 CELL_GUARD = 5 * 10**7
 
 # the most cells the cached spans of A keep together (_cell_cache), and
-# apart from them the cached span shapes (_shapes). Over Q a cell is a
-# list slot and the int it holds, 12 to 24 bytes measured, so a full cache
-# holds about 50 to 100 MB; modulo p it is an exponent tuple of the basis,
-# about 140 bytes, and a span keeps one per column. The 75 spans of a pass
-# of the small-queries benchmark keep 14,571 cells together and its 83
-# shapes 1,704, and the span of a degree-7 witness at n = 13 over Q 1.2
-# million
+# apart from them the cached span shapes (_shapes). In every field a span
+# keeps its basis and pivots, and a cell is one exponent tuple of its
+# basis, about 140 bytes, which its shape holds too while that is cached.
+# The 75 spans of a pass of the small-queries benchmark keep 1,051 cells
+# together and its 83 shapes 1,704
 SPAN_CACHE_CELLS = 2**22
 
 
@@ -417,8 +414,7 @@ def _records(spec) -> tuple:
     return spec.records
 
 
-def _product_rows(records, mult_keys, index, field_tag: FieldTag,
-                  drop_zero_rows: bool):
+def _product_rows(records, mult_keys, index, field_tag: FieldTag):
     """Products of each form with each multiplier, projected onto a basis.
 
     The forms are integer records (_form_record), mult_keys are the keys of
@@ -426,12 +422,12 @@ def _product_rows(records, mult_keys, index, field_tag: FieldTag,
     exponent to its column; products outside the basis are dropped.
     Returns the row count and (rows, cols, values) triplets for
     linalg._from_triplets: one row per form and multiplier in that order,
-    where drop_zero_rows gives no row to a product left with no term. Over
-    Q the values are a record's numerators, so each row is den times its
-    Fraction row, with the same span and pivots. Modulo p they are the
-    numerators times the inverse of den, and those that vanish are left
-    out; a den that p divides raises ValueError, as linalg._residue does
-    for a Fraction whose denominator p divides.
+    a zero row where a product keeps no term. Over Q the values are a
+    record's numerators, so each row is den times its Fraction row, with
+    the same span and pivots. Modulo p they are the numerators times the
+    inverse of den, and those that vanish are left out; a den that p
+    divides raises ValueError, as linalg._residue does for a Fraction
+    whose denominator p divides.
     """
     p = field_tag.characteristic
     get = index.get
@@ -453,8 +449,7 @@ def _product_rows(records, mult_keys, index, field_tag: FieldTag,
                     rows.append(r)
                     cols.append(j)
                     vals.append(c)
-            if not drop_zero_rows or (rows and rows[-1] == r):
-                r += 1
+            r += 1
     return r, (rows, cols, vals)
 
 
@@ -473,32 +468,34 @@ def _span_echelon(spec, d: int, field_tag: FieldTag):
     IdealSpec or an _IntegerSpec, built from its records (_records).
 
     Returns (basis, index, echelon_rows, pivot_columns), where index maps
-    the _key of each basis exponent to its column. Over Q the echelon
-    rows, one per pivot, are integer lists, each a multiple of the
-    Fraction row, which _remainders reduces products against, with index
-    to place them. Modulo p nothing reads either, so both are None and
-    the residue array is freed when the forward pass returns: a cached
-    span then holds its basis and pivots only. The basis, index and
-    multipliers come from the shape cache (_shapes).
+    the _key of each basis exponent to its column and the echelon rows,
+    one per pivot, are integer lists over Q, each a multiple of the
+    Fraction row, and residues modulo p. The basis, index and multipliers
+    come from the shape cache (_shapes). Nothing keeps the rows: the
+    record of a span is its basis and pivots (_span_pivots), and only
+    multiplication_kernel reads the rows, once.
     """
     records = _records(spec)
     _guard_span(spec.n, spec.a, len(records), d)
     basis, index, mults = _shapes(spec.n, spec.a, d)
-    nrows, triplets = _product_rows(records, mults, index, field_tag,
-                                    drop_zero_rows=True)
+    nrows, triplets = _product_rows(records, mults, index, field_tag)
     rows = _from_triplets(triplets, nrows, len(basis), field_tag)
     del triplets  # freed before the elimination, which peaks in memory
     echelon, piv = _eliminate(rows, len(basis), field_tag, reduce=False)
-    if field_tag.characteristic:
-        return basis, None, None, piv
     return basis, index, echelon[:len(piv)], piv
 
 
+def _span_pivots(spec, d: int, field_tag: FieldTag):
+    """The record of the extra-form span in capped degree d, the same in
+    every field: its basis and pivot columns (_span_echelon), with its
+    rows and index freed when it returns."""
+    basis, _, _, piv = _span_echelon(spec, d, field_tag)
+    return basis, piv
+
+
 def _span_cells(span) -> int:
-    """The cells a span echelon keeps: its basis modulo p, and over Q its
-    basis, or its index, once plus once per echelon row."""
-    basis, _, echelon, _ = span
-    return len(basis) * (1 + len(echelon or ()))
+    """The cells a span record keeps: its basis."""
+    return len(span[0])
 
 
 def _shape_cells(shape) -> int:
@@ -558,9 +555,9 @@ _shapes = _cell_cache(_span_shape, _shape_cells)
 
 # the spans of A itself, which queries read again across degrees, seeds
 # and subcommands. A span read once, of A/ell A or of a seeded spec of
-# random_powers_dimensions, calls _span_echelon and skips the cache, which
+# random_powers_dimensions, calls _span_pivots and skips the cache, which
 # would otherwise evict the spans read again
-_reduce_spec = _cell_cache(_span_echelon, _span_cells)
+_reduce_spec = _cell_cache(_span_pivots, _span_cells)
 
 
 def ideal_degree_basis(spec: IdealSpec, d: int) -> RationalMatrix:
@@ -618,7 +615,7 @@ def _initial_exponents(spec: IdealSpec, d: int, field_tag: FieldTag):
     if d < 0:
         raise ValueError("degree must be non-negative")
     _guard_count(f"monomials of degree {d}", comb(spec.n + d - 1, d))
-    basis, _, _, piv = _reduce_spec(spec, d, field_tag)
+    basis, piv = _reduce_spec(spec, d, field_tag)
     pivots = {basis[c] for c in piv}
     a = spec.a
     return [e for e in _iter_exponents(spec.n, d, None)
@@ -638,9 +635,9 @@ def graded_dimension(spec: IdealSpec, d: int,
 
 
 def _dimension(span) -> int:
-    """The quotient dimension a span echelon leaves: its basis size less
+    """The quotient dimension a span record leaves: its basis size less
     its rank."""
-    basis, _, _, piv = span
+    basis, piv = span
     return len(basis) - len(piv)
 
 
@@ -702,7 +699,7 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
     the n variables and of two seeded random linear forms.
 
     Each seed's spec has two extra forms, so no closed form holds, and each
-    of its spans is read once: it calls _span_echelon and skips the span
+    of its spans is read once: it calls _span_pivots and skips the span
     cache. The forms are the a-th powers of random_linear_form(n, seed,
     index=i) for i = 1, 2, built as integer records from the drawn
     coefficients (_draw_coefficients, _linear_powers), with no Form in
@@ -726,7 +723,7 @@ def random_powers_dimensions(n: int, a: int, seeds, degrees,
                   for i in (1, 2)]
         spec = _IntegerSpec(n, a, tuple(_record(dict(terms), 1)
                                         for terms in powers))
-        vectors.add(tuple(_dimension(_span_echelon(spec, d, field_tag))
+        vectors.add(tuple(_dimension(_span_pivots(spec, d, field_tag))
                           for d in degrees))
     if len(vectors) > 1:
         raise InternalFault(f"seeded dimensions disagree: {sorted(vectors)}")
@@ -738,7 +735,7 @@ def standard_monomials(spec: IdealSpec, d: int,
     """Monomial basis of degree d of the quotient: capped non-pivot columns."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    basis, _, _, piv = _reduce_spec(spec, d, field_tag)
+    basis, piv = _reduce_spec(spec, d, field_tag)
     pivset = set(piv)
     return [Monomial(e) for i, e in enumerate(basis) if i not in pivset]
 
@@ -873,7 +870,7 @@ def _cokernel_dimension(spec: IdealSpec, d: int, ell: Form,
     cok = _cokernel_spec(spec, ell, field_tag)
     if cok is spec:  # ell vanishes in the field
         return None
-    return _dimension(_span_echelon(cok, d, field_tag))
+    return _dimension(_span_pivots(cok, d, field_tag))
 
 
 def multiplication_map_rank(spec: IdealSpec, d: int, ell: Form,
@@ -962,9 +959,13 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
 
     Kernel vectors are returned as degree d-1 forms supported on the
     standard monomial basis of the quotient. The products of ell with that
-    basis are reduced against the ideal span in degree d. The remainders
-    are zero on the span's pivot columns, so keeping those columns adds
-    only zero equations. The lift and both spans are guarded up front.
+    basis are projected onto the capped basis (_product_rows), so a term
+    that holds an a-th power is dropped, and reduced fraction-free against
+    the forward echelon of the span in degree d over Q (_span_echelon,
+    read once and not cached) by linalg._reduce_against, which returns the
+    remainders as integer rows with their scales. The remainders are zero
+    on the span's pivot columns, so keeping those columns adds only zero
+    equations. The lift and both spans are guarded up front.
     """
     n, a, nforms = spec.n, spec.a, len(spec.extra_forms)
     _check_map(n, d, ell)
@@ -973,64 +974,45 @@ def multiplication_kernel(spec: IdealSpec, d: int, ell: Form) -> list[Form]:
     _guard_span(n, a, nforms, d - 1)
     _guard_span(n, a, nforms, d)
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
-    rems, scales = _remainders(spec, d, _form_record(ell, a), std_b)
+    basis, index, echelon, piv = _span_echelon(spec, d, RATIONALS)
+    radix = _radix(a)
+    nrows, triplets = _product_rows((_form_record(ell, a),),
+                                    [_key(e, radix) for e in std_b],
+                                    index, RATIONALS)
+    rems, scales = _reduce_against(
+        _from_triplets(triplets, nrows, len(basis), RATIONALS), echelon, piv)
     return _kernel_forms(zip(*rems), std_b, d - 1, scales)
 
 
-def _remainders(spec: IdealSpec, d: int, record, mults):
-    """Remainders over Q of the form of an integer record times each
-    exponent vector of mults, in capped degree d, modulo the cached span
-    echelon of spec there.
+def _outside_span(spec: IdealSpec, d: int, record, field_tag: FieldTag) -> bool:
+    """Whether a rank in the field shows the form of an integer record
+    outside the extra-form span S of spec in capped degree d.
 
-    The record (keys, nums, den) is keyed in the radix of spec, as
-    _form_record keys it: multiplication_kernel passes that of ell, and
-    route two of the witness its own record of Q, built in that radix,
-    when its certificate (_outside_span) does not fire. The
-    products are projected onto the capped basis by _product_rows, so a
-    term that holds an a-th power is dropped, and each row is reduced
-    fraction-free by linalg._reduce_against, which returns the remainders
-    as integer rows with their scales. This is the one reader of a Q span
-    record's index, echelon rows and radix outside _span_echelon.
-    """
-    basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
-    radix = _radix(spec.a)
-    nrows, triplets = _product_rows((record,),
-                                    [_key(e, radix) for e in mults],
-                                    index, RATIONALS, drop_zero_rows=False)
-    return _reduce_against(_from_triplets(triplets, nrows, len(basis), RATIONALS),
-                           echelon, piv)
-
-
-def _outside_span(spec: IdealSpec, d: int, record) -> bool:
-    """Whether the form of an integer record is certified to lie outside
-    the extra-form span of spec in capped degree d, by a rank modulo
-    FAST_PRIME.
-
-    The span's rows are the products of the records of spec with the
-    capped multipliers of degree d-a (_shapes), projected onto the capped
-    basis by _product_rows, one row per record and multiplier, none left
-    out. The record, keyed in the radix of spec as _remainders takes it, is
-    one more row, projected the same way, so a term that holds an a-th
-    power is dropped. Rational rows whose denominators p does not divide
-    never have a higher rank modulo p than over Q, so a pivot in every row
-    of that array modulo p (_pivots, by linalg._forward_numpy) shows that
-    the rows are independent over Q, and the last one is outside the span
-    of the others. False, with no matrix built, when FAST_PRIME divides a
-    denominator; False too for a member of the span, and for a prime at
-    which a row is lost. The span is built here and not kept.
+    The rows of S are the products of the records of spec with the capped
+    multipliers of degree d-a (_shapes), projected onto the capped basis
+    by _product_rows. The record, keyed in the radix of spec as
+    _form_record keys it, is one more row, projected the same way, so a
+    term that holds an a-th power is dropped. The answer is outside
+    exactly when [S; Q] has rank rank_Q(S) + 1, where rank_Q(S) is the
+    capped count less graded_dimension over Q, the closed form for the
+    squares. Over Q the answer is exact. Rational rows whose denominators
+    p does not divide never have a higher rank modulo p than over Q, so
+    modulo p that rank certifies outside, and a member of S, a prime at
+    which a row is lost, and a denominator that p divides, for which no
+    matrix is built, answer False. The span is built here and not kept.
     """
     records = _records(spec)
-    if any(not den % FAST_PRIME for _, _, den in (*records, record)):
+    p = field_tag.characteristic
+    if p and any(not den % p for _, _, den in (*records, record)):
         return False
     basis, index, mults = _shapes(spec.n, spec.a, d)
-    nrows, (rows, cols, vals) = _product_rows(records, mults, index, FAST_FIELD,
-                                              drop_zero_rows=False)
-    _, (_, qcols, qvals) = _product_rows((record,), (0,), index, FAST_FIELD,
-                                         drop_zero_rows=False)
+    nrows, (rows, cols, vals) = _product_rows(records, mults, index, field_tag)
+    _, (_, qcols, qvals) = _product_rows((record,), (0,), index, field_tag)
     rows += [nrows] * len(qcols)
     M = _from_triplets((rows, cols + qcols, vals + qvals), nrows + 1,
-                       len(basis), FAST_FIELD)
-    return len(_pivots(M, len(basis), FAST_FIELD)) == nrows + 1
+                       len(basis), field_tag)
+    rank = len(basis) - graded_dimension(spec, d, RATIONALS)
+    return len(_pivots(M, len(basis), field_tag)) == rank + 1
 
 
 def _kernel_forms(rows, basis, degree: int, scales=None) -> list[Form]:

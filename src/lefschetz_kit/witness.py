@@ -36,16 +36,16 @@ Which check reads what:
 - route two (_nonzero_in_quotient) passes Q's record, keyed in radix 4
   already, to quotient._outside_span, which projects the products of the
   ideal's extra form with the multipliers of degree d-3 onto the capped
-  basis, appends Q's row and certifies nonmembership by a full row rank
-  modulo FAST_PRIME; only when that certificate does not fire does it
-  reduce Q fraction-free against the cached forward echelon of the ideal
-  span (quotient._remainders).
+  basis as the span S, appends Q's row and answers outside when the rank
+  of [S; Q] is one more than that of S over Q, which the closed form of
+  the squares quotient gives: first modulo FAST_PRIME, where that rank
+  certifies nonmembership, and only when it does not, over Q, where the
+  answer is exact.
 
 The routes share no arithmetic: route one's certificate is a sum of
 integers with no prime, and route two's a rank of residues built from
 quotient's span shapes and records. The fraction-free passes, on W here
-and against quotient's cached echelon there, share only linalg's
-cross-multiplied update.
+and on [S; Q] there, share only linalg's forward elimination on ints.
 
 The congruence and route one's certificate, without either fraction-free
 pass, are what quotient.multiplication_map_rank reads when this pair
@@ -63,10 +63,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import _forward_int, _integer_row
+from .linalg import FAST_FIELD, RATIONALS, _forward_int, _integer_row
 from .monomials import Monomial
-from .quotient import (Form, IdealSpec, _guard_span, _outside_span, _record,
-                       _remainders)
+from .quotient import Form, IdealSpec, _guard_span, _outside_span, _record
 
 SUBSET_GUARD = 10**6
 
@@ -188,11 +187,11 @@ def _guard(n: int, d: int) -> None:
 
 def _guard_nonmembership(n: int, d: int) -> None:
     """_guard, then the guard on the C(n,d-3) x C(n,d-1) ideal span in
-    degree d-1 that route two builds. Route two's certificate array is
-    that span with Q's row added, and route one's fraction-free matrix is
-    its transpose up to a factor on each column, with Q's column added, so
-    a query whose span the guard would refuse is refused before Q or
-    either matrix is built."""
+    degree d-1 that route two builds. Route two's matrix, modulo
+    FAST_PRIME and over Q alike, is that span with Q's row added, and
+    route one's fraction-free matrix is its transpose up to a factor on
+    each column, with Q's column added, so a query whose span the guard
+    would refuse is refused before Q or either matrix is built."""
     _guard(n, d)
     _guard_span(n, 2, 1, d - 1)
 
@@ -442,18 +441,15 @@ def _nonzero_in_quotient(params: WitnessParams, q: tuple) -> bool:
     d-3, are projected onto the square-free basis, so a term that holds a
     square, a member of the ideal, is dropped. The ideal in degree d-1 is
     the span of S plus the monomials that hold a square, so Q is outside
-    it exactly when its projection is outside span(S). The certificate
-    (quotient._outside_span) answers outside when [S; Q] has a pivot in
-    every row modulo FAST_PRIME: a rank modulo p never exceeds the rank
-    over Q. Only when it does not fire, for a member, for an unlucky prime
-    or for a denominator that FAST_PRIME divides, is Q reduced
-    fraction-free against the cached forward echelon of span(S)
-    (quotient._remainders), and a nonzero remainder answers outside."""
+    it exactly when its projection is outside span(S), that is when [S; Q]
+    has rank rank_Q(S) + 1 (quotient._outside_span). Modulo FAST_PRIME
+    that rank certifies outside, since a rank modulo p never exceeds the
+    rank over Q. Only when it does not, for a member, for an unlucky prime
+    or for a denominator that FAST_PRIME divides, is the rank of [S; Q]
+    taken over Q, which answers exactly."""
     spec = IdealSpec(n=params.n, a=2)
-    if _outside_span(spec, params.d - 1, q):
-        return True
-    rems, _ = _remainders(spec, params.d - 1, q, [(0,) * params.n])
-    return any(rems[0])
+    return (_outside_span(spec, params.d - 1, q, FAST_FIELD)
+            or _outside_span(spec, params.d - 1, q, RATIONALS))
 
 
 def verify_nonmembership(params: WitnessParams) -> bool:
@@ -464,10 +460,9 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     nonzero null-design sum of Q's numerators; only when the sum is 0
     does it eliminate fraction-free on integers. Route two builds the
     ideal span from the quotient's span shape, appends Q and answers
-    outside from a full row rank modulo FAST_PRIME; only when that
-    certificate does not fire does it reduce Q fraction-free against the
-    echelonized span and look for a nonzero residual. The routes share
-    no arithmetic and must agree; a mismatch raises InternalFault.
+    outside when the rank grows by one, modulo FAST_PRIME and, only when
+    that certificate does not fire, over Q. The routes share no
+    arithmetic and must agree; a mismatch raises InternalFault.
     """
     _guard_nonmembership(params.n, params.d)
     return _not_in_ideal(params, _q_record(params))

@@ -181,8 +181,8 @@ def test_initial_flags_a_dropped_pivot(monkeypatch, capsys):
     real = quotient._reduce_spec
 
     def span(spec, d, field_tag):
-        basis, index, echelon, piv = real(spec, d, field_tag)
-        return basis, index, echelon[:-1], piv[:-1]
+        basis, piv = real(spec, d, field_tag)
+        return basis, piv[:-1]
 
     monkeypatch.setattr(quotient, "_reduce_spec", span)
     assert main(["initial", "--n", "6", "--a", "2", "--d", "2"]) == 1

@@ -61,8 +61,10 @@ from lefschetz_kit.quotient import (
     _product_rows,
     _radix,
     _reduce_spec,
+    _span_echelon,
     form_from_coefficients,
     form_power,
+    graded_dimension,
     ideal_degree_basis,
     initial_degree_piece,
     injectivity_threshold_check,
@@ -270,9 +272,10 @@ def _check_numpy_kernels(p):
         assert (red.tolist(), piv) == (want_red, want_piv)
 
 
-def _reference_product_rows(forms, mults, basis, p, drop_zero_rows):
-    """Product rows by a tuple-keyed lookup of every product exponent;
-    over Q, each form's rows times the lcm of its denominators."""
+def _reference_product_rows(forms, mults, basis, p):
+    """Product rows by a tuple-keyed lookup of every product exponent, one
+    per form and multiplier, zero rows included; over Q, each form's rows
+    times the lcm of its denominators."""
     col = {e: i for i, e in enumerate(basis)}
     out = []
     for f in forms:
@@ -284,8 +287,7 @@ def _reference_product_rows(forms, mults, basis, p, drop_zero_rows):
                 if j is not None:
                     row[j] = (c.numerator * pow(c.denominator, -1, p) % p
                               if p else c * den)
-            if any(row) or not drop_zero_rows:
-                out.append(row)
+            out.append(row)
     return out
 
 
@@ -319,13 +321,13 @@ def test_product_rows_match_tuple_lookup(case):
     basis = _capped_basis(spec.n, spec.a, d)
     index = {_key(e, radix): i for i, e in enumerate(basis)}
     # the span rows of _reduce_spec and the lift rows of a kernel
-    for forms, below, drop in ((spec.extra_forms, d - spec.a, True),
-                               ((ell,), d - 1, False)):
+    for forms, below in ((spec.extra_forms, d - spec.a), ((ell,), d - 1)):
         mults = _capped_basis(spec.n, spec.a, below)
         keys = [_key(e, radix) for e in mults]
         for tag in FIELDS + (prime_field(3),):
             records = [_form_record(f, spec.a) for f in forms]
-            nrows, triplets = _product_rows(records, keys, index, tag, drop)
+            nrows, triplets = _product_rows(records, keys, index, tag)
+            assert nrows == len(forms) * len(mults), tag
             assert all(triplets[2]), tag
             # over Q as well as modulo p, the values are ints
             assert all(type(v) is int for v in triplets[2]), tag
@@ -333,33 +335,34 @@ def test_product_rows_match_tuple_lookup(case):
             if isinstance(got, np.ndarray):
                 got = got.tolist()
             assert got == _reference_product_rows(
-                forms, mults, basis, tag.characteristic, drop), tag
+                forms, mults, basis, tag.characteristic), tag
 
 
 @PROPERTY
 @given(product_cases())
-def test_span_keeps_echelon_rows_over_q_only(case):
-    # modulo p a span returns no column index and no echelon rows, only the
-    # textbook pivots; over Q it returns the index of its basis and the
-    # forward echelon of its integer rows, which the kernel and the witness
-    # reduce against
+def test_span_record_is_its_basis_and_pivots_in_every_field(case):
+    # in every field a cached span keeps its basis and the textbook pivots
+    # alone; the echelon it is read from returns the index of its basis
+    # and the forward echelon of its rows, integer lists over Q, which the
+    # kernel reduces against, and residues modulo p
     spec, d, _ = case
     basis = _capped_basis(spec.n, spec.a, d)
     mults = _capped_basis(spec.n, spec.a, d - spec.a)
+    radix = _radix(spec.a)
     for tag in FIELDS + (prime_field(3),):
         p = tag.characteristic
-        rows = _reference_product_rows(spec.extra_forms, mults, basis, p, True)
-        got_basis, index, echelon, piv = _reduce_spec(spec, d, tag)
-        assert got_basis == basis, tag
-        assert piv == _gauss_jordan(rows, len(basis), p)[1], tag
+        rows = _reference_product_rows(spec.extra_forms, mults, basis, p)
+        want = _gauss_jordan(rows, len(basis), p)[1]
+        assert _reduce_spec(spec, d, tag) == (basis, want), tag
+        got_basis, index, echelon, piv = _span_echelon(spec, d, tag)
+        assert (got_basis, piv) == (basis, want), tag
+        assert index == {_key(e, radix): i for i, e in enumerate(basis)}, tag
+        ints = rows if p else [[int(x) for x in r] for r in rows]
+        forward, _ = _eliminate(ints, len(basis), tag, reduce=False)
         if p:
-            assert index is None and echelon is None, tag
+            assert echelon.tolist() == forward[:len(want)].tolist(), tag
         else:
-            radix = _radix(spec.a)
-            assert index == {_key(e, radix): i for i, e in enumerate(basis)}
-            ints = [[int(x) for x in r] for r in rows]
-            forward, want = _eliminate(ints, len(basis), RATIONALS, reduce=False)
-            assert (echelon, piv) == (forward[:len(want)], want)
+            assert echelon == forward[:len(want)]
             assert all(type(x) is int for r in echelon for x in r)
 
 
@@ -451,6 +454,40 @@ def _oracle_dimension(spec, d, field_tag):
     M = RationalMatrix.from_rows(ideal.entries, cols=ideal.cols,
                                  field_tag=field_tag)
     return ideal.cols - matrix_rank(M)
+
+
+@pytest.mark.parametrize("n, a", [(3, 2), (4, 2), (3, 3)])
+def test_span_of_zero_rows_matches_full_basis_oracle(n, a):
+    # the extra form x_1^a is a pure power, so each of its products with a
+    # capped multiplier holds an a-th power and projects to a zero row:
+    # each span of A has one row per multiplier and no pivot, and A is the
+    # quotient by the pure powers alone
+    power = Monomial((a,) + (0,) * (n - 1))
+    spec = IdealSpec(n=n, a=a, extra_forms=(form_from_coefficients(a, {power: 1}),))
+    ell = linear_form(range(1, n + 1))
+    for d in range((a - 1) * n + 2):
+        full = ideal_degree_basis(spec, d)
+        monomials = enumerate_degree_piece(n, d)
+        for tag in MAP_FIELDS:
+            assert _reduce_spec(spec, d, tag)[1] == [], (d, tag)
+            assert graded_dimension(spec, d, tag) == _oracle_dimension(spec, d, tag)
+            M = RationalMatrix.from_rows(full.entries, cols=full.cols, field_tag=tag)
+            pivots = set(echelonize(M).pivot_columns)
+            assert standard_monomials(spec, d, tag) == [
+                m for i, m in enumerate(monomials) if i not in pivots], (d, tag)
+        if d:
+            kernel = multiplication_kernel(spec, d, ell)
+            assert len(kernel) == (_oracle_dimension(spec, d - 1, RATIONALS)
+                                   - _oracle_rank(spec, d, ell, RATIONALS)), d
+            col = {m: i for i, m in enumerate(monomials)}
+            base = matrix_rank(full)
+            for k in kernel:
+                row = [Fraction(0)] * len(col)
+                for m, c in multiply_forms(ell, k).terms:
+                    row[col[m]] = c
+                stacked = RationalMatrix.from_rows([*full.entries, row],
+                                                   cols=len(col))
+                assert matrix_rank(stacked) == base, d
 
 
 # characteristic 2, where the span of the squares spec vanishes, and 7
@@ -552,13 +589,14 @@ def test_kernel_witness_settles_the_rank_one_short_of_injective(
 
 
 def test_kernel_witness_settles_squares_degree_five_at_twelve(monkeypatch):
-    # the span over Q took 28.75 s here; neither fraction-free pass of the
-    # witness runs either
+    # the span over Q took 28.75 s here; the pair is checked by its
+    # congruence and route one's null-design sum alone, so neither route
+    # one's fraction-free pass nor route two runs
     def refuse(*args):
-        raise AssertionError("a fraction-free pass ran")
+        raise AssertionError("a fraction-free pass or route two ran")
 
     monkeypatch.setattr(witness, "_forward_int", refuse)
-    monkeypatch.setattr(witness, "_remainders", refuse)
+    monkeypatch.setattr(witness, "_outside_span", refuse)
     ell = random_linear_form(12, 1)
     got, spans, verdicts = _map_rank_reads(monkeypatch, IdealSpec(n=12, a=2), 5, ell)
     assert got == {"rank": 428, "dim_below": 429, "dim_at": 572}
@@ -670,7 +708,7 @@ def _reference_kernel(spec, d, ell):
     Fraction remainders of its products with the standard monomials of
     degree d-1 against the span in degree d."""
     std_b = [m.exponents for m in standard_monomials(spec, d - 1)]
-    basis, index, echelon, piv = _reduce_spec(spec, d, RATIONALS)
+    basis, index, echelon, piv = _span_echelon(spec, d, RATIONALS)
     radix = _radix(spec.a)
     lift = []
     for e in std_b:
@@ -871,7 +909,7 @@ def test_map_guard_checks_the_shapes_the_rank_builds(case):
     # over Q A/ell A is built modulo FAST_PRIME first, and over Q as well
     # when that leaves no maximal rank; where a dimension of A is 0 no
     # span of A/ell A is built, though the guard checks it; a built span
-    # drops its zero rows
+    # has the rows the guard counts, zero rows included
     spec, d, ell, tag = case
     closed = quotient._has_closed_form(spec, tag.characteristic)
     checked, built, cokernel = [], [], []
@@ -884,9 +922,9 @@ def test_map_guard_checks_the_shapes_the_rank_builds(case):
         built.append((nrows, ncols, field_tag, bool(cokernel)))
         return _from_triplets(triplets, nrows, ncols, field_tag)
 
-    # the cached spans of A keep their own reference to _span_echelon, so
+    # the cached spans of A keep their own reference to _span_pivots, so
     # only the spans of A/ell A pass through this one
-    span = quotient._span_echelon
+    span = quotient._span_pivots
 
     def cokernel_span(*args):
         cokernel.append(True)
@@ -897,7 +935,7 @@ def test_map_guard_checks_the_shapes_the_rank_builds(case):
 
     _reduce_spec.cache_clear()
     with mock.patch.object(quotient, "_from_triplets", record), \
-            mock.patch.object(quotient, "_span_echelon", cokernel_span):
+            mock.patch.object(quotient, "_span_pivots", cokernel_span):
         data = multiplication_map_rank(spec, d, ell, mode=tag)
     full = min(data["dim_below"], data["dim_at"])
     is_cok = [b[3] for b in built]
@@ -919,4 +957,4 @@ def test_map_guard_checks_the_shapes_the_rank_builds(case):
         built = [b for b in built if not b[3]]
     want = [cols for _, cols in checked]
     assert [cols for _, cols, *_ in built] == (want if full else want[:len(built)])
-    assert all(rows <= bound for (rows, *_), (bound, _) in zip(built, checked))
+    assert all(rows == bound for (rows, *_), (bound, _) in zip(built, checked))

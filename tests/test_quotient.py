@@ -34,6 +34,7 @@ from lefschetz_kit.quotient import (
     _consensus_rank,
     _dimension,
     _span_echelon,
+    _span_pivots,
     IdealSpec,
     Form,
     form_from_coefficients,
@@ -150,8 +151,8 @@ def test_denominator_p_divides_is_refused_modulo_p():
     cok = quotient._cokernel_spec(spec, ell, prime_field(3))
     with pytest.raises(ValueError, match="denominator vanishes modulo p"):
         _span_echelon(cok, 2, prime_field(3))
-    assert (_dimension(_span_echelon(cok, 2, prime_field(7)))
-            == _dimension(_span_echelon(cok, 2, RATIONALS)))
+    assert (_dimension(_span_pivots(cok, 2, prime_field(7)))
+            == _dimension(_span_pivots(cok, 2, RATIONALS)))
 
 
 def test_random_linear_form_determinism():
@@ -237,12 +238,12 @@ def test_default_spec_dimensions_follow_the_closed_form():
         spec = IdealSpec(n=n, a=a)
         top = -(-((a - 1) * n + a) // 2)
         for d in range(top + 1):
-            q = _dimension(_span_echelon(spec, d, RATIONALS))
+            q = _dimension(_span_pivots(spec, d, RATIONALS))
             assert q == aci_hilbert(n, a, d) == graded_dimension(spec, d), \
                 (n, a, d)
             assert (q > 0) == (d < top), (n, a, d)
             for p in (3, 5, 7):
-                span = _span_echelon(spec, d, prime_field(p))
+                span = _span_pivots(spec, d, prime_field(p))
                 assert _dimension(span) >= q, (n, a, d, p)
 
 
@@ -259,7 +260,7 @@ def test_squares_dimensions_modulo_p_follow_wilsons_rank():
             assert quotient._has_closed_form(spec, p)
             for d in range(n + 2):
                 assert (graded_dimension(spec, d, tag)
-                        == _dimension(_span_echelon(spec, d, tag))), (n, d, p)
+                        == _dimension(_span_pivots(spec, d, tag))), (n, d, p)
 
 
 def test_standard_monomials_complement_the_initial_ideal():
@@ -475,19 +476,20 @@ def test_rational_rank_of_another_spec_is_certified_modulo_p(monkeypatch):
     # squares plus (x_1 + 2 x_2 + ... + 10 x_10)^2 have no closed form, but
     # their map into degree 4 has maximal rank, so the span of A/ell A
     # modulo FAST_PRIME settles the rank over Q and none is built over Q;
-    # the cached spans of A do not pass through the patched _span_echelon
+    # the cached spans of A keep their own reference to _span_pivots, so
+    # they do not pass through the patched one
     n = 10
     spec = IdealSpec(n=n, a=2, extra_forms=(
         form_power(variable_sum(n), 2),
         form_power(linear_form(range(1, n + 1)), 2)))
     fields = []
-    span = quotient._span_echelon
+    span = quotient._span_pivots
 
     def record(spec, d, field_tag):
         fields.append(field_tag)
         return span(spec, d, field_tag)
 
-    monkeypatch.setattr(quotient, "_span_echelon", record)
+    monkeypatch.setattr(quotient, "_span_pivots", record)
     assert multiplication_map_rank(spec, 4, random_linear_form(n, 1)) == {
         "rank": 100, "dim_below": 100, "dim_at": 121}
     assert fields == [FAST]
@@ -561,26 +563,29 @@ def test_seeded_spans_skip_the_span_cache(capsys):
 
 
 def test_span_cache_keeps_its_cells_under_the_budget(monkeypatch):
-    # the spans of A in degrees 2 to 6 keep 10, 32, 95, 176 and 110 cells
-    # over Q, 423 together; with a budget of 200 the least recently used
-    # are evicted until the rest fits
+    # a span keeps its basis and pivots alone, in every field, so the
+    # spans of A in degrees 2 to 6 keep 10, 16, 19, 16 and 10 cells, their
+    # basis sizes, over Q as modulo p; with a budget of 20 the least
+    # recently used are evicted until the rest fits
     spec = IdealSpec(n=4, a=3)
-    cells = {d: quotient._span_cells(_span_echelon(spec, d, RATIONALS))
+    cells = {d: quotient._span_cells(_span_pivots(spec, d, RATIONALS))
              for d in range(2, 7)}
-    assert list(cells.values()) == [10, 32, 95, 176, 110]
-    monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 200)
+    assert list(cells.values()) == [10, 16, 19, 16, 10]
+    assert all(quotient._span_cells(_span_pivots(spec, d, FAST)) == c
+               for d, c in cells.items())
+    monkeypatch.setattr(quotient, "SPAN_CACHE_CELLS", 20)
     quotient._reduce_spec.cache_clear()
     for d in cells:
         quotient._reduce_spec(spec, d, RATIONALS)
-        assert quotient._reduce_spec.cache_info().cells <= 200, d
-    assert quotient._reduce_spec.cache_info() == (0, 5, 1, 110)
+        assert quotient._reduce_spec.cache_info().cells <= 20, d
+    assert quotient._reduce_spec.cache_info() == (0, 5, 1, 10)
     # degree 5 went when degree 6 came in, and degree 6 stays
     builds = _count_builds(monkeypatch)
     quotient._reduce_spec(spec, 6, RATIONALS)
     assert builds == []
     quotient._reduce_spec(spec, 5, RATIONALS)
     assert len(builds) == 1
-    assert quotient._reduce_spec.cache_info().cells == 176
+    assert quotient._reduce_spec.cache_info().cells == 16
 
 
 def test_span_above_the_budget_is_built_once_when_read_twice(monkeypatch):

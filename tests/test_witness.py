@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from lefschetz_kit import linalg, quotient, witness
 from lefschetz_kit.errors import GuardRefusal
-from lefschetz_kit.linalg import FAST_PRIME, _forward_int, _integer_row
+from lefschetz_kit.linalg import (FAST_FIELD, FAST_PRIME, RATIONALS, _forward_int,
+                                  _integer_row)
 from lefschetz_kit.monomials import Monomial
 from lefschetz_kit.quotient import (
     IdealSpec,
@@ -386,18 +387,26 @@ def _reference_outside(params, q):
     return len(col_sets) in _forward_int(rows, len(col_sets) + 1)
 
 
+def _route_two_fields(params, q):
+    """Route two's verdict on a record and the fields it took the rank of
+    [S; Q] in (quotient._outside_span), in order."""
+    with mock.patch.object(witness, "_outside_span",
+                           wraps=quotient._outside_span) as spy:
+        verdict = _nonzero_in_quotient(params, q)
+    return verdict, [call.args[3] for call in spy.call_args_list]
+
+
 def _route_one_checked(params, q):
     """Route one's verdict on the record of the form q, once the
     fraction-free reference on q and route two have agreed with it, and
-    whether route one ran its fraction-free pass and route two its
-    fraction-free reduction (quotient._remainders)."""
+    whether route one ran its fraction-free pass and route two its rank
+    over Q."""
     with mock.patch.object(witness, "_forward_int", wraps=_forward_int) as spy:
         verdict = _outside_containment_span(params, _record(q))
     assert _reference_outside(params, q) is verdict
-    with mock.patch.object(witness, "_remainders",
-                           wraps=quotient._remainders) as fallback:
-        assert _nonzero_in_quotient(params, _record(q)) is verdict
-    return verdict, spy.called, fallback.called
+    two, fields = _route_two_fields(params, _record(q))
+    assert two is verdict
+    return verdict, spy.called, RATIONALS in fields
 
 
 @PROPERTY
@@ -419,7 +428,7 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
     # monomial's support alone, so route one's certificate fires exactly
     # when that support is in the design. Plus FAST_PRIME times one it is
     # a member modulo FAST_PRIME, so route two's certificate cannot fire
-    # and its fraction-free reduction answers
+    # and its rank over Q answers
     extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
     m = Monomial.square_free(n, extra)
     in_design = sum(1 << 2 * i for i in extra) in dict(_null_design(d))
@@ -474,14 +483,10 @@ def test_null_design_vanishes_on_every_containment_column(n, d):
 @pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_genuine_witness_needs_no_fraction_free_route_two(n, d, seed):
-    # route two reaches quotient._remainders through the name it imports
-    def refuse(*args):
-        raise AssertionError("route two's fraction-free fallback ran")
-
+    # the rank modulo FAST_PRIME certifies a genuine witness, so route two
+    # takes no rank over Q
     params = random_witness_params(n, d, seed)
-    with mock.patch.object(witness, "_remainders", refuse), \
-            mock.patch.object(quotient, "_remainders", refuse):
-        assert _nonzero_in_quotient(params, _q_record(params)) is True
+    assert _route_two_fields(params, _q_record(params)) == (True, [FAST_FIELD])
 
 
 def test_route_two_eliminates_modulo_the_fast_prime():
@@ -503,24 +508,42 @@ def test_route_two_eliminates_modulo_the_fast_prime():
 
 def test_fast_prime_in_a_denominator_falls_back():
     # a weight of 1/FAST_PRIME leaves FAST_PRIME in Q's denominator, so
-    # route two's certificate cannot reduce Q's row and must fall back, not
-    # raise; route one's null-design sum reads Q's numerators on ints and
-    # certifies with no fallback
+    # route two's certificate cannot reduce Q's row and must fall back to
+    # the rank over Q, not raise; route one's null-design sum reads Q's
+    # numerators on ints and certifies with no fallback
     params = WitnessParams(n=6, d=3, a_values=(Fraction(1, FAST_PRIME),)
                            + PRIMES_6[1:])
     q = _q_record(params)
     assert q[2] % FAST_PRIME == 0
-    assert quotient._outside_span(IdealSpec(n=6, a=2), 2, q) is False
-    with mock.patch.object(witness, "_remainders",
-                           wraps=quotient._remainders) as fallback:
-        assert _nonzero_in_quotient(params, q) is True
-    assert fallback.called
+    spec = IdealSpec(n=6, a=2)
+    assert quotient._outside_span(spec, 2, q, FAST_FIELD) is False
+    assert quotient._outside_span(spec, 2, q, RATIONALS) is True
+    assert _route_two_fields(params, q) == (True, [FAST_FIELD, RATIONALS])
     assert _null_design_sum(3, q) != 0
     with mock.patch.object(witness, "_forward_int") as fallback:
         assert _outside_containment_span(params, q) is True
         assert _kernel_certified(params) is True
     assert not fallback.called
     assert verify_nonmembership(params)
+
+
+def test_route_two_answers_outside_at_one_more_than_the_span_rank():
+    # route two answers outside exactly when [S; Q] has rank rank_Q(S) + 1:
+    # a member leaves the rank of S, in both fields, so a target of
+    # rank_Q(S), or any rank from it up, would put it outside; a genuine
+    # witness adds one in both fields; and a Q with FAST_PRIME in its
+    # denominator builds no array modulo p, where the answer is False, and
+    # is outside over Q
+    spec = IdealSpec(n=9, a=2)
+    member = _record(_ideal_member(9, 4, [((0,), 3), ((4,), Fraction(-5, 2))]))
+    genuine = _q_record(random_witness_params(9, 4, 1))
+    unlucky = _q_record(WitnessParams(n=9, d=4, a_values=(
+        Fraction(1, FAST_PRIME), *range(2, 10))))
+    assert unlucky[2] % FAST_PRIME == 0
+    for q, want in ((member, (False, False)), (genuine, (True, True)),
+                    (unlucky, (False, True))):
+        assert tuple(quotient._outside_span(spec, 3, q, tag)
+                     for tag in (FAST_FIELD, RATIONALS)) == want
 
 
 def test_records_build_no_form_or_monomial():
