@@ -40,9 +40,9 @@ there bounds the one over Q from above, so a maximal rank left modulo p
 is the rank over Q. For squares with 2d-2 <= n < 3d-2, a bound of
 dim A_{d-1} - 1 is the rank over Q too when the paper's kernel element
 for ell checks (_witnessed_kernel): its congruence shows ell Q in the
-ideal and the null-design sum of witness route one shows Q outside it,
-so the rank is at most that bound. The span is eliminated over Q only
-when the bound falls short of both.
+ideal and witness route one, integer sums against the null designs of
+the ideal, shows Q outside it, so the rank is at most that bound. The
+span is eliminated over Q only when the bound falls short of both.
 
 Spans are built from integers. A span reads each extra form as one
 integer record (_form_record): the keys of its terms, their numerators
@@ -930,17 +930,17 @@ def _witnessed_kernel(spec: IdealSpec, d: int, ell: Form) -> bool:
     ell) is built as integer records, and two checks must hold
     (witness._kernel_certified): the exact congruence, which shows
     ell Q = Q' (x_1 + ... + x_n)^2 modulo the squares, so ell Q lies in
-    the ideal I; and route one's nonzero null-design sum, a signed sum of
-    2^(d-2) of Q's numerators that vanishes on every member of I, which
-    shows that Q does not lie in I. Then Q is a nonzero element of
-    A_{d-1} that ell maps to 0, and the rank over Q is at most
-    dim A_{d-1} - 1. As B never exceeds the rank over Q, a B of
+    the ideal I; and witness route one, which sums Q's numerators against
+    a basis of the null designs that vanish on every member of I and
+    decides exactly, on ints, whether Q lies in I. Then Q is a nonzero
+    element of A_{d-1} that ell maps to 0, and the rank over Q is at
+    most dim A_{d-1} - 1. As B never exceeds the rank over Q, a B of
     dim A_{d-1} - 1 is the rank.
 
-    Neither check runs fraction-free or modulo a prime, and nothing is
-    built when the subsets would pass the subset guard: the answer is
-    then False, as it is whenever a check fails, and the rank takes the
-    span.
+    Neither check eliminates or works modulo a prime, and nothing is
+    built when the subsets would pass the subset guard. The answer is
+    then False, as it is when the congruence fails or Q lies in I, and
+    the rank takes the span.
     witness imports this module, so it is imported here, on first use.
     """
     n = spec.n
@@ -1108,8 +1108,12 @@ def _consensus_rank(spec: IdealSpec, d: int, forms,
     possible rank min(dim_below, dim_at) certifies it, and that
     certificate is exact even in prime mode, so the forms are evaluated in
     order and the first such one settles the rank. Otherwise every form
-    must give the same rank; in prime mode a disagreement escalates to
-    rational arithmetic, and a rational disagreement raises InternalFault.
+    must give the same rank, and a rational disagreement raises
+    InternalFault. In prime mode a disagreement escalates to rational
+    arithmetic only where the field's dimensions are Q's, aci_hilbert in
+    degrees d-1 and d, so that every degree of a report reads one
+    characteristic; where a small prime changes them, the rank is the
+    largest the forms reach in the field.
     """
     ranks = set()
     for ell in forms:
@@ -1123,6 +1127,9 @@ def _consensus_rank(spec: IdealSpec, d: int, forms,
     if field_tag.is_rational:
         raise InternalFault(f"rational ranks disagree across seeds at n={spec.n}, "
                             f"degree {d}: {sorted(ranks)}")
+    if (dim_below, dim_at) != (aci_hilbert(spec.n, spec.a, d - 1),
+                               aci_hilbert(spec.n, spec.a, d)):
+        return max(ranks), dim_below, dim_at
     return _consensus_rank(spec, d, forms, RATIONALS)
 
 

@@ -27,12 +27,11 @@ Which check reads what:
 - the congruence (_congruent) forms only the products that stay
   square-free, from the records' keys and integers and the weights
   scaled to integers;
-- route one (_outside_containment_span) reads Q's numerators on the
-  2^(d-2) supports of a null design of the 0/1 containment matrix W of
-  index sets (_null_design) and certifies nonmembership by a nonzero
-  signed sum, on ints; only when the sum is 0 does it build W, from
-  keys, with Q's numerators as one more column b, and eliminate it
-  fraction-free;
+- route one (_outside_containment_span) sums Q's numerators against
+  each vector of an explicit basis of the left null space of the 0/1
+  containment matrix W of index sets (_null_designs), on ints, and
+  answers outside at the first nonzero sum and inside when all are 0,
+  with no matrix built;
 - route two (_nonzero_in_quotient) passes Q's record, keyed in radix 4
   already, to quotient._outside_span, which projects the products of the
   ideal's extra form with the multipliers of degree d-3 onto the capped
@@ -42,15 +41,15 @@ Which check reads what:
   certifies nonmembership, and only when it does not, over Q, where the
   answer is exact.
 
-The routes share no arithmetic: route one's certificate is a sum of
-integers with no prime, and route two's a rank of residues built from
-quotient's span shapes and records. The fraction-free passes, on W here
-and on [S; Q] there, share only linalg's forward elimination on ints.
+The routes share no arithmetic: route one's answer is a run of integer
+sums with no prime and no elimination, and route two's a rank of
+residues, or over Q a fraction-free rank, of a matrix built from
+quotient's span shapes and records.
 
-The congruence and route one's certificate, without either fraction-free
-pass, are what quotient.multiplication_map_rank reads when this pair
-settles a rank over Q (_kernel_certified). This module builds no residue
-array and does not use numpy; route two's certificate does, in quotient.
+The congruence and route one, which eliminate nothing, are what
+quotient.multiplication_map_rank reads when this pair settles a rank
+over Q (_kernel_certified). This module builds no matrix and does not
+use numpy; route two does, in quotient.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import GuardRefusal, InternalFault
-from .linalg import FAST_FIELD, RATIONALS, _forward_int, _integer_row
+from .linalg import FAST_FIELD, RATIONALS, _integer_row
 from .monomials import Monomial
 from .quotient import Form, IdealSpec, _guard_span, _outside_span, _record
 
@@ -188,10 +187,9 @@ def _guard(n: int, d: int) -> None:
 def _guard_nonmembership(n: int, d: int) -> None:
     """_guard, then the guard on the C(n,d-3) x C(n,d-1) ideal span in
     degree d-1 that route two builds. Route two's matrix, modulo
-    FAST_PRIME and over Q alike, is that span with Q's row added, and
-    route one's fraction-free matrix is its transpose up to a factor on
-    each column, with Q's column added, so a query whose span the guard
-    would refuse is refused before Q or either matrix is built."""
+    FAST_PRIME and over Q alike, is that span with Q's row added, so a
+    query whose span the guard would refuse is refused before Q or the
+    matrix is built. Route one builds no matrix."""
     _guard(n, d)
     _guard_span(n, 2, 1, d - 1)
 
@@ -205,32 +203,21 @@ def _elementary(values, k: int) -> list:
     return e
 
 
-def _colex_keys(n: int, k: int) -> list[int]:
-    """The keys of the size-k subsets of the n variables in colex order,
-    which is ascending key order: variable i is bit 2i, as in a _key in
-    radix 4. Those of subsets of the first t variables come first, so the
-    subsets of each size are those of the size below, each extended by one
-    variable above its largest."""
-    keys = [0]
-    for size in range(1, k + 1):
-        keys = [low | 1 << 2 * top for top in range(size - 1, n)
-                for low in itertools.islice(keys, comb(top, size - 1))]
-    return keys
-
-
 def _subset_sums(a, s: int, k: int, weights) -> list:
-    """For each size-s index set S in colex order: its key (_colex_keys),
-    the product of the weights a over S, and the sum over all size-k
-    index sets J of the product over J times weights[|S meet J|], on ints.
+    """For each size-s index set S in colex order: its key, variable i at
+    bit 2i as in a _key in radix 4, the product of the weights a over S,
+    and the sum over all size-k index sets J of the product over J times
+    weights[|S meet J|], on ints.
 
     Splitting J into its parts inside and outside S turns the sum into
     sum_t weights[t] e_t(a_S) e_(k-t)(a outside S), so no J is
     enumerated. The sets are reached by one walk of the colex tree, in
-    which the sets of each size extend those of the size below as
-    _colex_keys extends them: adding the weight c to S multiplies the
-    generating polynomial of e(a_S) by (1 + c x), and divides that of the
-    sums outside S, truncated at degree k, by the same factor as a power
-    series. Each set costs O(s + k) products, not O(s k).
+    which the sets of each size are those of the size below, each
+    extended by one variable above its largest, and those of subsets of
+    the first t variables come first, so the keys ascend: adding the
+    weight c to S multiplies the generating polynomial of e(a_S) by
+    (1 + c x), and divides that of the sums outside S, truncated at
+    degree k, by the same factor as a power series. Each set costs O(s + k) products, not O(s k).
     """
     level = [(0, [1], _elementary(a, k))]
     for size in range(1, s + 1):
@@ -358,53 +345,64 @@ def _congruent(params: WitnessParams, q: tuple, qp: tuple) -> bool:
     return not any(diff.values())
 
 
-def _null_design(d: int) -> list[tuple[int, int]]:
-    """The keys and signs of the null design of route one's certificate.
+def _standard_rows(n: int, k: int, row: tuple = ()):
+    """Yield the bottom rows of the standard two-row tableaux of shape
+    (n-k, k) on 0..n-1, in lexicographic order, extending row: the
+    increasing k-tuples b with b_j > 2j. Every prefix extends, as
+    n - k >= k, so no branch is cut short."""
+    j = len(row)
+    if j == k:
+        yield row
+        return
+    for b in range(max(2 * j, row[-1] if row else 0) + 1, n - k + j + 1):
+        yield from _standard_rows(n, k, row + (b,))
 
-    With the pairs {x_(2i-1), x_(2i)} for i = 1..d-2 and the extra
-    variable x_(2d-3), the support B_S for S a subset of {1..d-2} holds
-    x_(2d-3), x_(2i) for i in S and x_(2i-1) for i outside S, and has the
-    sign (-1)^|S|. Each of the 2^(d-2) supports has size d-1 and is keyed
-    as in the records, variable i at bit 2i.
 
-    A (d-3)-set J inside some B_S misses at least one pair, and toggling
-    the first pair it misses matches the supports that contain J in pairs
-    of opposite sign. So the signs sum to 0 over the supports that contain
-    any J: the signed indicator of the design is a left null vector of the
-    containment matrix W (Graver and Jurkat, J. Combin. Theory A 15,
-    1973, on null designs of inclusion matrices). n >= 2d-2 leaves room
-    for every variable it names.
+def _null_designs(n: int, d: int):
+    """Yield a basis of the left null space of route one's containment
+    matrix W, each vector a list of (key, coefficient) pairs on the size
+    d-1 index sets, keyed as in the records, variable i at bit 2i.
+
+    A vector is null on W when its coefficients sum to 0 over the sets
+    that contain any (d-3)-set J: a null design of strength d-3 (Graver
+    and Jurkat, J. Combin. Theory A 15, 1973). In the square-free algebra,
+    with D = sum_i d/dx_i, D^2 sends x_I to twice the sum of x_J over the
+    (d-3)-sets J inside I, so such vectors form the kernel of D^2. The
+    basis has two parts, from the standard two-row tableaux T of shape
+    (n-k, k), given by their bottom rows b, which are standard when
+    b_j > 2j (0-based, _standard_rows), and each column pairs b_j with
+    the j-th entry t_j of the top row:
+
+    - for k = d-1, the pod prod_j (x_(t_j) - x_(b_j)), which D kills,
+      since it kills each factor;
+    - for k = d-2, R times the pod, with R multiplication by the variable
+      sum, which is the pod times the sum of the variables in no column,
+      since x_t (x_t - x_b) + x_b (x_t - x_b) holds only squares. On
+      k-sets DR - RD = n - 2k (the sl2 relation, Stanley 1980), so D
+      sends R g to (n - 2k) g, which D kills.
+
+    The C(n,k) - C(n,k-1) pods of shape (n-k, k) are independent, up to
+    sign the standard polytabloids (James, LNM 682, 1978), and D R g =
+    (n - 2k) g is not 0 for a nonzero combination g of those of the
+    second part, as n > 2k, so no combination of the second part lies in
+    the kernel of D, which holds the first. The two parts together have
+    C(n,d-1) - C(n,d-3) independent vectors, the corank of W, whose
+    C(n,d-3) columns are independent for n >= 2d-4 (Gottlieb, Proc. AMS
+    17, 1966), so they are a basis. The first vector is the pod of the
+    pairs {x_1,x_2}, ..., {x_(2d-3),x_(2d-2)}, which n >= 2d-2 leaves
+    room for.
     """
-    design = [(1 << 4 * d - 8, 1)]  # x_(2d-3), the variable of index 2d-4
-    for i in range(d - 2):
-        low, high = 1 << 4 * i, 1 << 4 * i + 2
-        design = ([(key | low, s) for key, s in design]
-                  + [(key | high, -s) for key, s in design])
-    return design
-
-
-def _null_design_sum(d: int, q: tuple) -> int:
-    """The sum over the null design (_null_design) of each sign times Q's
-    numerator on its support, from Q's record.
-
-    The design's signs sum to 0 against every column of the containment
-    matrix W, the square-free part of each member of the ideal in degree
-    d-1 up to a factor, and so against each member. A nonzero sum proves
-    that Q is outside the ideal, on ints, with no prime and no matrix. A
-    term that holds a square, a member itself, has no key in the design.
-    """
-    coeff = dict(zip(q[0], q[1]))
-    return sum(s * coeff.get(key, 0) for key, s in _null_design(d))
-
-
-def _containment(params: WitnessParams, q: tuple):
-    """Route one's matrix: the keys of the size d-3 index sets J, the
-    columns, and of the size d-1 sets I, the rows, and Q's numerator on
-    each row, 0 where Q has no term, read from its record."""
-    n, d = params.n, params.d
-    coeff = dict(zip(q[0], q[1]))
-    keys = _colex_keys(n, d - 1)
-    return _colex_keys(n, d - 3), keys, [coeff.get(k, 0) for k in keys]
+    for k in (d - 1, d - 2):
+        for bottom in _standard_rows(n, k):
+            top = [i for i in range(n) if i not in bottom]
+            factors = [((t, 1), (b, -1)) for t, b in zip(top, bottom)]
+            if k == d - 2:
+                factors.append([(r, 1) for r in top[k:]])
+            design = [(0, 1)]
+            for factor in factors:
+                design = [(key | 1 << 2 * i, s * c)
+                          for key, s in design for i, c in factor]
+            yield design
 
 
 def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
@@ -414,22 +412,16 @@ def _outside_containment_span(params: WitnessParams, q: tuple) -> bool:
 
     Column J is the square-free part of x^J times the squared variable sum,
     halved, so the span is the degree d-1 piece of the ideal in the
-    square-free basis. Q's numerators form one more column b, and Q lies
-    outside exactly when [W | b] has full column rank over Q.
-
-    The certificate is a nonzero null-design sum (_null_design_sum): a
-    left null vector of W that does not vanish on b. Only when the sum is
-    0, because Q is a member or its weights are degenerate, are the
-    integer rows of [W | b] built and eliminated fraction-free by
-    linalg._forward_int, and Q is outside when b holds a pivot; that pass
-    alone may answer inside.
+    square-free basis, and Q is outside it exactly when its numerators
+    have a nonzero sum against some vector of a basis of W's left null
+    space (_null_designs). The sums run on ints, in the basis order, and
+    the first nonzero one answers, so route one decides both ways with no
+    prime and no matrix. A term of Q that holds a square, a member
+    itself, has no key in any vector.
     """
-    if _null_design_sum(params.d, q):
-        return True
-    cols, keys, b = _containment(params, q)
-    rows = [[1 if mj & k == mj else 0 for mj in cols] + [x]
-            for k, x in zip(keys, b)]
-    return len(cols) in _forward_int(rows, len(cols) + 1)
+    coeff = dict(zip(q[0], q[1]))
+    return any(sum(c * coeff.get(key, 0) for key, c in design)
+               for design in _null_designs(params.n, params.d))
 
 
 def _nonzero_in_quotient(params: WitnessParams, q: tuple) -> bool:
@@ -456,13 +448,14 @@ def verify_nonmembership(params: WitnessParams) -> bool:
     """Certify that Q is not in the degree d-1 piece of the ideal.
 
     Route one expresses membership as a containment-matrix column-space
-    question over the square-free index sets, and answers outside from a
-    nonzero null-design sum of Q's numerators; only when the sum is 0
-    does it eliminate fraction-free on integers. Route two builds the
-    ideal span from the quotient's span shape, appends Q and answers
-    outside when the rank grows by one, modulo FAST_PRIME and, only when
-    that certificate does not fire, over Q. The routes share no
-    arithmetic and must agree; a mismatch raises InternalFault.
+    question over the square-free index sets, and decides it on ints from
+    the sums of Q's numerators against an explicit basis of the left null
+    space of that matrix, outside at the first nonzero sum and inside
+    when every sum is 0. Route two builds the ideal span from the
+    quotient's span shape, appends Q and answers outside when the rank
+    grows by one, modulo FAST_PRIME and, only when that certificate does
+    not fire, over Q. The routes share no arithmetic and must agree; a
+    mismatch raises InternalFault.
     """
     _guard_nonmembership(params.n, params.d)
     return _not_in_ideal(params, _q_record(params))
@@ -481,12 +474,13 @@ def _not_in_ideal(params: WitnessParams, q: tuple) -> bool:
 def _kernel_certified(params: WitnessParams) -> bool:
     """Whether Q is certified a nonzero kernel element of multiplication by
     the weighted form into degree d of the quotient by the squares and the
-    squared variable sum, from the exact congruence and route one's
-    null-design sum alone, with neither fraction-free pass.
+    squared variable sum, from the exact congruence and route one alone,
+    on ints, with no prime and no elimination.
 
     False, with nothing built, when the subsets would pass the subset
-    guard; False too when the congruence fails or the sum is 0, which
-    leaves the question open rather than answering it.
+    guard; False too when the congruence fails, or when Q lies in the
+    ideal, as it does for degenerate weights, which route one decides
+    exactly.
     """
     try:
         _guard(params.n, params.d)
@@ -494,7 +488,7 @@ def _kernel_certified(params: WitnessParams) -> bool:
         return False
     q = _q_record(params)
     return (_congruent(params, q, _qprime_record(params))
-            and _null_design_sum(params.d, q) != 0)
+            and _outside_containment_span(params, q))
 
 
 def random_witness_params(n: int, d: int, seed) -> WitnessParams:

@@ -119,6 +119,20 @@ def test_small_prime_sweep_reports_the_degrees_of_q(capsys):
     assert degrees == {"rational": [1, 2, 3], "prime:3": [1, 2, 3]}
 
 
+def test_small_prime_wlp_reads_one_characteristic(capsys):
+    # modulo 5 the seeds give ranks 35 and 36 into a degree 5 piece of
+    # dimension 37, where Q's has 36, so the degree settles in F_5 on the
+    # larger rank instead of escalating to Q, and each piece a degree
+    # maps into is the one the next degree maps from
+    assert main(["wlp", "--n", "5", "--a", "3", "--seeds", "1,2",
+                 "--field", "prime:5"]) == 0
+    degrees = json.loads(capsys.readouterr().out)["result"]["degrees"]
+    assert all(r["dim_at"] == s["dim_below"]
+               for r, s in zip(degrees, degrees[1:])), degrees
+    assert [(r["dim_below"], r["dim_at"], r["map_rank"]) for r in degrees
+            if r["d"] == 5] == [(40, 37, 36)]
+
+
 def test_verify_rational_reports_the_rows_of_q(capsys):
     # modulo 3 both maps lose rank and dim_at is 49 and 76; --verify-rational
     # reports Q's rows under the field of the query, and only JSON says

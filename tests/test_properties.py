@@ -590,12 +590,12 @@ def test_kernel_witness_settles_the_rank_one_short_of_injective(
 
 def test_kernel_witness_settles_squares_degree_five_at_twelve(monkeypatch):
     # the span over Q took 28.75 s here; the pair is checked by its
-    # congruence and route one's null-design sum alone, so neither route
-    # one's fraction-free pass nor route two runs
+    # congruence and route one alone, so no fraction-free pass and no
+    # route two runs
     def refuse(*args):
         raise AssertionError("a fraction-free pass or route two ran")
 
-    monkeypatch.setattr(witness, "_forward_int", refuse)
+    monkeypatch.setattr(linalg, "_forward_int", refuse)
     monkeypatch.setattr(witness, "_outside_span", refuse)
     ell = random_linear_form(12, 1)
     got, spans, verdicts = _map_rank_reads(monkeypatch, IdealSpec(n=12, a=2), 5, ell)
@@ -610,8 +610,9 @@ def test_kernel_witness_that_does_not_check_leaves_the_rank_to_the_q_span(
         monkeypatch, mutation):
     # a pair built from weights other than ell's is a genuine witness for
     # another form, and fails the congruence for ell; a pair whose
-    # congruence fails or whose null-design sum is 0 proves nothing, and
-    # in every case the rank is read from the span over Q, never from B
+    # congruence fails or that route one finds inside the ideal proves
+    # nothing, and in every case the rank is read from the span over Q,
+    # never from B
     spec, ell = IdealSpec(n=6, a=2), random_linear_form(6, 1)
     if mutation == "other weights":
         other = witness.WitnessParams(6, 3, [c + 1 for c in linear_coefficients(ell)])
@@ -621,7 +622,8 @@ def test_kernel_witness_that_does_not_check_leaves_the_rank_to_the_q_span(
     elif mutation == "congruence fails":
         monkeypatch.setattr(witness, "_congruent", lambda *args: False)
     else:
-        monkeypatch.setattr(witness, "_null_design_sum", lambda *args: 0)
+        monkeypatch.setattr(witness, "_outside_containment_span",
+                            lambda *args: False)
     got, spans, verdicts = _map_rank_reads(monkeypatch, spec, 3, ell)
     assert verdicts == [(linear_coefficients(ell), False)]
     assert spans == [prime_field(FAST_PRIME), RATIONALS]

@@ -421,6 +421,9 @@ def _eager_consensus(spec, d, forms, field_tag):
         return ranks.pop(), dim_below, dim_at
     if field_tag.is_rational:
         raise InternalFault("rational ranks disagree")
+    if (dim_below, dim_at) != (aci_hilbert(spec.n, spec.a, d - 1),
+                               aci_hilbert(spec.n, spec.a, d)):
+        return max(ranks), dim_below, dim_at
     return _eager_consensus(spec, d, forms, RATIONALS)
 
 
@@ -429,10 +432,14 @@ def _eager_consensus(spec, d, forms, field_tag):
     (5, 2, 3, [1, 2, 3], FAST, False),          # not injective: all seeds
     (4, 3, 4, [1, 2], RATIONALS, False),
     (6, 2, 4, [2, 1], prime_field(DEFAULT_PRIME), False),
-    # modulo 3 the seeds give ranks 9 and 12 of 14, and modulo 5 ranks 35
-    # and 36 of 37, so Q settles the cell
-    (6, 2, 3, [1, 2], prime_field(3), True),
-    (5, 3, 5, [1, 2], prime_field(5), True),
+    # modulo 3 the seeds give ranks 9 and 12 of 14 into a piece of
+    # dimension 15, where Q's has 14, and modulo 5 ranks 35 and 36 of 37
+    # into one of 37, where Q's has 36, so the largest rank in the field
+    # settles the cell; modulo 5 at (6, 2, 3) both pieces are Q's, and the
+    # ranks 12 and 9 of 14 escalate to Q
+    (6, 2, 3, [1, 2], prime_field(3), False),
+    (5, 3, 5, [1, 2], prime_field(5), False),
+    (6, 2, 3, [1, 2], prime_field(5), True),
 ])
 def test_consensus_matches_eager_evaluation(monkeypatch, n, a, d, seeds,
                                             field, escalates):

@@ -28,15 +28,14 @@ from lefschetz_kit.quotient import (
 from lefschetz_kit.witness import (
     SumKind,
     WitnessParams,
-    _colex_keys,
     _congruent,
     _kernel_certified,
     _nonzero_in_quotient,
-    _null_design,
-    _null_design_sum,
+    _null_designs,
     _outside_containment_span,
     _q_record,
     _qprime_record,
+    _subset_sums,
     build_Q,
     build_Qprime,
     epsilon_table,
@@ -232,10 +231,14 @@ def test_builders_match_subset_sums(n, d, weights):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_colex_keys_are_the_subsets_in_colex_order(n):
+    # the walk of _subset_sums reaches the subsets of each size in colex
+    # order, which is ascending key order, the order of a record's keys
     for k in range(n + 1):
         subsets = sorted(itertools.combinations(range(n), k),
                          key=lambda c: tuple(reversed(c)))
-        assert _colex_keys(n, k) == [sum(4**i for i in c) for c in subsets]
+        keys = [key for key, _, _ in _subset_sums(list(range(2, n + 2)), k, 1, [1, 1])]
+        assert keys == [sum(4**i for i in c) for c in subsets]
+        assert keys == sorted(keys)
 
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -396,17 +399,22 @@ def _route_two_fields(params, q):
     return verdict, [call.args[3] for call in spy.call_args_list]
 
 
+def _refuse_elimination(*args):
+    raise AssertionError("an elimination ran")
+
+
 def _route_one_checked(params, q):
-    """Route one's verdict on the record of the form q, once the
-    fraction-free reference on q and route two have agreed with it, and
-    whether route one ran its fraction-free pass and route two its rank
+    """Route one's verdict on the record of the form q, taken with both
+    elimination kernels refused, once the fraction-free reference on q and
+    route two have agreed with it, and whether route two took its rank
     over Q."""
-    with mock.patch.object(witness, "_forward_int", wraps=_forward_int) as spy:
+    with mock.patch.object(linalg, "_forward_int", _refuse_elimination), \
+            mock.patch.object(linalg, "_forward_numpy", _refuse_elimination):
         verdict = _outside_containment_span(params, _record(q))
     assert _reference_outside(params, q) is verdict
     two, fields = _route_two_fields(params, _record(q))
     assert two is verdict
-    return verdict, spy.called, RATIONALS in fields
+    return verdict, RATIONALS in fields
 
 
 @PROPERTY
@@ -418,27 +426,22 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
     multipliers = data.draw(st.lists(
         st.tuples(st.sampled_from(subsets), WEIGHTS), min_size=1, max_size=4))
     member = _ideal_member(n, d, multipliers)
-    # the null design vanishes on every member, exactly, so a member is
-    # inside, and only the fraction-free passes of both routes may say so
-    assert _null_design_sum(d, _record(member)) == 0
-    assert _route_one_checked(params, member) == (False, True, True)
+    # every null design sums to 0 on a member, so route one says inside
+    # with no elimination, and route two only by its rank over Q
+    assert _route_one_checked(params, member) == (False, True)
     # the ideal is symmetric and misses part of degree d-1, so it holds no
     # monomial of that degree, and a member plus a multiple of one is
-    # outside it. The null-design sum then reads the multiple on the
-    # monomial's support alone, so route one's certificate fires exactly
-    # when that support is in the design. Plus FAST_PRIME times one it is
-    # a member modulo FAST_PRIME, so route two's certificate cannot fire
-    # and its rank over Q answers
+    # outside it. Plus FAST_PRIME times one it is a member modulo
+    # FAST_PRIME, so route two's certificate cannot fire and its rank over
+    # Q answers
     extra = data.draw(st.sampled_from(list(itertools.combinations(range(n), d - 1))))
     m = Monomial.square_free(n, extra)
-    in_design = sum(1 << 2 * i for i in extra) in dict(_null_design(d))
     for shift in (1, FAST_PRIME):
         coeffs = dict(member.terms)
         coeffs[m] = coeffs.get(m, 0) + shift
-        verdict, route_one_fell_back, route_two_fell_back = _route_one_checked(
+        verdict, route_two_fell_back = _route_one_checked(
             params, form_from_coefficients(d - 1, coeffs))
         assert verdict is True
-        assert route_one_fell_back is not in_design
         assert route_two_fell_back is (shift == FAST_PRIME)
     drawn = data.draw(witness_params())
     _route_one_checked(drawn, build_Q(drawn))
@@ -447,37 +450,46 @@ def test_nonmembership_routes_agree_on_ideal_members(size, data):
 @pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5), (16, 7)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_genuine_witness_needs_no_fraction_free_pass(n, d, seed):
-    # route one's null-design sum certifies a genuine witness with no
+    # route one's first null design certifies a genuine witness with no
     # elimination of any kind, and so does the check behind map ranks
-    def refuse(*args):
-        raise AssertionError("an elimination ran")
-
     params = random_witness_params(n, d, seed)
-    with mock.patch.object(witness, "_forward_int", refuse), \
-            mock.patch.object(linalg, "_forward_numpy", refuse):
-        assert _outside_containment_span(params, _q_record(params)) is True
+    q = _q_record(params)
+    coeff = dict(zip(q[0], q[1]))
+    assert sum(c * coeff.get(key, 0) for key, c in next(_null_designs(n, d)))
+    with mock.patch.object(linalg, "_forward_int", _refuse_elimination), \
+            mock.patch.object(linalg, "_forward_numpy", _refuse_elimination):
+        assert _outside_containment_span(params, q) is True
         assert _kernel_certified(params) is True
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for d in range(3, 6)
-                                 for n in range(2 * d - 2, min(3 * d - 2, 10))])
+@pytest.mark.parametrize("n,d", [(n, d) for d in range(3, 7)
+                                 for n in range(2 * d - 2, min(3 * d - 2, 11))])
 def test_null_design_vanishes_on_every_containment_column(n, d):
-    # the signed supports of the design are distinct square-free index
-    # sets of size d-1 in the n variables, 2^(d-2) of them, and their
-    # signs sum to 0 over those that contain any (d-3)-set J, which is
-    # the column of J in the containment matrix W
-    design = _null_design(d)
-    supports = []
-    for key, sign in design:
-        assert sign in (1, -1)
-        support = {i for i in range(n) if key >> 2 * i & 3}
-        assert key == sum(1 << 2 * i for i in support)
-        assert len(support) == d - 1
-        supports.append((support, sign))
-    assert len({key for key, _ in design}) == len(design) == 2 ** (d - 2)
-    for J in itertools.combinations(range(n), d - 3):
-        assert sum(sign for support, sign in supports
-                   if support.issuperset(J)) == 0, J
+    # every witness cell with n <= 10: the null designs are
+    # C(n, d-1) - C(n, d-3) vectors on distinct square-free index sets of
+    # size d-1, each summing to 0 over the sets that contain any (d-3)-set
+    # J, the column of J in the containment matrix W, and of full rank
+    # modulo FAST_PRIME, so they are a basis of W's left null space
+    designs = list(_null_designs(n, d))
+    assert len(designs) == comb(n, d - 1) - comb(n, d - 3)
+    subsets = [sum(1 << 2 * i for i in I)
+               for I in itertools.combinations(range(n), d - 1)]
+    column = {key: c for c, key in enumerate(subsets)}
+    for design in designs:
+        assert len(dict(design)) == len(design)
+        for J in itertools.combinations(range(n), d - 3):
+            bits = sum(1 << 2 * i for i in J)
+            assert sum(c for key, c in design if key & bits == bits) == 0, J
+    triplets = [(row, column[key], c % FAST_PRIME)
+                for row, design in enumerate(designs) for key, c in design]
+    M = linalg._from_triplets([list(part) for part in zip(*triplets)],
+                              len(designs), len(subsets), FAST_FIELD)
+    assert len(linalg._pivots(M, len(subsets), FAST_FIELD)) == len(designs)
+    # the first is the pod of the pairs {x_1, x_2}, ..., {x_(2d-3), x_(2d-2)}
+    pod = itertools.product(*[((2 * j, 1), (2 * j + 1, -1)) for j in range(d - 1)])
+    assert sorted(designs[0]) == sorted(
+        (sum(1 << 2 * i for i, _ in choice), prod(c for _, c in choice))
+        for choice in pod)
 
 
 @pytest.mark.parametrize("n,d", [(6, 3), (9, 4), (12, 5)])
@@ -509,8 +521,8 @@ def test_route_two_eliminates_modulo_the_fast_prime():
 def test_fast_prime_in_a_denominator_falls_back():
     # a weight of 1/FAST_PRIME leaves FAST_PRIME in Q's denominator, so
     # route two's certificate cannot reduce Q's row and must fall back to
-    # the rank over Q, not raise; route one's null-design sum reads Q's
-    # numerators on ints and certifies with no fallback
+    # the rank over Q, not raise; route one reads Q's numerators on ints
+    # and certifies with no elimination
     params = WitnessParams(n=6, d=3, a_values=(Fraction(1, FAST_PRIME),)
                            + PRIMES_6[1:])
     q = _q_record(params)
@@ -519,11 +531,9 @@ def test_fast_prime_in_a_denominator_falls_back():
     assert quotient._outside_span(spec, 2, q, FAST_FIELD) is False
     assert quotient._outside_span(spec, 2, q, RATIONALS) is True
     assert _route_two_fields(params, q) == (True, [FAST_FIELD, RATIONALS])
-    assert _null_design_sum(3, q) != 0
-    with mock.patch.object(witness, "_forward_int") as fallback:
+    with mock.patch.object(linalg, "_forward_int", _refuse_elimination):
         assert _outside_containment_span(params, q) is True
         assert _kernel_certified(params) is True
-    assert not fallback.called
     assert verify_nonmembership(params)
 
 
