@@ -1107,13 +1107,13 @@ def _consensus_rank(spec: IdealSpec, d: int, forms,
     Returns (rank, dim_below, dim_at). Any form reaching the maximal
     possible rank min(dim_below, dim_at) certifies it, and that
     certificate is exact even in prime mode, so the forms are evaluated in
-    order and the first such one settles the rank. Otherwise every form
-    must give the same rank, and a rational disagreement raises
-    InternalFault. In prime mode a disagreement escalates to rational
-    arithmetic only where the field's dimensions are Q's, aci_hilbert in
-    degrees d-1 and d, so that every degree of a report reads one
-    characteristic; where a small prime changes them, the rank is the
-    largest the forms reach in the field.
+    order and the first such one settles the rank. Otherwise their ranks
+    are compared, and a rational disagreement raises InternalFault. In
+    prime mode a disagreement escalates to rational arithmetic only where
+    the field's dimensions are Q's, aci_hilbert in degrees d-1 and d, so
+    that every degree of a report reads one characteristic; where a small
+    prime changes them, the rank is the largest the forms reach in the
+    field.
     """
     ranks = set()
     for ell in forms:
@@ -1232,7 +1232,7 @@ def wlp_sweep(n: int, p: int, seeds,
     every degree d with A_d nonzero over Q, d = 1 to ceil(((p-1)n + p) / 2)
     - 1, of the quotient by the p-th powers of the variables and of their
     sum (_wlp_reports). One form per seed serves all degrees, and any seed
-    reaching the maximal rank certifies a degree; otherwise all seeds must
-    agree, with the escalation of _consensus_rank.
+    reaching the maximal rank certifies a degree; otherwise the seeds'
+    ranks settle it as _consensus_rank does.
     """
     return _wlp_reports([n], p, seeds, field_tag)[0]
