@@ -13,9 +13,11 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 from . import hilbert, monomials, paths, quotient, witness
 from .errors import GuardRefusal, InternalFault
@@ -42,21 +44,6 @@ class RunConfig:
     verify_rational: bool = False
 
 
-def _need(cfg: RunConfig, *names: str) -> list[int]:
-    out = []
-    for name in names:
-        val = getattr(cfg, name)
-        if val is None:
-            raise ValueError(f"{cfg.subcommand} needs --{name}")
-        out.append(val)
-    return out
-
-
-def _need_seeds(cfg: RunConfig) -> None:
-    if not cfg.seeds:
-        raise ValueError(f"{cfg.subcommand} needs --seeds")
-
-
 def _case_for(a: int) -> monomials.GeneratorCase:
     if a == 2:
         return monomials.SQUARES
@@ -66,7 +53,7 @@ def _case_for(a: int) -> monomials.GeneratorCase:
 
 
 def _run_initial(cfg: RunConfig):
-    n, a, d = _need(cfg, "n", "a", "d")
+    n, a, d = cfg.n, cfg.a, cfg.d
     spec = quotient.IdealSpec(n=n, a=a)
     exps, pivots = quotient._initial_exponents(spec, d, cfg.field)
     result = {
@@ -95,7 +82,7 @@ def _run_initial(cfg: RunConfig):
 
 
 def _run_hilbert(cfg: RunConfig):
-    n, a = _need(cfg, "n", "a")
+    n, a = cfg.n, cfg.a
     # the default degree range is empty below these, so no row checks them
     if n < 1 or a < 2:
         raise ValueError("need n >= 1 and a >= 2")
@@ -113,8 +100,7 @@ def _run_hilbert(cfg: RunConfig):
 
 
 def _run_froberg(cfg: RunConfig):
-    n, a = _need(cfg, "n", "a")
-    _need_seeds(cfg)
+    n, a = cfg.n, cfg.a
     D = hilbert.froberg_corollary_degree(n, a, _case_for(a))
     pred = hilbert.froberg_truncation(n, [a] * (n + 2), D)
     exact = quotient.random_powers_dimensions(n, a, cfg.seeds, range(D + 1),
@@ -137,32 +123,25 @@ def _run_froberg(cfg: RunConfig):
     return code, {"n": n, "a": a}, result
 
 
+# the JSON keys of a wlp or sweep degree and its CSV columns
+_DEGREE_COLUMNS = tuple(f.name for f in fields(quotient.DegreeRecord))
+
+
 def _wlp_payload(rep: quotient.WlpReport) -> dict:
-    return {
-        "overall_wlp": rep.overall_wlp,
-        "degrees": [{"d": r.d, "dim_below": r.dim_below, "dim_at": r.dim_at,
-                     "map_rank": r.map_rank, "injective": r.injective,
-                     "surjective": r.surjective, "maximal_rank": r.maximal_rank}
-                    for r in rep.records],
-    }
+    degrees = [{c: getattr(r, c) for c in _DEGREE_COLUMNS} for r in rep.records]
+    return {"overall_wlp": rep.overall_wlp, "degrees": degrees}
 
 
 def _run_wlp(cfg: RunConfig):
-    n, a = _need(cfg, "n", "a")
-    _need_seeds(cfg)
-    rep = quotient.wlp_sweep(n, a, cfg.seeds, cfg.field)
-    return 0, {"n": n, "a": a}, _wlp_payload(rep)
+    rep = quotient.wlp_sweep(cfg.n, cfg.a, cfg.seeds, cfg.field)
+    return 0, {"n": cfg.n, "a": cfg.a}, _wlp_payload(rep)
 
 
 def _run_sweep(cfg: RunConfig):
-    (a,) = _need(cfg, "a")
-    _need_seeds(cfg)
-    if cfg.n_range is None:
-        raise ValueError("sweep needs --n-range A..B")
     reports = quotient._wlp_reports(range(cfg.n_range[0], cfg.n_range[1] + 1),
-                                    a, cfg.seeds, cfg.field)
+                                    cfg.a, cfg.seeds, cfg.field)
     rows = [{"n": rep.n, **_wlp_payload(rep)} for rep in reports]
-    return 0, {"a": a, "n_range": list(cfg.n_range)}, {"rows": rows}
+    return 0, {"a": cfg.a, "n_range": list(cfg.n_range)}, {"rows": rows}
 
 
 def _inject_findings(rows: list[dict], a: int, d: int) -> list[str]:
@@ -193,10 +172,7 @@ def _inject_findings(rows: list[dict], a: int, d: int) -> list[str]:
 
 
 def _run_inject(cfg: RunConfig):
-    a, d = _need(cfg, "a", "d")
-    _need_seeds(cfg)
-    if cfg.n_range is None:
-        raise ValueError("inject needs --n-range A..B")
+    a, d = cfg.a, cfg.d
     if cfg.verify_rational and cfg.field.is_rational:
         raise ValueError("inject --verify-rational needs a prime --field")
     ns = range(cfg.n_range[0], cfg.n_range[1] + 1)
@@ -217,31 +193,27 @@ def _run_inject(cfg: RunConfig):
 
 
 def _run_witness(cfg: RunConfig):
-    n, d = _need(cfg, "n", "d")
-    _need_seeds(cfg)
     records = []
     ok = True
     for s in cfg.seeds:
-        params = witness.random_witness_params(n, d, s)
+        params = witness.random_witness_params(cfg.n, cfg.d, s)
         rec = {"seed": s, **witness.witness_record(params)}
         ok = ok and rec["congruence_ok"] and rec["nonmembership_ok"]
         records.append(rec)
     result: dict = {"witnesses": records}
     if not ok:
         result["findings"] = ["a witness pair failed verification"]
-    return (0 if ok else 1), {"n": n, "d": d}, result
+    return (0 if ok else 1), {"n": cfg.n, "d": cfg.d}, result
 
 
 def _run_paths(cfg: RunConfig):
-    n, d = _need(cfg, "n", "d")
     if cfg.seeds and cfg.boundary == "touch":
         # the conjecture compares the exact dimension with the strict count
         raise ValueError("paths --seeds compares the strict count and takes "
                          "no --boundary touch")
-    conv = (paths.BoundaryConvention.CROSS_MEANS_TOUCH if cfg.boundary == "touch"
-            else paths.BoundaryConvention.CROSS_MEANS_STRICTLY_BEYOND)
-    pspec = paths.PathSpec(n=n, d=d, boundary_convention=conv)
-    counts = paths.path_counts(pspec)
+    counts = paths.path_counts(paths.PathSpec(
+        n=cfg.n, d=cfg.d,
+        boundary_convention=paths.BoundaryConvention(cfg.boundary)))
     result: dict = {
         "a": counts.a_count,
         "t": counts.t_count,
@@ -253,13 +225,13 @@ def _run_paths(cfg: RunConfig):
             and counts.a_count != counts.closed_form_value):
         findings.append("closed form disagrees with the admissible count")
     if cfg.seeds:
-        conj = paths.conjecture_check(n, d, cfg.seeds)
+        conj = paths.conjecture_check(cfg.n, cfg.d, cfg.seeds)
         result["conjecture"] = conj
         if conj["exact_dim"] > conj["a_count"]:
             findings.append("exact dimension exceeds the admissible count")
     if findings:
         result["findings"] = findings
-    params = {"n": n, "d": d, "boundary": cfg.boundary}
+    params = {"n": cfg.n, "d": cfg.d, "boundary": cfg.boundary}
     return (1 if findings else 0), params, result
 
 
@@ -267,8 +239,14 @@ def dispatch(config: RunConfig) -> tuple[int, dict]:
     """Run one subcommand and return the exit code with the full report."""
     if config.subcommand not in _SUBCOMMANDS:
         raise ValueError(f"unknown subcommand: {config.subcommand}")
+    sub = _SUBCOMMANDS[config.subcommand]
+    # an empty seed list is missing too; a range flag is named with its form
+    for flag in sub.required:
+        if getattr(config, flag) in (None, ()):
+            raise ValueError(f"{config.subcommand} needs --{flag.replace('_', '-')}"
+                             + " A..B" * flag.endswith("_range"))
     t0 = time.monotonic()
-    code, params, result = _SUBCOMMANDS[config.subcommand][2](config)
+    code, params, result = sub.run(config)
     report = {
         "schema": SCHEMA,
         "query": config.subcommand,
@@ -281,59 +259,13 @@ def dispatch(config: RunConfig) -> tuple[int, dict]:
     return code, report
 
 
-def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
-    query = report["query"]
-    result = report["result"]
-    if query == "hilbert":
-        return (["d", "power_ci", "aci"],
-                [[r["d"], r["power_ci"], r["aci"]] for r in result["rows"]])
-    if query == "inject":
-        cols = ["n", "dim_below", "dim_at", "rank", "injective", "inequality_met"]
-        return cols, [[r[c] for c in cols] for r in result["rows"]]
-    if query == "wlp":
-        cols = ["d", "dim_below", "dim_at", "map_rank", "injective",
-                "surjective", "maximal_rank"]
-        return cols, [[r[c] for c in cols] for r in result["degrees"]]
-    if query == "sweep":
-        cols = ["n", "d", "dim_below", "dim_at", "map_rank", "injective",
-                "surjective", "maximal_rank"]
-        rows = []
-        for block in result["rows"]:
-            for r in block["degrees"]:
-                rows.append([block["n"]] + [r[c] for c in cols[1:]])
-        return cols, rows
-    if query == "paths":
-        cols = ["a", "t", "closed_form_valid", "closed_form_value"]
-        row = [result[c] for c in cols]
-        if "conjecture" in result:
-            cols = cols + ["exact_dim", "agrees"]
-            row = row + [result["conjecture"]["exact_dim"],
-                         result["conjecture"]["agrees"]]
-        return cols, [row]
-    if query == "witness":
-        cols = ["seed", "n", "d", "congruence_ok", "nonmembership_ok"]
-        return cols, [[r[c] for c in cols] for r in result["witnesses"]]
-    if query == "froberg":
-        rows = []
-        retained = result["predicted"]
-        for d, dim in enumerate(result["exact"]):
-            pred = retained[d] if d < len(retained) else ""
-            rows.append([d, pred, dim])
-        return ["d", "predicted", "exact"], rows
-    if query == "initial":
-        return ["monomial"], [[m] for m in result["monomials"]]
-    raise ValueError(f"no tabular layout for query: {query}")
-
-
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
-    header, rows = _csv_rows(report)
+    header, rows = _SUBCOMMANDS[report["query"]].table(report["result"])
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf).writerows([header, *rows])
         return buf.getvalue()
     cells = [header] + [[str(x) for x in r] for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
@@ -355,6 +287,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError("range end is below its start")
     return lo_i, hi_i
+
+
+# a range value; one with a negative start, given as its own argument,
+# would be read by argparse as an option
+_RANGE = re.compile(r"-?\d+\.\.-?\d+")
+
+
+def _join_ranges(argv: list[str]) -> list[str]:
+    """argv with each --n-range or --d-range joined to a range value that
+    follows it, as --n-range=A..B, so that the value reaches _parse_range;
+    a flag followed by anything else is left to argparse."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--n-range", "--d-range") and _RANGE.fullmatch(arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
 
 
 def _parse_field(text: str) -> FieldTag:
@@ -396,27 +345,69 @@ _FLAGS = {
     "verify_rational": {"action": "store_true"},
 }
 
-# help text, the flags each subcommand reads and its handler; --format and
-# --out go on all
+
+def _columns(key: str, *cols: str):
+    """The table layout of a result whose rows are the dicts under key,
+    one column per name of cols."""
+    return lambda result: (list(cols), [[r[c] for c in cols] for r in result[key]])
+
+
+def _sweep_table(result: dict):
+    return (["n", *_DEGREE_COLUMNS],
+            [[block["n"]] + [r[c] for c in _DEGREE_COLUMNS]
+             for block in result["rows"] for r in block["degrees"]])
+
+
+def _paths_table(result: dict):
+    flat = {**result, **result.get("conjecture", {})}
+    cols = ["a", "t", "closed_form_valid", "closed_form_value"] + (
+        ["exact_dim", "agrees"] if "conjecture" in result else [])
+    return cols, [[flat[c] for c in cols]]
+
+
+def _froberg_table(result: dict):
+    pred = result["predicted"]
+    return ["d", "predicted", "exact"], [
+        [d, pred[d] if d < len(pred) else "", dim]
+        for d, dim in enumerate(result["exact"])]
+
+
+# everything the command line knows of a subcommand: its help text, the
+# flags it reads (--format and --out go on all), those it needs, checked
+# by dispatch in this order, its handler, and its csv and table layout,
+# from its result to a header and rows
+_Subcommand = namedtuple("_Subcommand", "help flags required run table")
+
 _SUBCOMMANDS = {
-    "initial": ("degree piece of the initial ideal, checked combinatorially",
-                ("n", "a", "d", "field"), _run_initial),
-    "hilbert": ("quotient dimension counts per degree",
-                ("n", "a", "d", "d_range"), _run_hilbert),
-    "froberg": ("predicted series against exact dimensions",
-                ("n", "a", "seeds", "field"), _run_froberg),
-    "wlp": ("maximal-rank sweep over degrees 1 to ceil(((a-1)n+a)/2)-1 "
-            "for one n",
-            ("n", "a", "seeds", "field"), _run_wlp),
-    "inject": ("injectivity table over a range of n",
-               ("a", "d", "n_range", "seeds", "field", "verify_rational"),
-               _run_inject),
-    "witness": ("kernel witness pairs with exact verification",
-                ("n", "d", "seeds"), _run_witness),
-    "paths": ("bounded walk counts and the dimension comparison",
-              ("n", "d", "seeds", "boundary"), _run_paths),
-    "sweep": ("maximal-rank sweeps over a range of n",
-              ("a", "n_range", "seeds", "field"), _run_sweep),
+    "initial": _Subcommand(
+        "degree piece of the initial ideal, checked combinatorially",
+        ("n", "a", "d", "field"), ("n", "a", "d"), _run_initial,
+        lambda result: (["monomial"], [[m] for m in result["monomials"]])),
+    "hilbert": _Subcommand(
+        "quotient dimension counts per degree", ("n", "a", "d", "d_range"),
+        ("n", "a"), _run_hilbert, _columns("rows", "d", "power_ci", "aci")),
+    "froberg": _Subcommand(
+        "predicted series against exact dimensions", ("n", "a", "seeds", "field"),
+        ("n", "a", "seeds"), _run_froberg, _froberg_table),
+    "wlp": _Subcommand(
+        "maximal-rank sweep over degrees 1 to ceil(((a-1)n+a)/2)-1 for one n",
+        ("n", "a", "seeds", "field"), ("n", "a", "seeds"), _run_wlp,
+        _columns("degrees", *_DEGREE_COLUMNS)),
+    "inject": _Subcommand(
+        "injectivity table over a range of n",
+        ("a", "d", "n_range", "seeds", "field", "verify_rational"),
+        ("a", "d", "seeds", "n_range"), _run_inject, _columns(
+            "rows", "n", "dim_below", "dim_at", "rank", "injective", "inequality_met")),
+    "witness": _Subcommand(
+        "kernel witness pairs with exact verification", ("n", "d", "seeds"),
+        ("n", "d", "seeds"), _run_witness, _columns(
+            "witnesses", "seed", "n", "d", "congruence_ok", "nonmembership_ok")),
+    "paths": _Subcommand(
+        "bounded walk counts and the dimension comparison",
+        ("n", "d", "seeds", "boundary"), ("n", "d"), _run_paths, _paths_table),
+    "sweep": _Subcommand(
+        "maximal-rank sweeps over a range of n", ("a", "n_range", "seeds", "field"),
+        ("a", "seeds", "n_range"), _run_sweep, _sweep_table),
 }
 
 
@@ -425,10 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lefschetz-kit",
         description="Exact computations around weak Lefschetz multiplication maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags, _) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text,
+    for name, row in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=row.help,
                             argument_default=argparse.SUPPRESS)
-        for flag in flags:
+        for flag in row.flags:
             sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
         sp.add_argument("--format", choices=("json", "csv", "table"))
         sp.add_argument("--out", dest="output_path", metavar="PATH")
@@ -446,6 +437,7 @@ def main(argv=None) -> int:
     # the parser sets only the flags given (argument_default=SUPPRESS), so
     # every other field takes its default from RunConfig, where each is
     # written once
+    argv = _join_ranges(sys.argv[1:] if argv is None else argv)
     config = RunConfig(**vars(_parser().parse_args(argv)))
     try:
         code, report = dispatch(config)

@@ -742,29 +742,29 @@ def standard_monomials(spec: IdealSpec, d: int,
 
 def support_bound_check(n: int, a: int, d: int) -> bool:
     """Whether all minimal non-pure generators of the initial ideal through
-    degree d involve only the first ceil(2d/(a-1)) variables."""
+    degree d involve only the first ceil(2d/(a-1)) variables.
+
+    Those generators have every exponent below a, and so has every
+    monomial dividing one, so they are the pivots of the extra-form span
+    in some degree e that no pivot of degree e - 1 divides. Below degree a
+    the span has no rows.
+    """
     if a < 2 or d < a:
         raise ValueError("need d >= a >= 2")
     bound = -(-2 * d // (a - 1))
     if n < bound:
         raise ValueError("need n >= ceil(2d/(a-1))")
     spec = IdealSpec(n=n, a=a)
-    pieces = {e: initial_degree_piece(spec, e) for e in range(a - 1, d + 1)}
-    for e_deg in range(a, d + 1):
-        below = pieces[e_deg - 1]
-        for m in pieces[e_deg]:
-            exps = m.exponents
-            divisible = False
-            for i, ex in enumerate(exps):
-                if ex and Monomial(exps[:i] + (ex - 1,) + exps[i + 1:]) in below:
-                    divisible = True
-                    break
-            if divisible:
-                continue
-            if any(ex >= a for ex in exps):
-                continue
-            if any(exps[bound:]):
+    below = set()
+    for e in range(a, d + 1):
+        basis, piv = _reduce_spec(spec, e, RATIONALS)
+        pivots = {basis[c] for c in piv}
+        for m in pivots:
+            if any(m[bound:]) and not any(
+                    ex and m[:i] + (ex - 1,) + m[i + 1:] in below
+                    for i, ex in enumerate(m)):
                 return False
+        below = pivots
     return True
 
 

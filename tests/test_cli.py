@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -294,6 +295,95 @@ def test_missing_flag_is_invalid_input(capsys):
 def test_missing_seeds_is_invalid_input():
     proc = run_cli("witness", "--d", "3", "--n", "6")
     assert proc.returncode == 2
+
+
+# the required flags of each subcommand with a valid value, in the order
+# they are checked, and the form each missing-flag message names
+_REQUIRED = {
+    "initial": [("--n", "3"), ("--a", "2"), ("--d", "2")],
+    "hilbert": [("--n", "3"), ("--a", "2")],
+    "froberg": [("--n", "3"), ("--a", "2"), ("--seeds", "1")],
+    "wlp": [("--n", "3"), ("--a", "2"), ("--seeds", "1")],
+    "sweep": [("--a", "2"), ("--seeds", "1"), ("--n-range", "3..4")],
+    "inject": [("--a", "2"), ("--d", "3"), ("--seeds", "1"),
+               ("--n-range", "5..6")],
+    "witness": [("--n", "6"), ("--d", "3"), ("--seeds", "1")],
+    "paths": [("--n", "6"), ("--d", "3")],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_REQUIRED))
+def test_each_missing_flag_is_named_first_in_check_order(sub, capsys):
+    # dropping flag i alone, or flag i and every later one, names flag i;
+    # a seed list that parses empty counts as missing
+    flags = _REQUIRED[sub]
+    for i, (flag, _) in enumerate(flags):
+        form = flag + (" A..B" if flag == "--n-range" else "")
+        for kept in (flags[:i] + flags[i + 1:], flags[:i]):
+            argv = [sub] + [x for pair in kept for x in pair]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err == f"error: invalid input: {sub} needs {form}\n", argv
+        if flag == "--seeds":
+            assert main(argv + ["--seeds", ","]) == 2
+            assert capsys.readouterr().err == (
+                f"error: invalid input: {sub} needs --seeds\n")
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "--a", "2", "--d", "3", "--n-range", "-3..-2", "--seeds", "1"],
+    ["hilbert", "--n", "3", "--a", "2", "--d-range", "-3..-2"],
+])
+def test_negative_range_start_reaches_the_range_check(argv, capsys):
+    # argparse reads a separate value with a leading minus as an option,
+    # so the value is joined to its flag first, as with --flag=A..B
+    i = argv.index("-3..-2")
+    joined = argv[:i - 1] + [argv[i - 1] + "=-3..-2"] + argv[i + 1:]
+    errs = []
+    for query in (argv, joined):
+        assert _exit_code(query) == 2, query
+        out, err = capsys.readouterr()
+        assert out == "", query
+        assert len(err.splitlines()) == 1, query
+        assert err.startswith("error: invalid input:"), query
+        errs.append(err)
+    assert errs[0] == errs[1]
+    # a flag followed by no range still gets argparse's error
+    assert _exit_code(argv[:i] + argv[i + 1:]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_empty_initial_piece_prints_only_the_header(capsys):
+    # degree 0 of the squares ideal holds no monomial
+    argv = ["initial", "--n", "3", "--a", "2", "--d", "0"]
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "monomial\r\n"
+    assert main(argv + ["--format", "table"]) == 0
+    assert capsys.readouterr().out == ("# initial field=rational seeds=\n"
+                                       "monomial\n")
+
+
+def test_degree_columns_are_the_degree_record_fields(capsys):
+    names = [f.name for f in dataclasses.fields(quotient.DegreeRecord)]
+    for argv, blocks, prefix in (
+            (["wlp", "--n", "4", "--a", "2", "--seeds", "1"], lambda r: [r], []),
+            (["sweep", "--a", "2", "--n-range", "3..4", "--seeds", "1"],
+             lambda r: r["rows"], ["n"])):
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        degrees = [r for block in blocks(result) for r in block["degrees"]]
+        assert degrees and all(list(r) == names for r in degrees), argv
+        assert main(argv + ["--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split(",") == prefix + names, argv
 
 
 def test_bad_field_is_rejected():

@@ -376,6 +376,26 @@ def test_support_bound_check():
         support_bound_check(3, 2, 3)
 
 
+@pytest.mark.parametrize("degree_three, expected", [
+    # minimal, and it uses x7, past the bound ceil(2 * 3 / 1) = 6
+    ((1, 0, 0, 0, 0, 0, 1, 1), False),
+    # it uses x7, but the degree-two pivot x1x2 divides it
+    ((1, 1, 0, 0, 0, 0, 1, 0), True),
+])
+def test_support_bound_check_reads_the_minimal_pivots(monkeypatch,
+                                                      degree_three, expected):
+    # squares in 8 variables through degree 3, with made-up span records:
+    # every cell of the real ideal passes, so only planted pivots can fail
+    pivots = {2: [(1, 1, 0, 0, 0, 0, 0, 0)], 3: [degree_three]}
+
+    def span(spec, e, field_tag):
+        basis = pivots.get(e, [])
+        return basis, list(range(len(basis)))
+
+    monkeypatch.setattr(quotient, "_reduce_spec", span)
+    assert support_bound_check(8, 2, 3) is expected
+
+
 def test_injectivity_threshold_check():
     rows = injectivity_threshold_check(2, 3, range(6, 8), seeds=(1,))
     by_n = {r["n"]: r for r in rows}
